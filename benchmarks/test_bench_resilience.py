@@ -20,8 +20,10 @@ from repro.experiments.sweep import (
     SweepSpec,
     canonical_bytes,
     run_sweep,
+    runner_name,
 )
 from repro.metrics.report import render_table
+from repro.store import ResultStore
 
 POINTS = 200
 
@@ -45,6 +47,7 @@ def test_bench_resilience(run_once, bench_record, tmp_path):
         plan={i: ("raise",) for i in range(0, POINTS, 10)}
     )
     die_plan = ChaosSpec(plan={40: ("die", "ok"), 140: ("die", "ok")})
+    store = ResultStore(tmp_path / "journal", code_version="bench")
 
     def three_way():
         baseline = run_sweep(_spec(), _point, workers=1)
@@ -54,7 +57,9 @@ def test_bench_resilience(run_once, bench_record, tmp_path):
             workers=1,
             policy=FailurePolicy(max_attempts=3, on_error="collect"),
             chaos=raise_every_tenth,
-            journal=tmp_path / "journal",
+            journal=store.run_journal(
+                "bench-resilience", runner_name(_point)
+            ),
             resume=False,
         )
         recovered = run_sweep(

@@ -5,7 +5,8 @@ campaigns runs three ways:
 
 1. serial, cold (the pre-engine behaviour: one process, no reuse);
 2. through a 4-worker process pool, cold cache (populates the cache);
-3. serial again against the warm on-disk cache (no simulation at all).
+3. serial again against the warm result-store cache (no simulation
+   at all).
 
 The acceptance assertions: all three produce byte-identical results,
 and the engine cuts wall time by >= 3x on this grid — via the process
@@ -19,12 +20,12 @@ import os
 
 from repro.experiments.common import run_campaign, standard_hybrid_app
 from repro.experiments.sweep import (
-    SweepCache,
     SweepSpec,
     canonical_bytes,
     run_sweep,
 )
 from repro.metrics.report import render_table
+from repro.store import ResultStore
 from repro.quantum.technology import SUPERCONDUCTING
 from repro.strategies.vqpu import VQPUStrategy
 
@@ -84,7 +85,7 @@ def _spec(seed: int = 0) -> SweepSpec:
 
 
 def test_bench_sweep(run_once, bench_record, tmp_path):
-    cache = SweepCache(tmp_path, code_version="bench")
+    cache = ResultStore(tmp_path, code_version="bench").sweep_cache()
 
     def three_way():
         serial = run_sweep(_spec(), _campaign_point, workers=1)

@@ -12,8 +12,8 @@ runs such pipelines as declarative, journaled, resumable DAGs:
   downstream-cone computation;
 - :mod:`~repro.campaigns.steps` — the :data:`STEPS` registry mapping
   step names (``scenario.sweep``, ``strategy.compare``, …) to code;
-- :mod:`~repro.campaigns.journal` — the fsync'd stage journal resume
-  reads;
+- :mod:`~repro.campaigns.journal` — :class:`StageOutcome`, the
+  terminal stage record the result store journals for resume;
 - :mod:`~repro.campaigns.backends` — serial and local-pool execution
   with byte-identical values;
 - :mod:`~repro.campaigns.engine` — :class:`CampaignEngine`, tying the
@@ -37,9 +37,7 @@ from repro.campaigns.engine import (
 )
 from repro.campaigns.journal import (
     STATUS_SKIPPED,
-    CampaignJournal,
     StageOutcome,
-    campaign_digest,
 )
 from repro.campaigns.spec import (
     CampaignSpec,
@@ -59,7 +57,6 @@ __all__ = [
     "BACKENDS",
     "CampaignDAG",
     "CampaignEngine",
-    "CampaignJournal",
     "CampaignResult",
     "CampaignSpec",
     "ExecutionBackend",
@@ -71,7 +68,6 @@ __all__ = [
     "StageOutcome",
     "StageSpec",
     "StepRegistry",
-    "campaign_digest",
     "create_backend",
     "list_campaigns",
     "load_campaign",

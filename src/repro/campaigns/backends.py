@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.campaigns.steps import StageContext, resolve_step
-from repro.experiments.sweep import _mp_context, _terminate_pool
+from repro.experiments.sweep import _process_pool, _terminate_pool
 
 #: Completed-stage report: (stage name, outcome tuple).
 StageReport = Tuple[str, Tuple[Any, ...]]
@@ -148,9 +148,7 @@ class SerialBackend(ExecutionBackend):
         timeout_seconds: float,
     ) -> StageReport:
         """Run one timed stage in a throwaway single-worker pool."""
-        pool = ProcessPoolExecutor(
-            max_workers=1, mp_context=_mp_context()
-        )
+        pool = _process_pool(1)
         start = time.perf_counter()
         try:
             future = pool.submit(_execute_stage, step_name, ctx)
@@ -205,9 +203,7 @@ class LocalPoolBackend(ExecutionBackend):
 
     def start(self) -> None:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers, mp_context=_mp_context()
-            )
+            self._pool = _process_pool(self._workers)
 
     def stop(self) -> None:
         if self._pool is not None:
@@ -243,9 +239,7 @@ class LocalPoolBackend(ExecutionBackend):
 
     def _rebuild(self) -> None:
         _terminate_pool(self._pool)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self._workers, mp_context=_mp_context()
-        )
+        self._pool = _process_pool(self._workers)
 
     def _resubmit(self, entries: List[Tuple]) -> None:
         """Re-dispatch in-flight stages after a pool rebuild."""

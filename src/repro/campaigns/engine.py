@@ -12,10 +12,10 @@ ExecutionBackend` under the stage's own
   with :class:`~repro.errors.CampaignError`;
 - under ``on_error="collect"`` the stage is marked failed and only its
   downstream cone is skipped — independent branches keep running;
-- every terminal outcome is journaled (fsync'd) the moment it exists,
-  and each completed stage's value is persisted to an atomic pickle —
+- every terminal outcome, and before it each completed stage's value,
+  is committed to the campaign's result store the moment it exists —
   so :meth:`CampaignEngine.run` with ``resume=True`` after a SIGKILL
-  replays completed stages from disk (zero re-execution, journal-
+  replays completed stages from the store (zero re-execution, journal-
   asserted by the crash suite) and re-enters a half-done sweep stage
   through that stage's own point-level journal;
 - stage-granular :class:`~repro.experiments.resilience.ChaosSpec`
@@ -34,20 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.campaigns.backends import ExecutionBackend, create_backend
-from repro.campaigns.journal import (
-    STATUS_SKIPPED,
-    CampaignJournal,
-    StageOutcome,
-    campaign_digest,
-)
+from repro.campaigns.journal import STATUS_SKIPPED, StageOutcome
 from repro.campaigns.spec import CampaignSpec, StageSpec, load_campaign
 from repro.campaigns.steps import StageContext
 from repro.errors import CampaignError, ConfigurationError
@@ -61,6 +54,9 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.sweep import _default_code_version, canonical_bytes
 from repro.sim.rng import derive_seed
+
+if TYPE_CHECKING:
+    from repro.store.campaign import StoreCampaignJournal
 
 
 def stage_seed(campaign_seed: int, campaign: str, stage: str) -> int:
@@ -180,9 +176,9 @@ class CampaignEngine:
         :func:`~repro.campaigns.spec.load_campaign` accepts (path,
         packaged name, mapping).
     state_dir:
-        Campaign-private durable state: the stage journal, per-stage
-        result pickles, and per-sweep-stage caches/journals all live
-        here.  Reuse the same directory to resume.
+        Campaign-private durable state: a result store holding the
+        stage journal and stage values, plus one store per sweep stage
+        under ``sweeps/``.  Reuse the same directory to resume.
     backend:
         A backend name from :data:`~repro.campaigns.backends.BACKENDS`
         or a ready :class:`ExecutionBackend` instance.
@@ -202,7 +198,6 @@ class CampaignEngine:
         workers: Optional[int] = None,
         chaos: Optional[ChaosSpec] = None,
         code_version: Optional[str] = None,
-        store: Any = None,
     ) -> None:
         self.spec = load_campaign(spec)
         self.state_dir = Path(state_dir)
@@ -214,99 +209,18 @@ class CampaignEngine:
         else:
             self.backend = create_backend(backend, workers=self.workers)
         self.dag = self.spec.dag()
-        # Optional durable result store (a ResultStore or a directory):
-        # stage journal + stage values go into SQLite instead of JSONL
-        # + pickle files, with identical resume semantics.
-        self.store = None
-        if store is not None:
-            from repro.store import ResultStore
+        # Imported here: sqlite3 and the store load with the first
+        # engine, not with every ``import repro.campaigns``.
+        from repro.store.api import ResultStore
 
-            if isinstance(store, ResultStore):
-                self.store = store
-            else:
-                self.store = ResultStore(
-                    store, code_version=self.code_version
-                )
+        self.store = ResultStore(
+            self.state_dir, code_version=self.code_version
+        )
 
     # -- durable state -------------------------------------------------------
 
-    def journal(self) -> CampaignJournal:
-        if self.store is not None:
-            return self.store.campaign_journal(
-                self.spec.name, self.spec.seed, self.code_version
-            )
-        return CampaignJournal.for_campaign(
-            self.state_dir,
-            self.spec.name,
-            self.spec.seed,
-            self.code_version,
-        )
-
-    def _results_dir(self) -> Path:
-        digest = campaign_digest(
-            self.spec.name, self.spec.seed, self.code_version
-        )
-        return self.state_dir / f"results-{digest}"
-
-    def _result_path(self, stage: str) -> Path:
-        return self._results_dir() / f"{stage}.pkl"
-
-    def _campaign_id(self) -> int:
-        return self.store.campaign_id(
-            self.spec.name, self.spec.seed, self.code_version
-        )
-
-    def _persist_value(self, stage: str, value: Any) -> None:
-        """Atomically pickle one stage's value (crash-safe)."""
-        if self.store is not None:
-            self.store.save_stage_value(
-                self._campaign_id(), stage, result_digest(value), value
-            )
-            return
-        path = self._result_path(stage)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "wb", dir=path.parent, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                pickle.dump(value, handle)
-                handle.flush()
-                try:
-                    os.fsync(handle.fileno())
-                except OSError:  # pragma: no cover
-                    pass
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-
-    def _load_value(self, stage: str, expect_digest: Optional[str]):
-        """(found, value) for a persisted stage result.
-
-        Returns ``(False, None)`` when the pickle is missing,
-        unreadable, or does not match the digest the journal promised
-        — all of which mean "re-execute", never "crash".
-        """
-        if self.store is not None:
-            return self.store.load_stage_value(
-                self._campaign_id(), stage, expect_digest
-            )
-        path = self._result_path(stage)
-        try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError):
-            return False, None
-        if (
-            expect_digest is not None
-            and result_digest(value) != expect_digest
-        ):
-            return False, None
-        return True, value
+    def journal(self) -> StoreCampaignJournal:
+        return self.store.campaign_journal(self.spec.name, self.spec.seed)
 
     # -- status (read-only) --------------------------------------------------
 
@@ -316,7 +230,10 @@ class CampaignEngine:
         Safe to call while another process runs the campaign (reads
         never take the writer lock).
         """
-        journaled = self.journal().load()
+        try:
+            journaled = self.journal().load()
+        finally:
+            self.store.close()
         stages = {}
         for name in self.dag.order:
             outcome = journaled.get(name)
@@ -355,7 +272,7 @@ class CampaignEngine:
             journaled = journal.load() if resume else {}
             result = self._execute(journal, journaled)
         finally:
-            journal.close()
+            self.store.close()
         result.wall_seconds = time.perf_counter() - started
         return result
 
@@ -374,7 +291,7 @@ class CampaignEngine:
 
     def _execute(
         self,
-        journal: CampaignJournal,
+        journal: StoreCampaignJournal,
         journaled: Dict[str, StageOutcome],
     ) -> CampaignResult:
         order = self.dag.order
@@ -430,13 +347,13 @@ class CampaignEngine:
             if outcome is None:
                 return False
             if outcome.ok:
-                found, value = self._load_value(
+                found, value = journal.load_value(
                     name, outcome.result_digest
                 )
                 if not found:
-                    # The journal promised a value the disk no longer
+                    # The journal promised a value the store no longer
                     # has (or has wrong) — re-execute; the fresh
-                    # terminal line supersedes this one at compaction.
+                    # terminal outcome replaces this one.
                     return False
                 outcome.resumed = True
                 finish_ok(name, outcome, value)
@@ -504,8 +421,8 @@ class CampaignEngine:
                 outcome = state.outcome(
                     STATUS_OK, result_digest=result_digest(value)
                 )
-                self._persist_value(name, value)
-                # Value first, then the journal line that promises it:
+                journal.save_value(name, outcome.result_digest, value)
+                # Value first, then the outcome row that promises it:
                 # a crash between the two re-executes the stage, never
                 # trusts a phantom value.
                 journal.record(outcome)

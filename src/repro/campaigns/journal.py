@@ -1,36 +1,26 @@
-"""Stage-granular campaign journal, layered on the JSONL machinery.
+"""The stage outcome record the campaign engine journals.
 
-The campaign engine writes one :class:`StageOutcome` line per terminal
-stage — flushed and fsync'd, so a SIGKILL between stages loses nothing.
-On ``--resume`` the engine replays journaled outcomes instead of
-re-executing: a completed stage's value comes back from its result
-pickle, a permanently-failed stage replays as a failure (cone-skipped
-under ``on_error="collect"``).  *Skipped* stages are deliberately never
+The engine journals one :class:`StageOutcome` per terminal stage in its
+result store (:meth:`repro.store.ResultStore.campaign_journal`), each in
+its own committed transaction, so a SIGKILL between stages loses
+nothing.  On ``--resume`` the engine replays journaled outcomes instead
+of re-executing: a completed stage's value comes back from the store, a
+permanently-failed stage replays as a failure (cone-skipped under
+``on_error="collect"``).  *Skipped* stages are deliberately never
 journaled — a resume that recovers their failed ancestor must be free
 to run them.
-
-Locking and compaction are inherited from
-:class:`~repro.experiments.resilience.JsonlJournal`: a second live
-process on the same journal raises
-:class:`~repro.errors.JournalLockedError`, and ``close()`` compacts
-superseded stage lines away.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import List, Optional
 
 from repro.experiments.resilience import (
     STATUS_CRASHED,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMED_OUT,
-    JsonlJournal,
 )
 
 #: Stage-only status: an ancestor failed, so the stage never ran.
@@ -52,11 +42,11 @@ class StageOutcome:
     """The terminal record of one campaign stage.
 
     ``result_digest`` is ``sha256(canonical_bytes(value))[:16]`` — the
-    engine uses it on resume to verify the persisted result pickle
-    still matches what the journal promised, and the crash-resume
-    suite uses it to assert byte-identity without shipping values
-    around.  ``resumed`` marks an outcome replayed from the journal
-    rather than executed this run.
+    engine uses it on resume to verify the stored stage value still
+    matches what the journal promised, and the crash-resume suite uses
+    it to assert byte-identity without shipping values around.
+    ``resumed`` marks an outcome replayed from the journal rather than
+    executed this run.
     """
 
     stage: str
@@ -81,59 +71,3 @@ class StageOutcome:
         if self.error:
             text += f" — {self.error}"
         return text
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "StageOutcome":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in fields})
-
-
-def campaign_digest(name: str, seed: int, code_version: str) -> str:
-    """The identity a campaign journal (and result dir) is bound to.
-
-    Changing the campaign's name, seed, or the code version starts a
-    fresh journal rather than replaying stale stage outcomes.
-    """
-    return hashlib.sha256(
-        f"{name}\n{seed}\n{code_version}".encode("utf-8")
-    ).hexdigest()[:12]
-
-
-class CampaignJournal(JsonlJournal):
-    """Append-only JSONL journal of terminal stage outcomes."""
-
-    @classmethod
-    def for_campaign(
-        cls,
-        directory: os.PathLike,
-        name: str,
-        seed: int,
-        code_version: str,
-    ) -> "CampaignJournal":
-        digest = campaign_digest(name, seed, code_version)
-        slug = "".join(
-            ch if (ch.isalnum() or ch in "-_") else "-" for ch in name
-        )
-        return cls(
-            Path(directory) / f"{slug}-{digest}.campaign.jsonl"
-        )
-
-    def _encode_record(self, record: StageOutcome) -> Dict[str, Any]:
-        return record.to_json_dict()
-
-    def _decode_record(
-        self, data: Mapping[str, Any]
-    ) -> Optional[StageOutcome]:
-        outcome = StageOutcome.from_json_dict(data)
-        if outcome.status not in STAGE_STATUSES:
-            return None
-        if outcome.status == STATUS_SKIPPED:
-            # Skips are a per-run decision, not durable state.
-            return None
-        return outcome
-
-    def _record_key(self, record: StageOutcome) -> str:
-        return record.stage

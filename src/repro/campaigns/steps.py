@@ -164,19 +164,23 @@ def _scenario_sweep(ctx: StageContext) -> Dict[str, Any]:
 
     Params: ``preset``, ``axes`` (dotted path -> list of values),
     optional ``replications``, ``run_horizon``, ``retries``,
-    ``point_timeout_seconds``.  The sweep's cache and journal live
-    under the campaign state directory, so a campaign resumed through
-    a half-done sweep stage re-executes only the missing points.
+    ``point_timeout_seconds``.  The sweep's cache and journal live in
+    a result store at ``state_dir/sweeps/<stage>`` — its own store: the
+    engine holds the writer lock on the campaign's — so a campaign
+    resumed through a half-done sweep stage re-executes only the
+    missing points.
 
     Returns ``{"rows": [{**params, **metrics}, ...], "ok": n,
     "failed": n}`` — plain data, safe to digest and pickle.
     """
     from repro.experiments.resilience import FailurePolicy
-    from repro.experiments.sweep import SweepCache
+    from repro.experiments.sweep import sweep_journal
     from repro.scenarios.sweeps import (
+        run_scenario_point,
         run_scenario_sweep,
         scenario_sweep_spec,
     )
+    from repro.store import ResultStore
 
     axes = {
         str(key): list(values)
@@ -192,24 +196,30 @@ def _scenario_sweep(ctx: StageContext) -> Dict[str, Any]:
         replications=int(ctx.param("replications", 1)),
         run_horizon=ctx.param("run_horizon"),
     )
-    cache = journal = None
+    store = cache = None
     if ctx.state_dir is not None:
-        sweep_dir = Path(ctx.state_dir) / "sweeps" / ctx.stage
-        cache = SweepCache(sweep_dir, code_version=ctx.code_version)
-        journal = sweep_dir
+        store = ResultStore(
+            Path(ctx.state_dir) / "sweeps" / ctx.stage,
+            code_version=ctx.code_version,
+        )
+        cache = store.sweep_cache()
     policy = FailurePolicy(
         max_attempts=int(ctx.param("retries", 0)) + 1,
         timeout_seconds=ctx.param("point_timeout_seconds"),
         on_error="collect",
     )
-    result = run_scenario_sweep(
-        spec,
-        workers=ctx.workers,
-        cache=cache,
-        policy=policy,
-        journal=journal,
-        resume=True,
-    )
+    try:
+        result = run_scenario_sweep(
+            spec,
+            workers=ctx.workers,
+            cache=cache,
+            policy=policy,
+            journal=sweep_journal(cache, spec, run_scenario_point),
+            resume=True,
+        )
+    finally:
+        if store is not None:
+            store.close()
     rows = []
     for point, value in zip(result.points, result.values):
         row = dict(point.params)

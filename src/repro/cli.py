@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help=(
-            "directory for the on-disk result cache (default: "
+            "result store directory caching point values (default: "
             "$REPRO_SWEEP_CACHE_DIR or no cache); re-runs only "
             "simulate new grid points"
         ),
@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help=(
-            "resume from the run journal next to the cache: skip "
+            "resume from the cache store's run journal: skip "
             "points already completed or permanently failed in a "
             "previous (possibly killed) run; requires --cache-dir or "
             "$REPRO_SWEEP_CACHE_DIR"
@@ -165,15 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "recovery paths, as a ChaosSpec JSON object, e.g. "
             "'{\"seed\": 7, \"raise_rate\": 0.25}' (see "
             "docs/resilience.md)"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--store",
-        action="store_true",
-        help=(
-            "back the cache directory with the durable result store "
-            "(SQLite + columnar metrics; see docs/store.md) instead "
-            "of per-point pickles; requires --cache-dir"
         ),
     )
 
@@ -251,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--state-dir",
             required=True,
             help=(
-                "directory for the campaign's durable state (stage "
-                "journal, per-stage results, sweep caches); reuse it "
+                "result store directory for the campaign's durable state "
+                "(stage journal, stage values, sweep stores); reuse it "
                 "to resume"
             ),
         )
@@ -293,15 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="print the canonical campaign result as JSON",
         )
-        campaign_exec.add_argument(
-            "--store",
-            action="store_true",
-            help=(
-                "keep the stage journal and stage values in the durable "
-                "result store under STATE_DIR/store instead of pickle "
-                "files (see docs/store.md)"
-            ),
-        )
     campaign_status = campaign_sub.add_parser(
         "status",
         help=(
@@ -322,11 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the spec's campaign seed",
-    )
-    campaign_status.add_argument(
-        "--store",
-        action="store_true",
-        help="read stage progress from STATE_DIR/store",
     )
 
     store_parser = subparsers.add_parser(
@@ -796,19 +773,10 @@ def _sweep_run_kwargs(parser, args, workers: int) -> dict:
     if args.retries < 0:
         parser.error("--retries must be >= 0")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if args.store:
-        if not cache_dir:
-            parser.error("--store needs --cache-dir")
-        # Creating the database up front is all it takes: sweep_cache()
-        # auto-detects store.sqlite3 and goes store-backed.
-        from repro.store import ResultStore
-
-        with ResultStore(cache_dir):
-            pass
     if args.resume and not cache_dir:
         parser.error(
-            "--resume needs the run journal kept next to the result "
-            "cache: pass --cache-dir (or set $REPRO_SWEEP_CACHE_DIR)"
+            "--resume needs the run journal kept in the cache store: "
+            "pass --cache-dir (or set $REPRO_SWEEP_CACHE_DIR)"
         )
     try:
         policy = FailurePolicy(
@@ -922,7 +890,6 @@ def _campaign_command(parser, args) -> int:
                 backend=args.backend,
                 workers=args.workers,
                 chaos=chaos,
-                store=_campaign_store_dir(args),
             )
         except (ReproError, ValueError, TypeError) as exc:
             parser.error(str(exc))
@@ -972,9 +939,7 @@ def _campaign_command(parser, args) -> int:
             spec = load_campaign(args.spec)
             if args.seed is not None:
                 spec = dataclasses.replace(spec, seed=args.seed)
-            engine = CampaignEngine(
-                spec, args.state_dir, store=_campaign_store_dir(args)
-            )
+            engine = CampaignEngine(spec, args.state_dir)
         except ReproError as exc:
             parser.error(str(exc))
         print(json.dumps(engine.status(), indent=2, sort_keys=True))
@@ -983,15 +948,6 @@ def _campaign_command(parser, args) -> int:
         "campaign needs a subcommand: list, describe, run, resume or "
         "status"
     )
-
-
-def _campaign_store_dir(args):
-    """``--store`` puts campaign state in ``STATE_DIR/store``."""
-    from pathlib import Path
-
-    if not getattr(args, "store", False):
-        return None
-    return Path(args.state_dir) / "store"
 
 
 def _store_command(parser, args) -> int:

@@ -79,13 +79,12 @@ class ChaosError(ReproError):
 
 
 class JournalLockedError(ReproError):
-    """Another live process holds the journal's exclusive lock.
+    """Another live process holds the run or stage journal's lock.
 
-    Two writers appending to the same journal file would silently
-    interleave records and corrupt resume state; the journal refuses to
-    open instead.  A lock held by a process that was SIGKILL'd is
-    released by the kernel automatically, so crashed campaigns never
-    need manual lock cleanup.
+    Two writers on one journal would silently interleave records and
+    corrupt resume state; the journal refuses to open instead.  A lock
+    held by a process that was SIGKILL'd is released by the kernel
+    automatically, so crashed campaigns never need manual lock cleanup.
     """
 
 
@@ -96,12 +95,10 @@ class StoreError(ReproError):
 class StoreLockedError(StoreError, JournalLockedError):
     """Another live process holds the store's exclusive writer lock.
 
-    Subclasses :class:`JournalLockedError` because a store-backed run
-    journal surfaces writer contention through the same ``acquire()``
-    seam the JSONL journals use — callers catching the journal error
-    keep working unchanged.  Like the journal lock, the store lock is
-    ``flock``-based: the kernel releases it when its holder dies, so a
-    SIGKILL'd writer never leaves a stale lock behind.
+    Subclasses :class:`JournalLockedError` because the run and stage
+    journals surface writer contention through it on ``acquire()``.
+    The lock is ``flock``-based: the kernel releases it when its holder
+    dies, so a SIGKILL'd writer never leaves a stale lock behind.
     """
 
 
@@ -151,10 +148,9 @@ class StoreCorruptError(StoreError):
     """A store file failed validation and was quarantined.
 
     Raised after the offending file (SQLite database or npz metric
-    shard) has been renamed aside with a ``.corrupt`` suffix — the
-    same quarantine contract as ``SweepCache.load``'s
-    ``*.pkl.corrupt`` — so a reopen starts clean instead of crashing
-    on (or silently trusting) mangled bytes.
+    shard) has been renamed aside with a ``.corrupt`` suffix, so a
+    reopen starts clean instead of crashing on (or silently trusting)
+    mangled bytes.
     """
 
 

@@ -21,10 +21,8 @@ from repro.experiments.resilience import (
     ChaosSpec,
     FailurePolicy,
     PointOutcome,
-    RunJournal,
 )
 from repro.experiments.sweep import (
-    SweepCache,
     SweepPoint,
     SweepResult,
     SweepSpec,
@@ -62,9 +60,7 @@ __all__ = [
     "FailurePolicy",
     "PointOutcome",
     "ResultTable",
-    "RunJournal",
     "SWEEP_EXPERIMENTS",
-    "SweepCache",
     "SweepPoint",
     "SweepResult",
     "SweepSpec",

@@ -31,7 +31,12 @@ from repro.experiments.harness import (
     attach_sweep_failures,
 )
 from repro.experiments.resilience import ChaosSpec, FailurePolicy
-from repro.experiments.sweep import SweepSpec, run_sweep, sweep_cache
+from repro.experiments.sweep import (
+    SweepSpec,
+    run_sweep,
+    sweep_cache,
+    sweep_journal,
+)
 from repro.metrics.stats import mean
 from repro.quantum.technology import (
     NEUTRAL_ATOM,
@@ -200,20 +205,22 @@ def run(
             ]
         )
 
+    grid = sweep_spec(
+        seed=seed,
+        horizon=horizon,
+        scheduling_cycle=scheduling_cycle,
+        warmup=warmup,
+    )
+    cache = sweep_cache(cache_dir)
     sweep_result = run_sweep(
-        sweep_spec(
-            seed=seed,
-            horizon=horizon,
-            scheduling_cycle=scheduling_cycle,
-            warmup=warmup,
-        ),
+        grid,
         _run_cell,
         workers=workers,
-        cache=sweep_cache(cache_dir),
+        cache=cache,
         on_result=aggregate,
         policy=policy,
         chaos=chaos,
-        journal=cache_dir or None,
+        journal=sweep_journal(cache, grid, _run_cell),
         resume=resume,
     )
     if attach_sweep_failures(result, sweep_result):

@@ -1,4 +1,4 @@
-"""Fault-tolerant campaign execution: policies, outcomes, journal, chaos.
+"""Fault-tolerant campaign execution: policies, outcomes, chaos.
 
 The sweep engine fans millions-of-points campaigns across worker
 processes; this module holds the fault-tolerance vocabulary it speaks:
@@ -9,10 +9,9 @@ processes; this module holds the fault-tolerance vocabulary it speaks:
 - :class:`PointOutcome` — the structured record every point ends with
   (ok / failed / timed_out / crashed, attempt count, error text,
   traceback, per-attempt seconds), collected in
-  :class:`~repro.experiments.sweep.SweepResult.outcomes`.
-- :class:`RunJournal` — a durable JSONL journal of terminal outcomes
-  written next to the :class:`~repro.experiments.sweep.SweepCache`, so
-  a SIGKILL'd campaign resumes skipping both completed *and*
+  :class:`~repro.experiments.sweep.SweepResult.outcomes` and journaled
+  by the result store (:meth:`repro.store.ResultStore.run_journal`),
+  so a SIGKILL'd campaign resumes skipping both completed *and*
   permanently-failed points.
 - :class:`ChaosSpec` — a deterministic, seedable fault injector
   (raise / hang / die at chosen points and attempts) that exercises
@@ -26,23 +25,13 @@ byte-identical to a serial, chaos-free run.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
-import tempfile
 import time
-import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ChaosError, ConfigurationError, JournalLockedError
+from repro.errors import ChaosError, ConfigurationError
 from repro.sim.rng import derive_seed
-
-try:  # POSIX: advisory locks die with their holder (SIGKILL-safe).
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 #: Terminal point statuses (the only values ``PointOutcome.status``
 #: takes).
@@ -179,9 +168,8 @@ class PointOutcome:
     that crashed their worker); ``attempt_seconds`` is index-aligned
     with them.  ``error``/``traceback`` describe the last failure (both
     ``None`` when ``status == "ok"``).  ``cached`` marks a value served
-    from the :class:`~repro.experiments.sweep.SweepCache` without
-    executing; ``resumed`` marks an outcome replayed from a
-    :class:`RunJournal` instead of re-executed.
+    from the sweep cache without executing; ``resumed`` marks an
+    outcome replayed from the run journal instead of re-executed.
     """
 
     index: int
@@ -213,307 +201,6 @@ class PointOutcome:
     def from_json_dict(cls, data: Mapping[str, Any]) -> "PointOutcome":
         fields = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in fields})
-
-
-# -- durable journals --------------------------------------------------------
-
-#: Journals holding live locks, so forked children can drop their
-#: inherited handles (a flock is shared across fork; see
-#: ``JsonlJournal._drop_inherited_handles``).
-_LIVE_JOURNALS: "weakref.WeakSet" = None  # initialised lazily
-
-
-def _register_fork_guard(journal: "JsonlJournal") -> None:
-    global _LIVE_JOURNALS
-    if _LIVE_JOURNALS is None:
-        _LIVE_JOURNALS = weakref.WeakSet()
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(
-                after_in_child=lambda: [
-                    entry._drop_inherited_handles()
-                    for entry in list(_LIVE_JOURNALS or ())
-                ]
-            )
-    _LIVE_JOURNALS.add(journal)
-
-
-class JsonlJournal:
-    """Durable append-only JSONL journal with locking and compaction.
-
-    The shared machinery behind :class:`RunJournal` (point granularity)
-    and :class:`repro.campaigns.journal.CampaignJournal` (stage
-    granularity):
-
-    - every record is flushed and fsync'd as it is appended, so the
-      journal survives a SIGKILL mid-campaign (a torn final line is
-      skipped on load, not fatal);
-    - an exclusive lockfile (``<journal>.lock``, ``flock``-based) is
-      taken before the first write — a second live process pointed at
-      the same journal raises
-      :class:`~repro.errors.JournalLockedError` instead of silently
-      interleaving records; the kernel releases the lock when its
-      holder dies, so crashed runs never leave stale locks;
-    - :meth:`close` compacts the file — rewrites it atomically keeping
-      only the latest record per key — so a journal that is resumed
-      over and over cannot grow without bound.
-
-    Subclasses define the record type via :meth:`_encode_record`,
-    :meth:`_decode_record` and :meth:`_record_key`.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self._handle = None
-        self._lock_handle = None
-        self._wrote = False
-
-    # -- record-type hooks ---------------------------------------------------
-
-    def _encode_record(self, record: Any) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def _decode_record(self, data: Mapping[str, Any]) -> Optional[Any]:
-        """Record for one parsed line, or ``None`` to skip it."""
-        raise NotImplementedError
-
-    def _record_key(self, record: Any) -> str:
-        """The identity later records supersede (compaction/load key)."""
-        raise NotImplementedError
-
-    # -- locking -------------------------------------------------------------
-
-    @property
-    def lock_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".lock")
-
-    def _drop_inherited_handles(self) -> None:
-        """Forked-child half of the lock contract (see :func:`acquire`).
-
-        A ``flock`` belongs to the open file *description*, which fork
-        shares between parent and child: a pool worker that outlives a
-        SIGKILL'd orchestrator would keep the journal locked forever.
-        Closing the child's inherited handles (without touching the
-        parent's) guarantees the lock dies exactly when its owning
-        process does.
-        """
-        for attribute in ("_lock_handle", "_handle"):
-            handle = getattr(self, attribute)
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:  # pragma: no cover
-                    pass
-                setattr(self, attribute, None)
-
-    def acquire(self) -> None:
-        """Take the exclusive writer lock (idempotent).
-
-        Raises :class:`~repro.errors.JournalLockedError` when another
-        *live* process holds it.  On platforms without ``fcntl`` the
-        guard degrades to no locking.
-        """
-        if self._lock_handle is not None or fcntl is None:
-            return
-        _register_fork_guard(self)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(self.lock_path, "a+")
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            pid = "unknown"
-            try:
-                handle.seek(0)
-                pid = handle.read(32).strip() or "unknown"
-            except OSError:  # pragma: no cover - unreadable lock file
-                pass
-            handle.close()
-            raise JournalLockedError(
-                f"journal {self.path} is locked by another live process "
-                f"(pid {pid}); two concurrent writers would interleave "
-                "records — wait for it or point this run at a different "
-                "journal directory"
-            ) from None
-        handle.truncate(0)
-        handle.write(f"{os.getpid()}\n")
-        handle.flush()
-        self._lock_handle = handle
-
-    def _release_lock(self) -> None:
-        if self._lock_handle is not None:
-            try:
-                self._lock_handle.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._lock_handle = None
-
-    # -- journal operations --------------------------------------------------
-
-    def load(self) -> Dict[str, Any]:
-        """Record key -> last record (tolerates a torn tail).
-
-        A process killed mid-``record`` leaves a truncated final line;
-        it is skipped, not fatal — exactly the crash the journal is
-        for.
-        """
-        records: Dict[str, Any] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = self._decode_record(json.loads(line))
-                    except (ValueError, TypeError):
-                        continue
-                    if record is not None:
-                        records[self._record_key(record)] = record
-        except OSError:
-            return {}
-        return records
-
-    def record(self, record: Any) -> None:
-        """Durably append one record (lock + flush + fsync)."""
-        if self._handle is None:
-            self.acquire()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        line = json.dumps(self._encode_record(record), sort_keys=True)
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        self._wrote = True
-        try:
-            os.fsync(self._handle.fileno())
-        except OSError:  # pragma: no cover - exotic filesystems
-            pass
-
-    def compact(self) -> int:
-        """Atomically rewrite keeping the latest record per key.
-
-        Returns the number of superseded lines dropped.  Without
-        compaction the journal grows without bound across resumes —
-        every re-executed point appends a fresh terminal line on top
-        of its journaled history.  The rewrite goes through a temp
-        file + fsync + ``os.replace``, so a crash mid-compaction
-        leaves either the old or the new journal, never a torn one.
-        """
-        self._close_handle()
-        if not self.path.exists():
-            return 0
-        records = self.load()
-        lines = [
-            json.dumps(self._encode_record(record), sort_keys=True)
-            for record in records.values()
-        ]
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                before = sum(1 for line in handle if line.strip())
-        except OSError:
-            before = len(lines)
-        if before <= len(lines):
-            return 0
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            dir=self.path.parent,
-            suffix=".tmp",
-            delete=False,
-            encoding="utf-8",
-        )
-        try:
-            with handle:
-                handle.write("\n".join(lines) + ("\n" if lines else ""))
-                handle.flush()
-                try:
-                    os.fsync(handle.fileno())
-                except OSError:  # pragma: no cover
-                    pass
-            os.replace(handle.name, self.path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        return before - len(lines)
-
-    def reset(self) -> None:
-        """Truncate the journal (a fresh, non-resuming run).
-
-        Keeps the writer lock if held: a reset is the prologue of a
-        fresh run that is about to write.
-        """
-        self._close_handle()
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-
-    def _close_handle(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def close(self) -> None:
-        """Compact (when this run wrote anything), close, unlock."""
-        if self._wrote:
-            try:
-                self.compact()
-            except OSError:  # pragma: no cover - compaction is advisory
-                pass
-            self._wrote = False
-        self._close_handle()
-        self._release_lock()
-
-
-class RunJournal(JsonlJournal):
-    """Append-only JSONL journal of terminal point outcomes.
-
-    One line per terminal outcome, flushed and fsync'd as it happens,
-    so the journal survives a SIGKILL mid-campaign.  The file name
-    binds the journal to ``(experiment id, runner, code version)`` —
-    resuming after a code change starts a fresh journal rather than
-    replaying stale outcomes.
-
-    Resume contract (enforced by ``run_sweep``): a journaled ``ok``
-    point is served from the sweep cache without re-executing; a
-    journaled permanent failure is replayed as its recorded outcome
-    (under ``on_error="collect"``) without re-executing.
-
-    Locking and compaction come from :class:`JsonlJournal`: a second
-    concurrent writer raises
-    :class:`~repro.errors.JournalLockedError`, and :meth:`close`
-    compacts superseded outcomes away.
-    """
-
-    @classmethod
-    def for_sweep(
-        cls,
-        directory: os.PathLike,
-        experiment_id: str,
-        runner_name: str,
-        code_version: str,
-    ) -> "RunJournal":
-        """The journal file for one (spec, runner, code) identity."""
-        digest = hashlib.sha256(
-            f"{experiment_id}\n{runner_name}\n{code_version}".encode("utf-8")
-        ).hexdigest()[:12]
-        slug = "".join(
-            ch if (ch.isalnum() or ch in "-_") else "-"
-            for ch in experiment_id
-        )
-        return cls(Path(directory) / f"{slug}-{digest}.journal.jsonl")
-
-    def _encode_record(self, record: PointOutcome) -> Dict[str, Any]:
-        return record.to_json_dict()
-
-    def _decode_record(
-        self, data: Mapping[str, Any]
-    ) -> Optional[PointOutcome]:
-        outcome = PointOutcome.from_json_dict(data)
-        return outcome if outcome.status in STATUSES else None
-
-    def _record_key(self, record: PointOutcome) -> str:
-        return record.key
 
 
 # -- deterministic chaos harness ---------------------------------------------

@@ -13,16 +13,17 @@ simulation campaigns.  This module turns those grids into declarative
   ``workers`` processes (serial in-process fallback when ``workers=1``)
   and always returns results in *point order*; streaming consumers see
   the same order regardless of completion order.
-- **Opt-in on-disk cache** — results are memoised under a key of
-  (experiment id, runner, params, seed, code version), so re-running a
-  benchmark suite only simulates new points.
+- **Opt-in durable cache** — results are memoised in a
+  :class:`~repro.store.ResultStore` under a key of (experiment id,
+  runner, params, seed, code version), so re-running a benchmark
+  suite only simulates new points.
 - **Fault tolerance** — a :class:`~repro.experiments.resilience.
   FailurePolicy` gives each point a retry budget, bounded backoff, a
   per-point wall-clock timeout and graceful degradation
   (``on_error="collect"``); worker crashes are detected, the pool is
-  rebuilt and orphaned points resubmitted; a durable
-  :class:`~repro.experiments.resilience.RunJournal` lets a SIGKILL'd
-  campaign resume skipping completed *and* permanently-failed points.
+  rebuilt and orphaned points resubmitted; the store's run journal
+  lets a SIGKILL'd campaign resume skipping completed *and*
+  permanently-failed points.
 
 Results are *byte-identical* between serial and parallel execution and
 between cold and warm cache (see :func:`canonical_bytes`, which the
@@ -38,9 +39,8 @@ import dataclasses
 import json
 import hashlib
 import os
-import pickle
 import subprocess
-import tempfile
+import threading
 import time
 import traceback as traceback_module
 from collections import deque
@@ -57,7 +57,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import multiprocessing
@@ -72,7 +71,6 @@ from repro.experiments.resilience import (
     ChaosSpec,
     FailurePolicy,
     PointOutcome,
-    RunJournal,
 )
 from repro.metrics.stats import RunningStats
 from repro.sim.rng import derive_seed
@@ -81,9 +79,6 @@ from repro.sim.rng import derive_seed
 #: sweeps that do not specify them explicitly.
 WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
 CACHE_ENV_VAR = "REPRO_SWEEP_CACHE_DIR"
-#: Force (1) or forbid (0) store-backed caches for directories holding
-#: a ``store.sqlite3``; unset means auto-detect.
-STORE_ENV_VAR = "REPRO_SWEEP_STORE"
 #: Override the code-version component of cache keys (e.g. a VCS hash).
 CODE_VERSION_ENV_VAR = "REPRO_SWEEP_CODE_VERSION"
 
@@ -344,7 +339,7 @@ def canonical_bytes(value: Any) -> bytes:
     ).encode("utf-8")
 
 
-# -- on-disk result cache ----------------------------------------------------
+# -- code version (part of every cache key) ----------------------------------
 
 
 _CODE_VERSION: Optional[str] = None
@@ -420,108 +415,6 @@ def _default_code_version() -> str:
     return _CODE_VERSION
 
 
-class SweepCache:
-    """Opt-in on-disk memo of per-point results.
-
-    Entries are keyed by (experiment id, runner name, canonical params,
-    seed, replication, code version).  The default code version binds
-    the entry to both the package version and the VCS revision (see
-    :func:`_default_code_version`), so rerunning after a commit only
-    reuses points the commit could not have changed — nothing, unless
-    you pin ``code_version`` yourself.
-    """
-
-    def __init__(
-        self,
-        directory: os.PathLike,
-        code_version: Optional[str] = None,
-    ) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.code_version = code_version or _default_code_version()
-
-    @classmethod
-    def from_environment(cls) -> Optional["SweepCache"]:
-        """A cache rooted at ``$REPRO_SWEEP_CACHE_DIR``, if set."""
-        directory = os.environ.get(CACHE_ENV_VAR)
-        return cls(directory) if directory else None
-
-    def _path(
-        self, spec: SweepSpec, runner_name: str, point: SweepPoint
-    ) -> Path:
-        key = "\n".join(
-            (
-                spec.experiment_id,
-                runner_name,
-                self.code_version,
-                canonical_params(point.params),
-                str(point.seed),
-                str(point.replication),
-            )
-        )
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.directory / f"{digest}.pkl"
-
-    def load(
-        self, spec: SweepSpec, runner_name: str, point: SweepPoint
-    ) -> Tuple[bool, Any]:
-        """``(hit, value)``; unreadable/corrupt entries count as misses.
-
-        A corrupted or truncated entry (a worker OOM-killed mid-write,
-        a torn disk) is quarantined — renamed to ``<entry>.corrupt`` —
-        so it cannot shadow the slot forever, and the point
-        re-simulates.
-        """
-        path = self._path(spec, runner_name, point)
-        try:
-            with open(path, "rb") as handle:
-                return True, pickle.load(handle)
-        except FileNotFoundError:
-            return False, None
-        except (
-            OSError,
-            pickle.PickleError,
-            EOFError,
-            ValueError,
-            AttributeError,
-            ImportError,
-        ):
-            # Corrupt, truncated, or referencing renamed/moved code:
-            # quarantine the bad file and re-simulate.
-            self._quarantine(path)
-            return False, None
-
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        try:
-            os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-        except OSError:  # pragma: no cover - lost a rename race
-            pass
-
-    def store(
-        self,
-        spec: SweepSpec,
-        runner_name: str,
-        point: SweepPoint,
-        value: Any,
-    ) -> None:
-        """Atomically persist one point result (write + rename)."""
-        path = self._path(spec, runner_name, point)
-        handle = tempfile.NamedTemporaryFile(
-            dir=self.directory, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-
-
 # -- execution ---------------------------------------------------------------
 
 
@@ -588,10 +481,6 @@ def runner_name(runner: PointRunner) -> str:
     module = getattr(runner, "__module__", "") or ""
     qualname = getattr(runner, "__qualname__", repr(runner))
     return f"{module}:{qualname}"
-
-
-#: Backwards-compatible alias (pre-store callers import the old name).
-_runner_name = runner_name
 
 
 def _execute_point_attempt(
@@ -723,25 +612,57 @@ def resolve_workers(workers: Optional[Any]) -> int:
     return workers
 
 
-def _mp_context():
-    """Fork where available: point runners defined in non-importable
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit once the orchestrator is gone.
+
+    A SIGKILL'd orchestrator cannot reap its workers, and an idle worker
+    blocked on the call queue would live on, reparented to init.  A
+    daemon thread polls ``os.getppid()`` and hard-exits the worker as
+    soon as it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="exit-with-parent", daemon=True
+    ).start()
+
+
+def _process_pool(max_workers: int) -> ProcessPoolExecutor:
+    """The worker pool sweeps and campaign backends execute in.
+
+    Fork where available: point runners defined in non-importable
     modules (pytest benchmark files) resolve by reference in forked
-    children; spawn elsewhere."""
+    children; spawn elsewhere.  Workers exit when their parent dies.
+    """
     try:
-        return multiprocessing.get_context("fork")
+        context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
+        context = multiprocessing.get_context()
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=context,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
 
 
 def run_sweep(
     spec: SweepSpec,
     runner: PointRunner,
     workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
+    cache: Optional[Any] = None,
     on_result: Optional[Callable[[SweepPoint, Any], None]] = None,
     policy: Optional[FailurePolicy] = None,
     chaos: Optional[ChaosSpec] = None,
-    journal: Union[RunJournal, os.PathLike, str, None] = None,
+    journal: Optional[Any] = None,
     resume: bool = True,
     on_outcome: Optional[Callable[[SweepPoint, PointOutcome], None]] = None,
 ) -> SweepResult:
@@ -756,13 +677,14 @@ def run_sweep(
 
     ``policy`` governs retries, per-point timeouts and degradation
     (the default policy reproduces the historical behaviour: one
-    attempt, no timeout, first failure raises).  ``journal`` — a
-    :class:`~repro.experiments.resilience.RunJournal` or a directory
-    to put one in — durably records terminal outcomes as they happen;
-    with ``resume=True`` a re-run skips journaled points (completed
-    ones come back from the cache, permanent failures are replayed as
-    outcomes).  ``chaos`` injects deterministic faults for testing
-    recovery paths.  A point needing process isolation (a timeout is
+    attempt, no timeout, first failure raises).  ``cache`` is a
+    store's :meth:`~repro.store.ResultStore.sweep_cache` (see
+    :func:`sweep_cache`); ``journal`` — its
+    :meth:`~repro.store.ResultStore.run_journal` — durably records
+    terminal outcomes as they happen; with ``resume=True`` a re-run
+    skips journaled points (completed ones come back from the cache,
+    permanent failures are replayed as outcomes).  ``chaos`` injects
+    deterministic faults for testing recovery paths.  A point needing process isolation (a timeout is
     set, or chaos may hang/kill) executes through a worker pool even
     at ``workers=1`` — results are byte-identical either way.
 
@@ -774,11 +696,15 @@ def run_sweep(
     workers = resolve_workers(workers)
     policy = policy or FailurePolicy()
     points = spec.points()
-    runner_name = _runner_name(runner)
-    if journal is not None and not isinstance(journal, RunJournal):
-        journal = _journal_for_directory(
-            Path(journal), spec, runner_name, cache
-        )
+    name = runner_name(runner)
+    if journal is not None:
+        from repro.store.cache import StoreRunJournal
+
+        if not isinstance(journal, StoreRunJournal):
+            raise ConfigurationError(
+                "journal= takes a ResultStore.run_journal(...), got "
+                f"{journal!r}"
+            )
     start = time.perf_counter()
     values: List[Any] = [None] * len(points)
     seconds: List[float] = [0.0] * len(points)
@@ -807,7 +733,7 @@ def run_sweep(
         completed[point.index] = True
         outcomes[point.index] = outcome
         if cache is not None:
-            cache.store(spec, runner_name, point, value)
+            cache.store(spec, name, point, value)
         if journal is not None and not outcome.resumed:
             journal.record(outcome)
 
@@ -829,9 +755,9 @@ def run_sweep(
         raise PointFailedError(outcome.describe(), outcome=outcome)
 
     journaled: Dict[str, PointOutcome] = {}
-    if isinstance(journal, RunJournal):
+    if journal is not None:
         # Lock before consulting the journal: a second live writer
-        # fails fast with JournalLockedError instead of interleaving
+        # fails fast with StoreLockedError instead of interleaving
         # records with this run later on.
         journal.acquire()
         if resume:
@@ -844,7 +770,7 @@ def run_sweep(
     try:
         for point in points:
             if cache is not None:
-                hit, value = cache.load(spec, runner_name, point)
+                hit, value = cache.load(spec, name, point)
                 if hit:
                     values[point.index] = value
                     completed[point.index] = True
@@ -896,7 +822,7 @@ def run_sweep(
             )
         flush()
     finally:
-        if isinstance(journal, RunJournal):
+        if journal is not None:
             journal.close()
 
     return SweepResult(
@@ -984,9 +910,7 @@ def _run_pool(
     cancelled and workers terminated, never orphaned.
     """
     max_pool = max(1, min(workers, len(to_run)))
-    pool = ProcessPoolExecutor(
-        max_workers=max_pool, mp_context=_mp_context()
-    )
+    pool = _process_pool(max_pool)
     states = {point.index: _PointState(point) for point in to_run}
     ready: deque = deque(point.index for point in to_run)
     #: Suspects awaiting an exclusive (solo) run for crash attribution.
@@ -1008,9 +932,7 @@ def _run_pool(
                 "(crash budgets should have made this unreachable)"
             )
         _terminate_pool(pool)
-        pool = ProcessPoolExecutor(
-            max_workers=max_pool, mp_context=_mp_context()
-        )
+        pool = _process_pool(max_pool)
 
     def schedule(index: int, eligible: float) -> None:
         if eligible <= time.monotonic():
@@ -1249,73 +1171,34 @@ def _run_pool(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _store_backed(directory: Path) -> bool:
-    """Whether ``directory`` should get a store-backed cache/journal.
-
-    Auto-detected from the presence of ``store.sqlite3`` (created by
-    ``repro-hpcqc store init`` or any ``ResultStore`` use);
-    ``$REPRO_SWEEP_STORE=1`` forces it for fresh directories and
-    ``=0`` forbids it entirely.
-    """
-    override = os.environ.get(STORE_ENV_VAR)
-    if override is not None and override != "":
-        return override not in ("0", "false", "no")
-    return (directory / "store.sqlite3").exists()
-
-
-def _journal_for_directory(
-    directory: Path,
-    spec: SweepSpec,
-    runner_name: str,
-    cache: Optional[Any],
-) -> RunJournal:
-    """The journal for a directory-valued ``journal=`` argument.
-
-    A store-aware cache supplies its own journal for its own
-    directory (sharing one store handle and writer lock — a second
-    independent handle would trip the flock in-process); a directory
-    holding a ``store.sqlite3`` gets a store journal; anything else
-    gets the classic JSONL :class:`RunJournal`.
-    """
-    maker = getattr(cache, "journal_for", None)
-    if maker is not None:
-        journal = maker(directory, spec, runner_name)
-        if journal is not None:
-            return journal
-    if _store_backed(directory):
-        from repro.store import ResultStore
-
-        code_version = (
-            cache.code_version if cache is not None else None
-        )
-        return ResultStore(directory, code_version=code_version).run_journal(
-            spec.experiment_id, runner_name
-        )
-    return RunJournal.for_sweep(
-        directory,
-        spec.experiment_id,
-        runner_name,
-        cache.code_version if cache else _default_code_version(),
-    )
-
-
 def sweep_cache(cache_dir: Optional[os.PathLike]) -> Optional[Any]:
     """Cache at ``cache_dir``, else ``$REPRO_SWEEP_CACHE_DIR``, else none.
 
-    A directory holding a ``store.sqlite3`` (see :mod:`repro.store`)
-    gets a store-backed cache — same interface, same byte-identical
-    results, durable SQLite + columnar metrics underneath.
+    The cache is a :class:`~repro.store.ResultStore` opened at that
+    directory (see :mod:`repro.store`): durable SQLite + columnar
+    metrics, byte-identical values.
     """
+    cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
-        directory = os.environ.get(CACHE_ENV_VAR)
-        if not directory:
-            return None
-        cache_dir = directory
-    if _store_backed(Path(cache_dir)):
-        from repro.store import ResultStore
+        return None
+    from repro.store import ResultStore
 
-        return ResultStore(cache_dir).sweep_cache()
-    return SweepCache(cache_dir)
+    return ResultStore(cache_dir).sweep_cache()
+
+
+def sweep_journal(
+    cache: Optional[Any], spec: SweepSpec, runner: PointRunner
+) -> Optional[Any]:
+    """The run journal in ``cache``'s store (``None`` without a cache).
+
+    Journal and cache share one store handle: a second handle on the
+    same directory would trip the store's writer lock.
+    """
+    if cache is None:
+        return None
+    return cache.result_store.run_journal(
+        spec.experiment_id, runner_name(runner)
+    )
 
 
 def sweep_values(

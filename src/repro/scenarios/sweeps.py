@@ -12,16 +12,10 @@ vs parallel because the scenario is a pure function of (params, seed).
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
-from repro.experiments.resilience import ChaosSpec, FailurePolicy, RunJournal
-from repro.experiments.sweep import (
-    SweepCache,
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-)
+from repro.experiments.resilience import ChaosSpec, FailurePolicy
+from repro.experiments.sweep import SweepResult, SweepSpec, run_sweep
 from repro.scenarios.build import run_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, with_overrides
@@ -114,10 +108,10 @@ def scenario_sweep_spec(
 def run_scenario_sweep(
     spec: SweepSpec,
     workers: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
+    cache: Optional[Any] = None,
     policy: Optional[FailurePolicy] = None,
     chaos: Optional[ChaosSpec] = None,
-    journal: Union[RunJournal, os.PathLike, str, None] = None,
+    journal: Optional[Any] = None,
     resume: bool = True,
     on_result: Optional[Callable[..., None]] = None,
 ) -> SweepResult:
@@ -127,9 +121,9 @@ def run_scenario_sweep(
     :class:`~repro.experiments.resilience.FailurePolicy` and a raising
     or crashing scenario point degrades into a structured
     :class:`~repro.experiments.resilience.PointOutcome` in
-    ``result.outcomes`` instead of aborting the campaign; a ``journal``
-    (typically the cache directory) makes the campaign resumable after
-    a hard kill.
+    ``result.outcomes`` instead of aborting the campaign; a store's
+    ``cache`` and ``journal`` (see :func:`~repro.experiments.sweep.
+    run_sweep`) make the campaign resumable after a hard kill.
 
     >>> sweep = scenario_sweep_spec(
     ...     "baseline-32", {"topology.classical_nodes": [16, 32]},

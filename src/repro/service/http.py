@@ -242,6 +242,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-hpcqc/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as two segments; with Nagle on, delayed
+    # ACK holds the body back ~40 ms on every keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 

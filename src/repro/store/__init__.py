@@ -1,8 +1,8 @@
 """``repro.store`` — durable campaign/result store.
 
 SQLite metadata (WAL mode, schema-versioned, migrated on open) plus a
-columnar npz metric backend, behind the same interfaces the pickle
-cache and JSONL journals speak.  Start with :class:`ResultStore`:
+columnar npz metric backend: the one place sweep values, point
+outcomes and campaign stages persist.  Start with :class:`ResultStore`:
 
 >>> import tempfile
 >>> from repro.store import ResultStore

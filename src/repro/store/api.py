@@ -4,11 +4,9 @@ submissions, columns, gc.
 :class:`ResultStore` is the one object every consumer talks to:
 
 - ``run_sweep`` talks to it through :class:`~repro.store.cache.
-  StoreSweepCache` / :class:`~repro.store.cache.StoreRunJournal`
-  (same duck interfaces as the pickle cache and JSONL journal);
+  StoreSweepCache` / :class:`~repro.store.cache.StoreRunJournal`;
 - ``CampaignEngine`` talks to it through :class:`~repro.store.
-  campaign.StoreCampaignJournal` plus :meth:`save_stage_value` /
-  :meth:`load_stage_value`;
+  campaign.StoreCampaignJournal` (stage outcomes and values);
 - the CLI ``store submit|status|results|gc`` verbs call
   :meth:`submit`, :meth:`run_submission`, :meth:`status`,
   :meth:`results_rows` and :meth:`gc` directly.
@@ -78,8 +76,8 @@ def spec_digest(spec: SweepSpec) -> str:
 
 
 def _point_store_key(point: SweepPoint) -> str:
-    """The per-point residual of the pickle cache key — canonical
-    params, replication and seed (identity columns carry the rest)."""
+    """The per-point part of the cache key — canonical params,
+    replication and seed (identity columns carry the rest)."""
     return f"{point.key()}:seed{point.seed}"
 
 
@@ -176,7 +174,7 @@ class ResultStore:
     def _identity(self, experiment_id: str, runner: str) -> Tuple[str, str, str]:
         return (experiment_id, runner, self.code_version)
 
-    # -- point values (the SweepCache contract) ------------------------------
+    # -- point values (the sweep cache) --------------------------------------
 
     def store_point(
         self,
@@ -216,8 +214,7 @@ class ResultStore:
     def load_point(
         self, spec: SweepSpec, runner_name: str, point: SweepPoint
     ) -> Tuple[bool, Any]:
-        """``(hit, value)`` — corruption quarantines and misses,
-        exactly like the pickle cache."""
+        """``(hit, value)`` — a corrupt entry is dropped and misses."""
         row = self.db.connection().execute(
             """
             SELECT id, kind, payload, shard_id, shard_pos FROM points
@@ -239,38 +236,31 @@ class ResultStore:
                 return False, None  # shard quarantined; re-execute
             self.stats["column_point"] += 1
             value = col.point_from_arrays(arrays, shard_pos)
-            if kind != col.PAYLOAD_COLUMN:
-                try:
-                    value.update(self._decode_residual(kind, payload))
-                except Exception:
-                    with self._write() as conn:
-                        conn.execute(
-                            "DELETE FROM points WHERE id = ?", (row_id,)
-                        )
-                    return False, None
-            return True, value
+            if kind == col.PAYLOAD_COLUMN:
+                return True, value
         try:
-            if kind == col.PAYLOAD_JSON:
-                self.stats["json_decode"] += 1
-            else:
-                self.stats["unpickle"] += 1
-            return True, col.decode_value(kind, payload)
+            inline = self._decode_inline(kind, payload)
         except Exception:
             # Torn/garbage inline payload: drop the row so the point
             # re-executes instead of crashing every reader forever.
             with self._write() as conn:
                 conn.execute("DELETE FROM points WHERE id = ?", (row_id,))
             return False, None
+        if kind in col.COLUMN_KINDS:
+            value.update(inline)
+            return True, value
+        return True, inline
 
-    def _decode_residual(self, kind: str, payload: bytes) -> Dict[str, Any]:
-        """The inline non-scalar remainder of a columnarised point."""
-        if kind == col.PAYLOAD_COLUMN_JSON:
+    def _decode_inline(self, kind: str, payload: bytes) -> Any:
+        """A point's inline payload: its whole value, or the non-scalar
+        residual of a columnarised point (counted in ``stats``)."""
+        if kind in (col.PAYLOAD_JSON, col.PAYLOAD_COLUMN_JSON):
             self.stats["json_decode"] += 1
             return col.decode_value(col.PAYLOAD_JSON, payload)
         self.stats["unpickle"] += 1
         return col.decode_value(col.PAYLOAD_PICKLE, payload)
 
-    # -- outcomes (the RunJournal contract) ----------------------------------
+    # -- outcomes (the run journal) ------------------------------------------
 
     def record_outcome(
         self, experiment_id: str, runner_name: str, outcome: PointOutcome
@@ -352,7 +342,7 @@ class ResultStore:
                 self._identity(experiment_id, runner_name),
             )
 
-    # -- campaigns (the CampaignJournal contract) ----------------------------
+    # -- campaigns (the stage journal) ---------------------------------------
 
     def find_campaign_id(
         self, name: str, seed: int, code_version: Optional[str] = None
@@ -614,13 +604,9 @@ class ResultStore:
                         self._shard_point_arrays(shard_id), pos
                     )
                     if kind != col.PAYLOAD_COLUMN:
-                        value.update(self._decode_residual(kind, payload))
+                        value.update(self._decode_inline(kind, payload))
                 else:
-                    value = col.decode_value(kind, payload)
-                    if kind == col.PAYLOAD_JSON:
-                        self.stats["json_decode"] += 1
-                    else:
-                        self.stats["unpickle"] += 1
+                    value = self._decode_inline(kind, payload)
                 split = col.split_point(value)
                 if split is None:
                     values.append(None)
@@ -1230,43 +1216,70 @@ class ResultStore:
         metrics: Optional[Sequence[str]] = None,
     ) -> Tuple[List[str], List[List[Any]]]:
         """``(headers, rows)`` for one submission's grid — read off the
-        metric columns, one point per row, in spec point order."""
+        metric columns, one point per row, in spec point order.
+
+        A value the columns cannot hold (a string, an int outside
+        int64) is read from its point's inline residual instead; only
+        those points decode anything.
+        """
         record = self.submission(submission_id)
         spec = SweepSpec.from_dict(json.loads(record["spec_json"]))
-        names = list(
-            metrics
-            if metrics is not None
-            else self.sweep_metrics_for(record)
-        )
-        columns = {}
-        for metric in names:
-            columns[metric] = self._read_column_for(record, spec, metric)
-        points = spec.points()
-        headers = ["index", "params"] + names
-        rows = []
-        for point in points:
-            row: List[Any] = [point.index, canonical_params(point.params)]
-            for metric in names:
-                row.append(columns[metric][point.index])
-            rows.append(row)
-        return headers, rows
-
-    def sweep_metrics_for(self, record: Mapping[str, Any]) -> List[str]:
-        spec = SweepSpec.from_dict(json.loads(record["spec_json"]))
-        store = ResultStore(self.directory, code_version=record["code_version"])
-        store.db = self.db  # share the connection/lock
-        return store.sweep_metrics(spec, record["runner"])
-
-    def _read_column_for(
-        self, record: Mapping[str, Any], spec: SweepSpec, metric: str
-    ) -> List[Any]:
+        runner = record["runner"]
+        # The rows live under the code version that executed them.
         scoped = ResultStore(
             self.directory, code_version=record["code_version"]
         )
         scoped.db = self.db
         scoped.stats = self.stats
         scoped._shard_arrays = self._shard_arrays
-        return scoped.read_column(spec, record["runner"], metric).tolist()
+        names = list(
+            metrics if metrics is not None
+            else scoped.sweep_metrics(spec, runner)
+        )
+        columns = [scoped.read_column(spec, runner, name) for name in names]
+        values = [column.tolist() for column in columns]
+        residuals: Dict[int, Any] = {}
+        rows = []
+        for point in spec.points():
+            row: List[Any] = [point.index, canonical_params(point.params)]
+            for column, column_values in zip(columns, values):
+                if column.kinds[point.index] != col.KIND_ABSENT:
+                    row.append(column_values[point.index])
+                    continue
+                if point.index not in residuals:
+                    residuals[point.index] = scoped._inline_value(
+                        spec, runner, point
+                    )
+                residual = residuals[point.index]
+                row.append(
+                    residual.get(column.metric)
+                    if isinstance(residual, dict) else None
+                )
+            rows.append(row)
+        return ["index", "params"] + names, rows
+
+    def _inline_value(
+        self, spec: SweepSpec, runner_name: str, point: SweepPoint
+    ) -> Any:
+        """One point's decoded inline payload (``None`` if it has none
+        or it does not decode)."""
+        row = self.db.connection().execute(
+            """
+            SELECT kind, payload FROM points
+            WHERE experiment_id = ? AND runner = ? AND code_version = ?
+              AND point_key = ?
+            """,
+            (
+                *self._identity(spec.experiment_id, runner_name),
+                _point_store_key(point),
+            ),
+        ).fetchone()
+        if row is None or row[1] is None:
+            return None
+        try:
+            return self._decode_inline(*row)
+        except Exception:
+            return None
 
     # -- verification / gc ---------------------------------------------------
 

@@ -1,49 +1,32 @@
-"""Store-backed sweep cache and run journal.
+"""The sweep engine's cache and run journal, backed by a result store.
 
-Drop-in stand-ins for the pickle :class:`~repro.experiments.sweep.
-SweepCache` and JSONL :class:`~repro.experiments.resilience.
-RunJournal`, speaking the exact same interfaces ``run_sweep``
-consumes — so every existing experiment, scenario sweep and campaign
-step becomes store-backed the moment its cache directory holds a
-``store.sqlite3`` (see :func:`~repro.experiments.sweep.sweep_cache`).
-
-Both adapters share one :class:`~repro.store.api.ResultStore` (one
-SQLite connection, one writer flock): ``run_sweep`` converting a
-directory journal asks the cache for a journal first
-(:meth:`StoreSweepCache.journal_for`), which prevents the
-same-process double-flock a second independent store handle would
-trip over.
-
-Byte-identity with the pickle path is pinned by
-``tests/store/test_equivalence.py``: same ``SweepResult.values``,
-same ``outcomes``, same ``canonical_bytes``, serial vs parallel,
-warm vs cold, resume after a kill.
+``run_sweep(cache=store.sweep_cache(), journal=store.run_journal(...))``
+is the one persistence path every experiment, scenario sweep and
+campaign step uses (:func:`~repro.experiments.sweep.sweep_cache` opens
+the store for a ``--cache-dir``).  Cache and journal share one
+:class:`~repro.store.api.ResultStore`: one SQLite connection, one
+writer flock — a second handle on the same directory would trip that
+flock even inside one process.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.experiments.resilience import PointOutcome, RunJournal
+from repro.experiments.resilience import PointOutcome
 from repro.store.api import ResultStore
-from repro.store.db import STORE_DB_FILENAME
 
 
 class StoreSweepCache:
-    """The ``SweepCache`` duck interface, backed by a result store.
+    """Per-point memo of runner values in a result store.
 
     Each ``store()`` commits one WAL transaction — durable against
-    SIGKILL — and each ``load()`` reads committed state only, with
-    the same quarantine-and-miss contract the pickle cache has for
-    corrupt entries.
+    SIGKILL — and each ``load()`` reads committed state only; a corrupt
+    entry is quarantined and reads as a miss, so the point re-executes.
     """
 
     def __init__(self, store: ResultStore) -> None:
         self.result_store = store
-        self.directory = store.directory
-        self.code_version = store.code_version
 
     def load(
         self, spec: Any, runner_name: str, point: Any
@@ -55,51 +38,32 @@ class StoreSweepCache:
     ) -> None:
         self.result_store.store_point(spec, runner_name, point, value)
 
-    def journal_for(
-        self, directory: os.PathLike, spec: Any, runner_name: str
-    ) -> Optional["StoreRunJournal"]:
-        """A journal sharing this cache's store, when ``directory`` is
-        the store's own directory (else ``None`` — caller falls back)."""
-        try:
-            same = Path(directory).resolve() == self.directory.resolve()
-        except OSError:  # pragma: no cover - unresolvable path
-            same = False
-        if not same:
-            return None
-        return self.result_store.run_journal(spec.experiment_id, runner_name)
 
+class StoreRunJournal:
+    """Terminal point outcomes of one (experiment, runner, code version).
 
-class StoreRunJournal(RunJournal):
-    """The ``RunJournal`` contract against the store's outcomes table.
-
-    Subclasses :class:`RunJournal` so ``run_sweep``'s
-    ``isinstance``-gated journal handling works unchanged; every
-    inherited file operation is overridden to hit SQLite instead.
-    ``acquire()`` takes the *store's* writer flock (shared with the
-    cache), so a second live writer fails fast with
-    :class:`~repro.errors.StoreLockedError` — a subclass of the
-    :class:`~repro.errors.JournalLockedError` callers already catch.
+    Resume contract (enforced by ``run_sweep``): a journaled ``ok``
+    point is served from the sweep cache without re-executing; a
+    journaled permanent failure is replayed as its recorded outcome
+    (under ``on_error="collect"``) without re-executing.  Resuming
+    after a code change starts fresh: outcomes are keyed by the store's
+    code version.  ``acquire()`` takes the store's writer flock (shared
+    with the cache), so a second live writer fails fast with
+    :class:`~repro.errors.StoreLockedError`.
     """
 
     def __init__(
         self, store: ResultStore, experiment_id: str, runner_name: str
     ) -> None:
-        super().__init__(store.directory / STORE_DB_FILENAME)
         self.result_store = store
         self.experiment_id = experiment_id
         self.runner_name = runner_name
 
-    # -- locking (store-wide, not per-file) ----------------------------------
-
     def acquire(self) -> None:
         self.result_store.acquire()
 
-    def _release_lock(self) -> None:  # pragma: no cover - via close()
-        self.result_store.release()
-
-    # -- journal operations --------------------------------------------------
-
     def load(self) -> Dict[str, PointOutcome]:
+        """Point key -> journaled outcome (a read; takes no lock)."""
         return self.result_store.load_outcomes(
             self.experiment_id, self.runner_name
         )
@@ -110,13 +74,10 @@ class StoreRunJournal(RunJournal):
         )
 
     def reset(self) -> None:
+        """Forget every outcome (a fresh, non-resuming run)."""
         self.result_store.clear_outcomes(
             self.experiment_id, self.runner_name
         )
-
-    def compact(self) -> int:
-        # Upserts keyed by point never accumulate superseded rows.
-        return 0
 
     def close(self) -> None:
         """Release the writer lock; the store connection stays open

@@ -1,37 +1,34 @@
-"""Store-backed campaign journal.
+"""The campaign engine's stage journal, backed by a result store.
 
-:class:`StoreCampaignJournal` speaks the
-:class:`~repro.campaigns.journal.CampaignJournal` contract against
-the store's ``campaigns``/``stages`` tables; the stage *values* the
-engine persists next to the journal live in ``stage_values`` (pickled
-blobs with the same ``result_digest`` verification as the pickle-file
-path).  ``CampaignEngine(store=...)`` switches both over — see
-:meth:`repro.campaigns.engine.CampaignEngine.journal`.
+:class:`StoreCampaignJournal` keeps terminal stage outcomes in the
+store's ``campaigns``/``stages`` tables and stage *values* in
+``stage_values`` (pickled blobs, verified against the outcome's
+``result_digest`` on load).  :class:`~repro.campaigns.engine.
+CampaignEngine` keeps one in a store at its ``state_dir``.
 
-The durability ordering the engine relies on is preserved: the value
-commits in its own transaction *before* the stage outcome that
-promises it, so a crash between the two re-executes the stage rather
-than trusting a phantom value.
+The durability ordering the engine relies on: the value commits in its
+own transaction *before* the stage outcome that promises it, so a
+crash between the two re-executes the stage rather than trusting a
+phantom value.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.campaigns.journal import CampaignJournal, StageOutcome
 from repro.store.api import ResultStore
-from repro.store.db import STORE_DB_FILENAME
+
+if TYPE_CHECKING:  # the campaigns package imports this module
+    from repro.campaigns.journal import StageOutcome
 
 
-class StoreCampaignJournal(CampaignJournal):
-    """The ``CampaignJournal`` contract against the store's tables.
+class StoreCampaignJournal:
+    """Stage outcomes and values of one (name, seed, code version).
 
-    Subclasses :class:`CampaignJournal` so the engine's journal
-    handling works unchanged; every file operation is overridden to
-    hit SQLite.  The campaign row (``name``, ``seed``,
-    ``code_version``) is the same identity
-    :func:`~repro.campaigns.journal.campaign_digest` encodes into
-    journal file names.
+    ``acquire()`` takes the store's writer flock, so a second live
+    orchestrator fails fast with :class:`~repro.errors.StoreLockedError`;
+    :meth:`load` is a pure read, safe while another process runs the
+    campaign.
     """
 
     def __init__(
@@ -41,12 +38,11 @@ class StoreCampaignJournal(CampaignJournal):
         seed: int,
         code_version: str,
     ) -> None:
-        super().__init__(store.directory / STORE_DB_FILENAME)
         self.result_store = store
         self.campaign_name = name
         self.campaign_seed = seed
         self.campaign_code_version = code_version
-        self._campaign_id: Any = None
+        self._campaign_id: Optional[int] = None
 
     @property
     def campaign_id(self) -> int:
@@ -58,15 +54,8 @@ class StoreCampaignJournal(CampaignJournal):
             )
         return self._campaign_id
 
-    # -- locking -------------------------------------------------------------
-
     def acquire(self) -> None:
         self.result_store.acquire()
-
-    def _release_lock(self) -> None:  # pragma: no cover - via close()
-        self.result_store.release()
-
-    # -- journal operations --------------------------------------------------
 
     def load(self) -> Dict[str, StageOutcome]:
         # Read-only lookup: a status query on a campaign that never
@@ -85,22 +74,22 @@ class StoreCampaignJournal(CampaignJournal):
         self.result_store.record_stage_outcome(self.campaign_id, record)
 
     def reset(self) -> None:
+        """Forget every stage outcome and value (a fresh run)."""
         self.result_store.clear_stages(self.campaign_id)
-
-    def compact(self) -> int:
-        return 0
 
     def close(self) -> None:
         self.result_store.release()
-
-    # -- stage values --------------------------------------------------------
 
     def save_value(self, stage: str, digest: str, value: Any) -> None:
         self.result_store.save_stage_value(
             self.campaign_id, stage, digest, value
         )
 
-    def load_value(self, stage: str, expect_digest: Any) -> Any:
+    def load_value(
+        self, stage: str, expect_digest: Optional[str]
+    ) -> Tuple[bool, Any]:
+        """``(found, value)``; missing, unreadable or digest-mismatched
+        values all mean "re-execute", never "crash"."""
         return self.result_store.load_stage_value(
             self.campaign_id, stage, expect_digest
         )

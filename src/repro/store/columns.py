@@ -1,17 +1,16 @@
 """Columnar metric encoding: scalar-dict codec + npz shard files.
 
-The pickle :class:`~repro.experiments.sweep.SweepCache` serialises one
-whole metric dict per point; reading one metric across a 10^4-point
-grid means 10^4 unpickles.  The store keeps point values in two
-representations instead:
+Serialising one whole metric dict per point would make reading one
+metric across a 10^4-point grid cost 10^4 decodes.  The store keeps
+point values in two representations instead:
 
 - **Inline payloads** (``points.payload``): canonical JSON whenever
   the value round-trips exactly (:func:`json_exact` — scalars,
   strings, lists, str-keyed dicts to any depth), pickle for anything
   else.  JSON keeps those values *exact* — Python's ``repr`` float
   formatting is shortest-roundtrip, ints are arbitrary precision,
-  ``NaN``/``Infinity`` survive — so byte-identity against the pickle
-  path holds.
+  ``NaN``/``Infinity`` survive — so cached values replay
+  byte-identically.
 - **Columnar shards** (``shards/*.npz``): after a sweep finalizes,
   eligible points move into npz shards holding three arrays per
   metric — ``k:<m>`` (uint8 kind per point), ``f8:<m>`` (float64),

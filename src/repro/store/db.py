@@ -13,9 +13,8 @@ layer builds on:
   writer process raises :class:`~repro.errors.StoreLockedError`
   instead of interleaving; the kernel drops the lock when its holder
   dies, so crashed writers never leave stale locks.  The lock is
-  fork-safe via the same guard the JSONL journals use: a forked child
-  drops its inherited handles so a pool worker outliving the
-  orchestrator cannot pin the lock.
+  fork-safe: a forked child drops its inherited handles so a pool
+  worker outliving the orchestrator cannot pin the lock.
 - **Validation with quarantine** — a garbage database file or an
   unreadable schema version is renamed to ``*.corrupt`` (plus its
   ``-wal``/``-shm`` siblings) and :class:`~repro.errors.
@@ -38,6 +37,7 @@ import contextlib
 import os
 import sqlite3
 import time
+import weakref
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
@@ -46,10 +46,7 @@ from repro.errors import (
     StoreLockedError,
     StoreSchemaError,
 )
-from repro.experiments.resilience import (
-    CHAOS_EXIT_CODE,
-    _register_fork_guard,
-)
+from repro.experiments.resilience import CHAOS_EXIT_CODE
 from repro.store import schema as store_schema
 
 try:  # POSIX advisory locks die with their holder (SIGKILL-safe).
@@ -65,6 +62,25 @@ STORE_DB_FILENAME = "store.sqlite3"
 FAULT_ENV = "REPRO_STORE_FAULT"
 
 _fault_hits: Dict[str, int] = {}
+
+#: Databases holding live locks, so forked children can drop their
+#: inherited handles (a flock is shared across fork; see
+#: :meth:`StoreDB._drop_inherited_handles`).
+_LIVE_DBS: "Optional[weakref.WeakSet]" = None
+
+
+def _register_fork_guard(db: "StoreDB") -> None:
+    global _LIVE_DBS
+    if _LIVE_DBS is None:
+        _LIVE_DBS = weakref.WeakSet()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(
+                after_in_child=lambda: [
+                    entry._drop_inherited_handles()
+                    for entry in list(_LIVE_DBS or ())
+                ]
+            )
+    _LIVE_DBS.add(db)
 
 
 def crash_point(site: str) -> None:

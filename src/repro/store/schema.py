@@ -21,8 +21,8 @@ Tables (v3):
     code_version, spec_digest)`` identity, point count, columnar
     state, gc bookkeeping (``last_read_at``, v2).
 ``points``
-    One row per executed sweep point, keyed by the same cache key the
-    pickle :class:`~repro.experiments.sweep.SweepCache` uses.  The
+    One row per executed sweep point, keyed by (experiment, runner,
+    code version, canonical params + replication + seed).  The
     value lives inline (``payload``: canonical JSON for scalar metric
     dicts, pickle otherwise) until finalization moves scalar metrics
     into a columnar shard (``shard_id``/``shard_pos``).

@@ -11,13 +11,16 @@ re-enters half-done stages through the sweep's own point-level
 journal.
 
 Each scenario runs in a fresh interpreter via a driver script (the
-crash must take down a real process, not a mocked one).
+crash must take down a real process, not a mocked one).  The killed
+driver's pool workers must not outlive it.
 """
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,30 +84,50 @@ result = engine.run(resume=(mode == "resume"))
 """
 
 
+def _driver_argv(driver, workdir, backend, mode, kill_stage=None):
+    argv = [sys.executable, str(driver), str(workdir), backend, mode]
+    if kill_stage is not None:
+        argv.append(kill_stage)
+    return argv
+
+
 def _run_driver(driver, workdir, backend, mode, kill_stage=None):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    argv = [sys.executable, str(driver), str(workdir), backend, mode]
-    if kill_stage is not None:
-        argv.append(kill_stage)
+    argv = _driver_argv(driver, workdir, backend, mode, kill_stage)
     return subprocess.run(argv, env=env, timeout=120)
 
 
+def _live_processes(argv):
+    """PIDs running exactly ``argv``: a driver and the pool workers it
+    forked (zombies have an empty command line, so they never match)."""
+    wanted = ("\0".join(argv) + "\0").encode()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            if (entry / "cmdline").read_bytes() == wanted:
+                pids.append(int(entry.name))
+        except OSError:
+            continue  # exited while we looked
+    return pids
+
+
 def _journaled_ok(workdir, state="state"):
-    """Stage names the campaign journal records as completed ok."""
-    journaled = set()
-    for path in (Path(workdir) / state).glob("*.campaign.jsonl"):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from the kill
-            if record.get("status") == "ok":
-                journaled.add(record["stage"])
-    return journaled
+    """Stage names the campaign's store records as completed ok."""
+    conn = sqlite3.connect(Path(workdir) / state / "store.sqlite3")
+    try:
+        return {
+            name for (name,) in conn.execute(
+                "SELECT name FROM stages WHERE status = 'ok'"
+            )
+        }
+    finally:
+        conn.close()
 
 
 def _counts(workdir, state="state"):
@@ -134,6 +157,13 @@ class TestDieAtEveryStageBoundary:
         # whole campaign dies with the chaos exit code, no result.
         assert killed.returncode == CHAOS_EXIT_CODE
         assert not (tmp_path / "result-kill.json").exists()
+        if Path("/proc").is_dir():
+            # Its pool workers notice the dead parent and exit too.
+            argv = _driver_argv(driver, tmp_path, backend, "kill", kill_stage)
+            deadline = time.monotonic() + 5.0
+            while _live_processes(argv) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert _live_processes(argv) == []
         runs_before = _counts(tmp_path)
         assert runs_before.get(kill_stage, 0) == 0
         # What the journal promised before the kill is the resume
@@ -192,7 +222,8 @@ from pathlib import Path
 
 from repro.campaigns import CampaignEngine, CampaignSpec, StageSpec, STEPS
 from repro.experiments.resilience import FailurePolicy
-from repro.experiments.sweep import SweepCache, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepSpec, run_sweep, runner_name
+from repro.store import ResultStore
 
 workdir = Path(sys.argv[1])
 mode = sys.argv[3]  # "kill" or "resume" (argv[2] = backend, unused)
@@ -214,16 +245,20 @@ def runner(params, seed):
 
 @STEPS.register("d.sweep")
 def _sweep(ctx):
-    sweep_dir = Path(ctx.state_dir) / "sweeps" / ctx.stage
+    store = ResultStore(
+        Path(ctx.state_dir) / "sweeps" / ctx.stage, code_version="pinned"
+    )
+    spec = SweepSpec("mid-sweep", axes={"i": list(range(6))})
     result = run_sweep(
-        SweepSpec("mid-sweep", axes={"i": list(range(6))}),
+        spec,
         runner,
         workers=1,
-        cache=SweepCache(sweep_dir, code_version="pinned"),
+        cache=store.sweep_cache(),
         policy=FailurePolicy(on_error="collect"),
-        journal=sweep_dir,
+        journal=store.run_journal(spec.experiment_id, runner_name(runner)),
         resume=True,
     )
+    store.close()
     return {"values": result.values,
             "resumed": [o.resumed for o in result.outcomes]}
 

@@ -1,5 +1,7 @@
 """Campaign engine tests: execution, retries, cone-skips, resume."""
 
+import sqlite3
+
 import pytest
 
 from repro.campaigns import (
@@ -183,12 +185,15 @@ class TestResume:
         assert result.outcomes["d"].status == STATUS_SKIPPED
         assert marker_count(tmp_path, "b", "started") == 1
 
-    def test_missing_result_pickle_forces_reexecution(
+    def test_missing_stage_value_forces_reexecution(
         self, diamond, tmp_path
     ):
         first = run(diamond, tmp_path)
+        conn = sqlite3.connect(tmp_path / "store.sqlite3")
+        with conn:
+            conn.execute("DELETE FROM stage_values WHERE stage = 'b'")
+        conn.close()
         engine = CampaignEngine(diamond, tmp_path, code_version="pinned")
-        engine._result_path("b").unlink()
         second = engine.run(resume=True)
         assert second.ok
         assert "b" not in second.resumed_stages()

@@ -16,6 +16,7 @@ deterministic chaos harness:
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -28,23 +29,23 @@ import pytest
 from repro.errors import (
     ChaosError,
     ConfigurationError,
-    JournalLockedError,
     PointFailedError,
+    StoreLockedError,
 )
 from repro.experiments.resilience import (
     CHAOS_EXIT_CODE,
     ChaosSpec,
     FailurePolicy,
     PointOutcome,
-    RunJournal,
     failure_rows,
 )
 from repro.experiments.sweep import (
-    SweepCache,
     SweepSpec,
     canonical_bytes,
     run_sweep,
+    runner_name,
 )
+from repro.store import FAULT_ENV, ResultStore
 
 #: Env var the chaos-free reference runner uses to drop exec markers.
 MARKER_DIR_VAR = "REPRO_TEST_MARKER_DIR"
@@ -89,6 +90,17 @@ def _spec(n, experiment_id="test-resilience", seed=0):
 def _reference_values(n, seed=0):
     """Serial, chaos-free ground truth for the ``_arith`` family."""
     return run_sweep(_spec(n, seed=seed), _arith, workers=1).values
+
+
+def _subprocess_env():
+    """This environment with the in-tree ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    env.pop(FAULT_ENV, None)
+    return env
 
 
 def _no_orphans(timeout=5.0):
@@ -274,8 +286,14 @@ class TestChaosSpec:
 
 
 class TestRunJournal:
+    """The run journal's contract, on the result store it lives in."""
+
+    def _journal(self, tmp_path, code_version="pinned"):
+        store = ResultStore(tmp_path / "store", code_version=code_version)
+        return store.run_journal("E1", "mod:run")
+
     def test_record_load_round_trip(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
+        journal = self._journal(tmp_path)
         first = PointOutcome(index=0, key="a", status="ok", attempts=1)
         second = PointOutcome(
             index=1, key="b", status="failed", attempts=2, error="boom"
@@ -283,44 +301,36 @@ class TestRunJournal:
         journal.record(first)
         journal.record(second)
         journal.close()
-        loaded = RunJournal(journal.path).load()
+        loaded = self._journal(tmp_path).load()
         assert loaded == {"a": first, "b": second}
 
     def test_last_record_for_a_key_wins(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
+        journal = self._journal(tmp_path)
         journal.record(PointOutcome(index=0, key="a", status="failed"))
         journal.record(PointOutcome(index=0, key="a", status="ok"))
         journal.close()
         assert journal.load()["a"].status == "ok"
 
-    def test_torn_tail_is_skipped_not_fatal(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
-        journal.record(PointOutcome(index=0, key="a", status="ok"))
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"index": 1, "key": "b", "sta')  # SIGKILL tear
-        loaded = journal.load()
-        assert set(loaded) == {"a"}
-
     def test_missing_file_loads_empty(self, tmp_path):
-        assert RunJournal(tmp_path / "absent.jsonl").load() == {}
+        assert self._journal(tmp_path).load() == {}
 
     def test_reset_truncates(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
+        journal = self._journal(tmp_path)
         journal.record(PointOutcome(index=0, key="a", status="ok"))
         journal.reset()
         assert journal.load() == {}
-        assert not journal.path.exists()
 
     def test_for_sweep_binds_code_version(self, tmp_path):
-        one = RunJournal.for_sweep(tmp_path, "E1", "mod:run", "v1")
-        two = RunJournal.for_sweep(tmp_path, "E1", "mod:run", "v2")
-        assert one.path != two.path
-        assert one.path.name.startswith("E1-")
-        assert one.path.name.endswith(".journal.jsonl")
+        one = self._journal(tmp_path, code_version="v1")
+        one.record(PointOutcome(index=0, key="a", status="ok"))
+        one.result_store.close()
+        assert self._journal(tmp_path, code_version="v2").load() == {}
+        assert set(self._journal(tmp_path, code_version="v1").load()) == {
+            "a"
+        }
 
-    def test_compact_keeps_only_the_latest_record_per_key(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
+    def test_rerecording_keeps_only_the_latest_row_per_key(self, tmp_path):
+        journal = self._journal(tmp_path)
         for attempt in range(4):
             journal.record(
                 PointOutcome(
@@ -329,40 +339,50 @@ class TestRunJournal:
             )
         journal.record(PointOutcome(index=0, key="a", status="ok"))
         journal.record(PointOutcome(index=1, key="b", status="ok"))
-        dropped = journal.compact()
-        assert dropped == 4
-        lines = journal.path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2
-        loaded = journal.load()
-        assert loaded["a"].status == "ok"
-        assert loaded["b"].status == "ok"
-        # A second compaction has nothing to drop.
-        assert journal.compact() == 0
-        journal.close()
+        journal.result_store.close()
+        conn = sqlite3.connect(tmp_path / "store" / "store.sqlite3")
+        try:
+            rows = conn.execute("SELECT count(*) FROM outcomes").fetchone()
+        finally:
+            conn.close()
+        assert rows[0] == 2
+        loaded = self._journal(tmp_path).load()
+        assert {key: o.status for key, o in loaded.items()} == {
+            "a": "ok",
+            "b": "ok",
+        }
 
-    def test_close_compacts_only_when_the_run_wrote(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
-        journal.record(PointOutcome(index=0, key="a", status="failed"))
-        journal.record(PointOutcome(index=0, key="a", status="ok"))
-        journal.close()
-        lines = journal.path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1
-        # A read-only reopen must not rewrite the file behind a
-        # concurrent writer's back.
-        before = journal.path.stat().st_mtime_ns
-        reader = RunJournal(journal.path)
-        assert reader.load()["a"].status == "ok"
-        reader.close()
-        assert journal.path.stat().st_mtime_ns == before
+    def test_reset_is_scoped_to_its_experiment_and_runner(self, tmp_path):
+        store = ResultStore(tmp_path / "store", code_version="pinned")
+        mine = store.run_journal("E1", "mod:run")
+        other_runner = store.run_journal("E1", "mod:other")
+        other_experiment = store.run_journal("E2", "mod:run")
+        for journal in (mine, other_runner, other_experiment):
+            journal.record(PointOutcome(index=0, key="a", status="ok"))
+        mine.reset()
+        assert mine.load() == {}
+        assert set(other_runner.load()) == {"a"}
+        assert set(other_experiment.load()) == {"a"}
+        store.close()
 
-    def test_compact_on_a_missing_file_is_a_no_op(self, tmp_path):
-        assert RunJournal(tmp_path / "absent.jsonl").compact() == 0
+    def test_load_reads_under_a_live_writer(self, tmp_path):
+        """Reads take no lock: a status reader never blocks (or is
+        blocked by) the run that holds the writer lock."""
+        writer = self._journal(tmp_path)
+        writer.record(PointOutcome(index=0, key="a", status="ok"))
+        reader = self._journal(tmp_path)
+        assert set(reader.load()) == {"a"}
+        writer.record(PointOutcome(index=1, key="b", status="ok"))
+        assert set(reader.load()) == {"a", "b"}
+        reader.result_store.close()
+        writer.record(PointOutcome(index=2, key="c", status="ok"))
+        writer.result_store.close()
 
     def test_second_writer_raises_journal_locked(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
+        journal = self._journal(tmp_path)
         journal.record(PointOutcome(index=0, key="a", status="ok"))
-        rival = RunJournal(journal.path)
-        with pytest.raises(JournalLockedError) as info:
+        rival = self._journal(tmp_path)
+        with pytest.raises(StoreLockedError) as info:
             rival.acquire()
         assert str(os.getpid()) in str(info.value)
         # Closing the holder releases the lock for the next writer.
@@ -370,43 +390,72 @@ class TestRunJournal:
         rival.acquire()
         rival.record(PointOutcome(index=1, key="b", status="ok"))
         rival.close()
+        assert set(rival.load()) == {"a", "b"}
+        rival.result_store.close()
+        journal.result_store.close()
 
     def test_lock_dies_with_a_killed_holder(self, tmp_path):
-        """flock is released by the kernel when the holder is SIGKILLed."""
-        journal_path = tmp_path / "run.journal.jsonl"
+        """flock is released by the kernel when the holder is SIGKILLed,
+        and the outcome it committed survives the kill."""
         script = (
-            "import os, sys, time\n"
-            "from repro.experiments.resilience import RunJournal\n"
+            "import sys, time\n"
             "from repro.experiments.resilience import PointOutcome\n"
-            f"journal = RunJournal({str(journal_path)!r})\n"
+            "from repro.store import ResultStore\n"
+            "store = ResultStore(sys.argv[1], code_version='pinned')\n"
+            "journal = store.run_journal('E1', 'mod:run')\n"
             "journal.record(PointOutcome(index=0, key='a', status='ok'))\n"
             "print('locked', flush=True)\n"
             "time.sleep(60)\n"
         )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         holder = subprocess.Popen(
-            [sys.executable, "-c", script],
-            env=env,
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=_subprocess_env(),
             stdout=subprocess.PIPE,
             text=True,
         )
         try:
             assert holder.stdout.readline().strip() == "locked"
-            rival = RunJournal(journal_path)
-            with pytest.raises(JournalLockedError):
+            rival = self._journal(tmp_path)
+            with pytest.raises(StoreLockedError):
                 rival.acquire()
             holder.kill()
             holder.wait(timeout=30)
             rival.acquire()  # stale lockfile, lock itself died
-            rival.close()
+            assert set(rival.load()) == {"a"}
+            rival.result_store.close()
         finally:
             if holder.poll() is None:
                 holder.kill()
                 holder.wait(timeout=30)
+            holder.stdout.close()
+
+    def test_kill_mid_record_keeps_only_committed_outcomes(self, tmp_path):
+        """A crash inside an outcome's transaction loses that outcome
+        whole: the journal reopens clean with the earlier records."""
+        script = (
+            "import sys\n"
+            "from repro.experiments.resilience import PointOutcome\n"
+            "from repro.store import ResultStore\n"
+            "store = ResultStore(sys.argv[1], code_version='pinned')\n"
+            "journal = store.run_journal('E1', 'mod:run')\n"
+            "journal.record(PointOutcome(index=0, key='a', status='ok'))\n"
+            "journal.record(PointOutcome(index=1, key='b', status='ok'))\n"
+        )
+        env = _subprocess_env()
+        env[FAULT_ENV] = "outcome-pre-commit:2"
+        killed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert killed.returncode == CHAOS_EXIT_CODE, killed.stderr
+        journal = self._journal(tmp_path)
+        assert set(journal.load()) == {"a"}
+        journal.record(PointOutcome(index=1, key="b", status="ok"))
+        assert set(journal.load()) == {"a", "b"}
+        journal.result_store.close()
 
 
 class TestRetriesSerial:
@@ -684,10 +733,17 @@ class TestJournalResume:
         monkeypatch.setenv(MARKER_DIR_VAR, str(markers))
         return markers
 
+    def _store(self, tmp_path):
+        return ResultStore(tmp_path / "cache", code_version="pinned")
+
+    def _journal(self, store, spec, runner):
+        return store.run_journal(spec.experiment_id, runner_name(runner))
+
     def test_resume_skips_ok_and_failed_points(self, tmp_path, monkeypatch):
         markers = self._marker_env(tmp_path, monkeypatch)
         spec = _spec(10, experiment_id="resume-test")
-        cache = SweepCache(tmp_path / "cache", code_version="pinned")
+        store = self._store(tmp_path)
+        cache = store.sweep_cache()
         policy = FailurePolicy(max_attempts=2, on_error="collect")
 
         first = run_sweep(
@@ -696,7 +752,7 @@ class TestJournalResume:
             workers=1,
             cache=cache,
             policy=policy,
-            journal=tmp_path / "cache",
+            journal=self._journal(store, spec, _fail_multiples_of_five),
         )
         assert first.ok_count == 8 and first.failure_count == 2
         executed_first = len(list(markers.iterdir()))
@@ -708,7 +764,7 @@ class TestJournalResume:
             workers=1,
             cache=cache,
             policy=policy,
-            journal=tmp_path / "cache",
+            journal=self._journal(store, spec, _fail_multiples_of_five),
             resume=True,
         )
         assert len(list(markers.iterdir())) == executed_first  # 0 re-runs
@@ -727,7 +783,8 @@ class TestJournalResume:
     def test_resume_false_retries_failed_points(self, tmp_path, monkeypatch):
         markers = self._marker_env(tmp_path, monkeypatch)
         spec = _spec(10, experiment_id="reset-test")
-        cache = SweepCache(tmp_path / "cache", code_version="pinned")
+        store = self._store(tmp_path)
+        cache = store.sweep_cache()
         policy = FailurePolicy(max_attempts=2, on_error="collect")
         run_sweep(
             spec,
@@ -735,7 +792,7 @@ class TestJournalResume:
             workers=1,
             cache=cache,
             policy=policy,
-            journal=tmp_path / "cache",
+            journal=self._journal(store, spec, _fail_multiples_of_five),
         )
         before = len(list(markers.iterdir()))
         result = run_sweep(
@@ -744,7 +801,7 @@ class TestJournalResume:
             workers=1,
             cache=cache,
             policy=policy,
-            journal=tmp_path / "cache",
+            journal=self._journal(store, spec, _fail_multiples_of_five),
             resume=False,
         )
         # Cached ok points still skip; only the 2 bad points re-burn
@@ -758,11 +815,12 @@ class TestJournalResume:
     ):
         markers = self._marker_env(tmp_path, monkeypatch)
         spec = _spec(3, experiment_id="no-cache-test")
+        store = self._store(tmp_path)
         run_sweep(
             spec,
             _arith_marked,
             workers=1,
-            journal=tmp_path / "journal",
+            journal=self._journal(store, spec, _arith_marked),
         )
         before = len(list(markers.iterdir()))
         assert before == 3
@@ -772,7 +830,7 @@ class TestJournalResume:
             spec,
             _arith_marked,
             workers=1,
-            journal=tmp_path / "journal",
+            journal=self._journal(store, spec, _arith_marked),
             resume=True,
         )
         assert len(list(markers.iterdir())) == before + 3
@@ -833,7 +891,8 @@ import json, os, sys, time
 from pathlib import Path
 
 from repro.experiments.resilience import FailurePolicy
-from repro.experiments.sweep import SweepCache, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepSpec, run_sweep, runner_name
+from repro.store import ResultStore
 
 workdir = Path(sys.argv[1])
 mode = sys.argv[2]  # "first" (slow, killed) or "resume"
@@ -852,14 +911,14 @@ def runner(params, seed):
 
 
 spec = SweepSpec("kill-resume", axes={"i": list(range(8))})
-cache = SweepCache(workdir / "cache", code_version="pinned")
+store = ResultStore(workdir / "cache", code_version="pinned")
 result = run_sweep(
     spec,
     runner,
     workers=1,
-    cache=cache,
+    cache=store.sweep_cache(),
     policy=FailurePolicy(on_error="collect"),
-    journal=workdir / "cache",
+    journal=store.run_journal(spec.experiment_id, runner_name(runner)),
     resume=True,
 )
 (workdir / f"result-{mode}.json").write_text(
@@ -880,12 +939,8 @@ class TestSigkillResume:
     ):
         driver = tmp_path / "driver.py"
         driver.write_text(_KILL_DRIVER)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        journal_dir = tmp_path / "cache"
+        env = _subprocess_env()
+        store_dir = tmp_path / "cache"
         markers = tmp_path / "executions"
 
         first = subprocess.Popen(
@@ -897,13 +952,9 @@ class TestSigkillResume:
             deadline = time.monotonic() + 30.0
             journaled = 0
             while time.monotonic() < deadline:
-                files = list(journal_dir.glob("*.journal.jsonl"))
-                if files:
-                    journaled = sum(
-                        1 for _ in open(files[0], encoding="utf-8")
-                    )
-                    if journaled >= 3:
-                        break
+                journaled = len(_journaled_keys(store_dir))
+                if journaled >= 3:
+                    break
                 if first.poll() is not None:
                     break
                 time.sleep(0.05)
@@ -915,17 +966,9 @@ class TestSigkillResume:
             first.wait(timeout=10)
         assert not (tmp_path / "result-first.json").exists()
 
-        journal_file = next(journal_dir.glob("*.journal.jsonl"))
-        journaled_keys = set()
-        with open(journal_file, encoding="utf-8") as handle:
-            for line in handle:
-                try:
-                    journaled_keys.add(json.loads(line)["key"])
-                except (ValueError, KeyError):
-                    continue  # torn tail from the SIGKILL
         journaled_indices = {
             json.loads(key.split(":rep")[0])["i"]
-            for key in journaled_keys
+            for key in _journaled_keys(store_dir)
         }
         executed_before = {
             int(path.name.split("-")[1])
@@ -962,6 +1005,21 @@ class TestSigkillResume:
         for index, was_resumed in enumerate(report["resumed"]):
             if index in journaled_indices:
                 assert was_resumed
+
+
+def _journaled_keys(store_dir):
+    """Point keys whose outcome the store has committed."""
+    if not (store_dir / "store.sqlite3").exists():
+        return set()
+    conn = sqlite3.connect(store_dir / "store.sqlite3", timeout=10)
+    try:
+        return {key for (key,) in conn.execute(
+            "SELECT point_key FROM outcomes"
+        )}
+    except sqlite3.Error:  # schema not created yet
+        return set()
+    finally:
+        conn.close()
 
 
 def _seed_of(experiment_id, i):

@@ -6,6 +6,7 @@ count, cold cache or warm cache — and aggregation order is the point
 order, never the completion order.
 """
 
+import sqlite3
 import time
 
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import fig3_vqpu
 from repro.experiments.sweep import (
-    SweepCache,
     SweepSpec,
     canonical_bytes,
     derive_point_seed,
@@ -21,6 +21,20 @@ from repro.experiments.sweep import (
     run_sweep,
     sweep_values,
 )
+from repro.store import ResultStore
+
+
+def _store_cache(directory, code_version=None):
+    """A sweep cache in a result store at ``directory``."""
+    return ResultStore(directory, code_version=code_version).sweep_cache()
+
+
+def _corrupt_payloads(directory, payload):
+    """Overwrite every stored point's inline payload."""
+    conn = sqlite3.connect(directory / "store.sqlite3")
+    with conn:
+        conn.execute("UPDATE points SET payload = ?", (payload,))
+    conn.close()
 
 
 def _simulate(params, seed):
@@ -163,7 +177,7 @@ class TestByteIdentity:
 
     def test_cold_and_warm_cache_are_byte_identical(self, tmp_path):
         spec = _small_spec(seed=0)
-        cache = SweepCache(tmp_path)
+        cache = _store_cache(tmp_path)
         cold = run_sweep(spec, _simulate, workers=1, cache=cache)
         assert cold.cache_hits == 0
         assert cold.cache_misses == len(spec)
@@ -176,7 +190,7 @@ class TestByteIdentity:
         self, tmp_path
     ):
         spec = _small_spec(seed=0)
-        cache = SweepCache(tmp_path)
+        cache = _store_cache(tmp_path)
         cold = run_sweep(spec, _simulate, workers=1, cache=cache)
         warm_parallel = run_sweep(spec, _simulate, workers=4, cache=cache)
         assert warm_parallel.cache_hits == len(spec)
@@ -185,7 +199,7 @@ class TestByteIdentity:
         )
 
     def test_partial_cache_only_simulates_new_points(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = _store_cache(tmp_path)
         small = SweepSpec(
             experiment_id="test-sweep",
             axes={"case": ["classical"], "vqpus": [1]},
@@ -326,14 +340,15 @@ class TestCodeVersion:
 class TestCacheKeying:
     def test_code_version_invalidates(self, tmp_path):
         spec = _small_spec()
-        old = SweepCache(tmp_path, code_version="v1")
+        old = _store_cache(tmp_path, code_version="v1")
         run_sweep(spec, _simulate, cache=old)
-        new = SweepCache(tmp_path, code_version="v2")
+        old.result_store.close()  # one writer per store directory
+        new = _store_cache(tmp_path, code_version="v2")
         result = run_sweep(spec, _simulate, cache=new)
         assert result.cache_hits == 0
 
     def test_different_seeds_never_collide(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = _store_cache(tmp_path)
         a = run_sweep(
             _small_spec(seed=0, seed_mode="derived"), _record_seed,
             cache=cache,
@@ -354,7 +369,7 @@ class TestCacheKeying:
         spec = SweepSpec(
             experiment_id="mut", axes={"i": [1, 2]}, replications=2
         )
-        cache = SweepCache(tmp_path)
+        cache = _store_cache(tmp_path)
         cold = run_sweep(spec, _mutating_runner, cache=cache)
         assert all(
             set(p.params) == {"i"} for p in cold.points
@@ -365,39 +380,36 @@ class TestCacheKeying:
 
     def test_corrupt_entry_counts_as_miss(self, tmp_path):
         spec = _small_spec()
-        cache = SweepCache(tmp_path)
+        cache = _store_cache(tmp_path)
         run_sweep(spec, _record_seed, cache=cache)
-        for entry in tmp_path.glob("*.pkl"):
-            entry.write_bytes(b"not a pickle")
+        _corrupt_payloads(tmp_path, b"not json")
         result = run_sweep(spec, _record_seed, cache=cache)
         assert result.cache_hits == 0
         assert result.cache_misses == len(spec)
 
-    def test_corrupt_entry_is_quarantined_not_left_in_place(self, tmp_path):
-        spec = _small_spec()
-        cache = SweepCache(tmp_path)
-        run_sweep(spec, _record_seed, cache=cache)
-        entries = sorted(tmp_path.glob("*.pkl"))
-        for entry in entries:
-            entry.write_bytes(b"not a pickle")
-        run_sweep(spec, _record_seed, cache=cache)
-        # The bad files moved aside (named for the slot they poisoned)
-        # and the re-simulated values repopulated every slot.
-        corpses = sorted(tmp_path.glob("*.pkl.corrupt"))
-        assert [c.name for c in corpses] == [
-            e.name + ".corrupt" for e in entries
-        ]
-        third = run_sweep(spec, _record_seed, cache=cache)
-        assert third.cache_hits == len(spec)
-
     def test_truncated_entry_counts_as_miss(self, tmp_path):
         spec = _small_spec()
-        cache = SweepCache(tmp_path)
-        run_sweep(spec, _record_seed, cache=cache)
-        for entry in tmp_path.glob("*.pkl"):
-            entry.write_bytes(entry.read_bytes()[:3])  # torn write
-        result = run_sweep(spec, _record_seed, cache=cache)
+        cache = _store_cache(tmp_path)
+        cold = run_sweep(spec, _simulate, cache=cache)
+        conn = sqlite3.connect(tmp_path / "store.sqlite3")
+        with conn:  # torn payload: only its first bytes survive
+            conn.execute("UPDATE points SET payload = substr(payload, 1, 3)")
+        conn.close()
+        result = run_sweep(spec, _simulate, cache=cache)
         assert result.cache_hits == 0
+        assert result.values == cold.values
+
+    def test_corrupt_entry_is_replaced_not_left_in_place(self, tmp_path):
+        spec = _small_spec()
+        cache = _store_cache(tmp_path)
+        cold = run_sweep(spec, _record_seed, cache=cache)
+        _corrupt_payloads(tmp_path, b"not json")
+        run_sweep(spec, _record_seed, cache=cache)
+        # The bad rows were dropped and the re-simulated values
+        # repopulated every slot.
+        third = run_sweep(spec, _record_seed, cache=cache)
+        assert third.cache_hits == len(spec)
+        assert third.values == cold.values
 
 
 class TestWorkersResolution:
@@ -445,4 +457,4 @@ class TestExperimentLevelDeterminism:
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
         spec = _small_spec()
         sweep_values(spec, _record_seed)
-        assert list(tmp_path.glob("*.pkl"))
+        assert (tmp_path / "store.sqlite3").exists()

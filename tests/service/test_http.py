@@ -93,6 +93,22 @@ class TestHealthAndQueue:
         assert body["depth"] == 1
         assert body["stale_leases"] == 0
 
+    def test_keep_alive_responses_do_not_stall(self, port):
+        # Headers and body leave as two segments; with Nagle on, the
+        # client's delayed ACK would hold every body back ~40 ms.
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read().decode())
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4
+
 
 class TestSubmit:
     def test_raw_spec_submission_is_created(self, port):

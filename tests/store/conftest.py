@@ -2,8 +2,8 @@
 
 Runners live at module scope so the process-pool backend can pickle
 them; every runner is deterministic in ``(params, seed)`` so the
-equivalence suites can compare store-backed output against fresh
-execution and against the pickle cache byte for byte.
+suites can compare store-backed output against fresh execution byte
+for byte.
 """
 
 import os
@@ -77,7 +77,6 @@ def run_driver(script, workdir, *argv, env=None, timeout=120):
         p for p in (src, merged.get("PYTHONPATH")) if p
     )
     merged.pop("REPRO_STORE_FAULT", None)
-    merged.pop("REPRO_SWEEP_STORE", None)
     if env:
         merged.update(env)
     return subprocess.run(

@@ -12,6 +12,16 @@ from repro.store import ResultStore
 from tests.store.conftest import grid_spec, mixed_runner, scalar_runner
 
 
+def big_int_runner(params, seed):
+    """An int metric that outgrows int64 at odd points, plus a string."""
+    x = params["x"]
+    return {
+        "y": x * 2.0,
+        "big": 2**63 + x if x % 2 else x,
+        "label": f"case-{x}",
+    }
+
+
 class TestSubmissions:
     def test_submit_records_pending(self, store):
         spec = grid_spec(4, "sub-grid")
@@ -50,6 +60,31 @@ class TestSubmissions:
         # Scalar metrics only — strings/nested live in the residual.
         assert headers == ["index", "params", "count", "seed_mod", "y"]
         assert len(rows) == 3
+
+    def test_results_read_residual_values_exactly(self, store):
+        spec = grid_spec(4, "sub-residual")
+        submission_id = store.submit(
+            "r", spec, runner_name(big_int_runner)
+        )
+        store.run_submission(submission_id, big_int_runner)
+        decodes = (store.stats["unpickle"], store.stats["json_decode"])
+        # Column-resident metrics decode nothing.
+        headers, rows = store.results_rows(submission_id, metrics=["y"])
+        assert [row[2] for row in rows] == [0.0, 2.0, 4.0, 6.0]
+        assert (store.stats["unpickle"], store.stats["json_decode"]) == decodes
+        # Values the columns cannot hold come from the residual.
+        headers, rows = store.results_rows(
+            submission_id, metrics=["big", "label"]
+        )
+        assert [row[2:] for row in rows] == [
+            [big_int_runner({"x": x}, 0)["big"], f"case-{x}"]
+            for x in range(4)
+        ]
+        assert rows[1][2] == 2**63 + 1
+        assert store.stats["unpickle"] == decodes[0]
+        headers, rows = store.results_rows(submission_id)
+        assert headers == ["index", "params", "big", "y"]
+        assert rows[3][2] == 2**63 + 3
 
     def test_wrong_runner_is_rejected(self, store):
         spec = grid_spec(3, "sub-wrong")
@@ -196,15 +231,15 @@ class TestStoreCli:
         with pytest.raises(SystemExit):
             main(["store", "submit", directory, "--preset", "baseline-32"])
 
-    def test_sweep_store_flag_creates_store_backed_cache(
-        self, tmp_path, capsys
-    ):
+    def test_sweep_cache_dir_is_a_store(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         assert main([
-            "sweep", "E7",
-            "--cache-dir", str(cache_dir), "--store", "--workers", "1",
+            "sweep", "E7", "--cache-dir", str(cache_dir), "--workers", "1",
         ]) == 0
         capsys.readouterr()
         assert (cache_dir / "store.sqlite3").exists()
-        # Points landed in the store, not as pickle files.
-        assert not list(cache_dir.glob("*.pkl"))
+        # Points landed in the store, nothing else in the directory.
+        assert {path.name for path in cache_dir.iterdir()} <= {
+            "store.sqlite3", "store.sqlite3-wal", "store.sqlite3-shm",
+            "store.sqlite3.lock",
+        }

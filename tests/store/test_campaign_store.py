@@ -1,15 +1,15 @@
-"""Store-backed campaigns: equivalence with the pickle engine and
-crash-resume at every stage commit boundary.
+"""Store-backed campaigns: resume and crash-resume at every stage
+commit boundary.
 
-``CampaignEngine(store=...)`` swaps the JSONL stage journal and the
-pickled stage-value files for the store's ``stages``/``stage_values``
-tables.  The result must be byte-identical (``canonical_digest``) to
-the plain engine, resume must replay completed stages without
-re-executing them, and a kill at any stage fault site must leave a
-store that resumes to the clean-run digest.
+``CampaignEngine`` keeps its stage journal and stage values in the
+``stages``/``stage_values`` tables of a store at its state directory.
+Resume must replay completed stages without re-executing them, and a
+kill at any stage fault site must leave a store that resumes to the
+clean-run digest.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -21,24 +21,10 @@ from tests.store.conftest import run_driver
 
 
 class TestEngineEquivalence:
-    def test_store_engine_matches_pickle_engine_digest(self, tmp_path):
-        spec = diamond_campaign(name="store-diamond")
-        plain = CampaignEngine(
-            spec, tmp_path / "plain", code_version="pinned"
-        ).run()
-        stored = CampaignEngine(
-            spec, tmp_path / "stored", code_version="pinned",
-            store=tmp_path / "stored" / "store",
-        ).run()
-        assert stored.canonical_digest() == plain.canonical_digest()
-        assert stored.values == plain.values
-
     def test_resume_replays_all_stages_without_reexecution(self, tmp_path):
         spec = diamond_campaign(name="store-resume")
         state = tmp_path / "state"
-        engine_kwargs = dict(
-            code_version="pinned", store=state / "store"
-        )
+        engine_kwargs = dict(code_version="pinned")
         first = CampaignEngine(spec, state, **engine_kwargs).run()
         second = CampaignEngine(spec, state, **engine_kwargs).run(
             resume=True
@@ -48,25 +34,64 @@ class TestEngineEquivalence:
         for stage in ("a", "b", "c", "d"):
             assert marker_count(state, stage, "started") == 1
 
+    def test_code_change_starts_the_campaign_fresh(self, tmp_path):
+        spec = diamond_campaign(name="store-versions")
+        state = tmp_path / "state"
+        first = CampaignEngine(spec, state, code_version="v1").run()
+        changed = CampaignEngine(spec, state, code_version="v2").run(
+            resume=True
+        )
+        # Stage outcomes are keyed by code version: nothing replays.
+        assert changed.resumed_stages() == []
+        assert changed.canonical_digest() == first.canonical_digest()
+        back = CampaignEngine(spec, state, code_version="v1").run(
+            resume=True
+        )
+        assert sorted(back.resumed_stages()) == ["a", "b", "c", "d"]
+        for stage in ("a", "b", "c", "d"):
+            assert marker_count(state, stage, "started") == 2
+
+    def test_resume_over_an_old_file_layout_recomputes(self, tmp_path):
+        """A state directory from the file-based layout (JSONL stage
+        journal, pickled stage values) is not read: resume recomputes."""
+        spec = diamond_campaign(name="store-legacy")
+        state = tmp_path / "state"
+        (state / "results").mkdir(parents=True)
+        for stage in ("a", "b", "c", "d"):
+            (state / "results" / f"{stage}.pkl").write_bytes(
+                pickle.dumps(999)
+            )
+        (state / "store-legacy.campaign.jsonl").write_text(
+            "".join(
+                json.dumps({"stage": stage, "status": "ok"}) + "\n"
+                for stage in ("a", "b", "c", "d")
+            )
+        )
+        resumed = CampaignEngine(spec, state, code_version="pinned").run(
+            resume=True
+        )
+        assert resumed.resumed_stages() == []
+        clean = CampaignEngine(
+            spec, tmp_path / "clean", code_version="pinned"
+        ).run()
+        assert resumed.canonical_digest() == clean.canonical_digest()
+        assert resumed.values == clean.values
+        for stage in ("a", "b", "c", "d"):
+            assert marker_count(state, stage, "started") == 1
+
     def test_status_is_read_only(self, tmp_path):
         spec = diamond_campaign(name="store-status")
         state = tmp_path / "state"
-        store_dir = state / "store"
+        store_dir = state
         # Status on a campaign that never ran: no store side effects.
-        engine = CampaignEngine(
-            spec, state, code_version="pinned", store=store_dir
-        )
+        engine = CampaignEngine(spec, state, code_version="pinned")
         status = engine.status()
         assert status["completed"] == 0
         assert not (store_dir / "store.sqlite3.lock").exists() or (
             (store_dir / "store.sqlite3.lock").read_text() == ""
         )
-        CampaignEngine(
-            spec, state, code_version="pinned", store=store_dir
-        ).run()
-        after = CampaignEngine(
-            spec, state, code_version="pinned", store=store_dir
-        ).status()
+        CampaignEngine(spec, state, code_version="pinned").run()
+        after = CampaignEngine(spec, state, code_version="pinned").status()
         assert after["completed"] == 4
         assert all(
             record["status"] == "ok" for record in after["stages"].values()
@@ -106,9 +131,7 @@ spec = CampaignSpec(name="store-crash", seed=11, stages=(
     StageSpec(name="d", step="s.add", params={"x": 4}, after=("b", "c")),
 ))
 state = workdir / ("clean" if mode == "clean" else "state")
-engine = CampaignEngine(
-    spec, state, code_version="pinned", store=state / "store",
-)
+engine = CampaignEngine(spec, state, code_version="pinned")
 result = engine.run(resume=(mode == "resume"))
 (workdir / f"result-{mode}.json").write_text(json.dumps({
     "digest": result.canonical_digest(),
@@ -177,7 +200,7 @@ class TestKillAtStageBoundaries:
         import sqlite3
 
         conn = sqlite3.connect(
-            tmp_path / "state" / "store" / "store.sqlite3"
+            tmp_path / "state" / "store.sqlite3"
         )
         try:
             values = conn.execute(

@@ -57,7 +57,7 @@ class TestSweep:
             == 0
         )
         first = capsys.readouterr().out
-        assert list(cache_dir.glob("*.pkl"))
+        assert (cache_dir / "store.sqlite3").exists()
         # Warm re-run: every point served from the cache, same output.
         assert (
             main(["sweep", "E7", "--cache-dir", str(cache_dir)]) == 0
@@ -149,7 +149,7 @@ class TestSweep:
         args = ["sweep", "E7", "--cache-dir", str(cache_dir)]
         assert main(args) == 0
         capsys.readouterr()
-        assert list(cache_dir.glob("*.journal.jsonl"))
+        assert (cache_dir / "store.sqlite3").exists()
         assert main(args + ["--resume"]) == 0
         output = capsys.readouterr().out
         assert "[PASS]" in output
