@@ -20,9 +20,17 @@ conservative 1k 11.385 s      0.774 s      ~15x
 
 The 5k-deep tier multiplies runtime (conservative is inherently
 O(queue x breakpoints)); set ``REPRO_BENCH_SCALE=1`` to include it.
+
+``test_bench_allocation_churn`` times the cluster's own allocation
+path on a 1024-node partition (seeded random-size allocate/release
+cycles) and publishes ``cluster_allocations_per_second``: the
+free-node index makes each allocation cost O(nodes granted) instead of
+a scan and sort of the whole partition.
 """
 
 import os
+import time
+from collections import deque
 
 import pytest
 
@@ -145,3 +153,41 @@ def test_bench_select_scale(run_once, policy_name, depth):
         # Both backfill flavours must fill around the blocker.
         assert len(started) > 0
         assert all(job.spec.name != "blocker" for job in started)
+
+
+#: Allocate/release cycles in the churn benchmark, and the largest
+#: single request (nodes) drawn for one of them.
+CHURN_CYCLES = 5000
+CHURN_MAX_NODES = 64
+
+
+def _allocation_churn(cluster, sizes):
+    """Allocate each size in turn, first releasing the oldest live
+    allocations until the partition can supply it."""
+    partition = cluster.partition("classical")
+    live = deque()
+    started = time.perf_counter()
+    for index, size in enumerate(sizes):
+        while partition.available_count() < size:
+            cluster.release(live.popleft())
+        live.append(cluster.allocate(f"churn-{index}", "classical", size))
+    elapsed = time.perf_counter() - started
+    return len(live), len(sizes) / elapsed
+
+
+def test_bench_allocation_churn(run_once, bench_record):
+    kernel = Kernel()
+    cluster = Cluster(
+        kernel,
+        [Partition("classical", [Node(f"cn{i:04d}") for i in range(1024)])],
+    )
+    rng = RandomStreams(7).stream("churn")
+    sizes = [
+        int(size)
+        for size in rng.integers(1, CHURN_MAX_NODES + 1, size=CHURN_CYCLES)
+    ]
+    still_live, per_second = run_once(_allocation_churn, cluster, sizes)
+    busy = sum(len(a.nodes) for a in cluster.active_allocations())
+    assert cluster.partition("classical").available_count() == 1024 - busy
+    assert 0 < still_live <= len(sizes)
+    bench_record(cluster_allocations_per_second=round(per_second, 1))

@@ -13,9 +13,12 @@ its grant.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import AllocationError, ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.cluster.partition import Partition
 
 
 class NodeState(enum.Enum):
@@ -90,6 +93,11 @@ class Node:
         #: the node's *capacity class* changes (up / draining / down),
         #: i.e. exactly when partition capacity figures can change.
         self._state_listener: Optional[Callable[[], None]] = None
+        #: Set by the owning partition: every mutator that changes
+        #: ``is_available`` reports it to the partition's free-node
+        #: index under this node's name-rank.
+        self._partition: Optional["Partition"] = None
+        self._rank = -1
         self._gres: Dict[str, List[GresInstance]] = {}
         for instance in gres or []:
             instance.node = self
@@ -164,6 +172,8 @@ class Node:
             granted.extend(free[:count])
         self.state = NodeState.ALLOCATED
         self.allocated_to = job_id
+        if self._partition is not None:
+            self._partition._node_taken(self._rank)
         for instance in granted:
             instance.allocated_to = job_id
         return granted
@@ -181,6 +191,8 @@ class Node:
                 self._transition(NodeState.DRAINING)
             else:
                 self.state = NodeState.IDLE
+                if self._partition is not None:
+                    self._partition._node_freed(self._rank)
         for instances in self._gres.values():
             for instance in instances:
                 if instance.allocated_to == job_id:
@@ -191,6 +203,8 @@ class Node:
     def mark_down(self) -> Optional[str]:
         """Take the node down; returns the id of the evicted job, if any."""
         evicted = self.allocated_to
+        if self.is_available and self._partition is not None:
+            self._partition._node_taken(self._rank)
         self._drain_pending = False
         self._transition(NodeState.DOWN)
         self.allocated_to = None
@@ -208,6 +222,8 @@ class Node:
         self._drain_pending = False
         if self.state in (NodeState.DOWN, NodeState.DRAINING):
             self._transition(NodeState.IDLE)
+            if self._partition is not None:
+                self._partition._node_freed(self._rank)
 
     def drain(self) -> None:
         """Stop accepting new jobs; current job may finish.
@@ -218,6 +234,8 @@ class Node:
         """
         if self.state == NodeState.IDLE:
             self._transition(NodeState.DRAINING)
+            if self._partition is not None:
+                self._partition._node_taken(self._rank)
         elif self.state == NodeState.ALLOCATED:
             self._drain_pending = True
 

@@ -78,26 +78,17 @@ class ChaosError(ReproError):
     """
 
 
-class JournalLockedError(ReproError):
-    """Another live process holds the run or stage journal's lock.
-
-    Two writers on one journal would silently interleave records and
-    corrupt resume state; the journal refuses to open instead.  A lock
-    held by a process that was SIGKILL'd is released by the kernel
-    automatically, so crashed campaigns never need manual lock cleanup.
-    """
-
-
 class StoreError(ReproError):
     """The durable result store could not complete an operation."""
 
 
-class StoreLockedError(StoreError, JournalLockedError):
+class StoreLockedError(StoreError):
     """Another live process holds the store's exclusive writer lock.
 
-    Subclasses :class:`JournalLockedError` because the run and stage
-    journals surface writer contention through it on ``acquire()``.
-    The lock is ``flock``-based: the kernel releases it when its holder
+    Two writers on one store would interleave run and stage records and
+    corrupt resume state, so the second one fails fast instead; the run
+    and stage journals surface the same error on ``acquire()``.  The
+    lock is ``flock``-based: the kernel releases it when its holder
     dies, so a SIGKILL'd writer never leaves a stale lock behind.
     """
 

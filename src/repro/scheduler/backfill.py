@@ -833,7 +833,8 @@ class TimelineCache:
     - any allocation whose bookkeeping the listener cannot replay.
 
     With ``debug=True`` (or ``REPRO_TIMELINE_DEBUG=1``) every served
-    timeline is cross-checked against a from-scratch rebuild and a
+    timeline is cross-checked against a from-scratch rebuild, and every
+    partition's free-node index against a rescan of its nodes; a
     :class:`~repro.errors.SchedulingError` is raised on divergence.
     """
 
@@ -971,6 +972,17 @@ class TimelineCache:
                     f"partition {name!r} at t={now}: "
                     f"incremental={timeline.profile()!r} "
                     f"rebuilt={fresh.partitions[name].profile()!r}"
+                )
+        for name, partition in self.cluster.partitions.items():
+            indexed = [node.name for node in partition.available_nodes()]
+            rescanned = sorted(
+                node.name for node in partition.nodes if node.is_available
+            )
+            if indexed != rescanned:
+                raise SchedulingError(
+                    f"free-node index diverged from rescan for partition "
+                    f"{name!r} at t={now}: indexed={indexed!r} "
+                    f"rescanned={rescanned!r}"
                 )
 
 

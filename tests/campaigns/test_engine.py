@@ -12,7 +12,7 @@ from repro.campaigns import (
     stage_seed,
 )
 from repro.campaigns.journal import STATUS_SKIPPED
-from repro.errors import CampaignError, ConfigurationError, JournalLockedError
+from repro.errors import CampaignError, ConfigurationError, StoreLockedError
 from repro.experiments.resilience import ChaosSpec
 
 from tests.campaigns.conftest import diamond_campaign, marker_count
@@ -251,7 +251,7 @@ class TestJournalGuard:
             rival = CampaignEngine(
                 diamond, tmp_path, code_version="pinned"
             )
-            with pytest.raises(JournalLockedError):
+            with pytest.raises(StoreLockedError):
                 rival.run()
         finally:
             journal.close()

@@ -32,6 +32,12 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Partition("dup", [Node("cn0"), Node("cn0")])
 
+    def test_node_owned_by_another_partition_rejected(self):
+        node = Node("cn0")
+        Partition("first", [node])
+        with pytest.raises(ConfigurationError, match="first"):
+            Partition("second", [node])
+
 
 class TestCapacityQueries:
     def test_counts(self):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import JournalLockedError, StoreLockedError
+from repro.errors import StoreLockedError
 from repro.store import ResultStore
 
 from tests.store.conftest import grid_spec, run_driver, scalar_runner
@@ -30,14 +30,6 @@ class TestWriterExclusion:
         store.acquire()
         second = ResultStore(store.directory)
         with pytest.raises(StoreLockedError, match=str(os.getpid())):
-            second.acquire()
-        second.close()
-
-    def test_lock_error_is_a_journal_locked_error(self, store):
-        """Callers catching the journal's lock error keep working."""
-        store.acquire()
-        second = ResultStore(store.directory)
-        with pytest.raises(JournalLockedError):
             second.acquire()
         second.close()
 
