@@ -7,11 +7,13 @@ module adds is the lifecycle around it:
 - :class:`Worker` — claim the oldest claimable submission (atomic
   ``BEGIN IMMEDIATE``; pending, or running with an expired lease),
   heartbeat from a side thread to keep the lease alive, execute the
-  store-backed sweep, release with a fenced update.  A worker that
-  dies mid-run simply stops heartbeating; after one lease window the
-  submission is claimable again and the next worker resumes it,
-  re-executing **only** points whose commits never landed (the store's
-  per-point transactions make re-entry free).
+  store-backed sweep, release with a fenced update.  An idle worker
+  blocks on its doorbell (:mod:`repro.store.wake`), which every
+  submit and drain requeue rings.  A worker that dies mid-run simply
+  stops heartbeating; after one lease window the submission is
+  claimable again and the next worker resumes it, re-executing
+  **only** points whose commits never landed (the store's per-point
+  transactions make re-entry free).
 - :class:`WorkerSupervisor` — N worker subprocesses with bounded
   restart-on-crash and graceful SIGTERM drain (each worker finishes
   its current *point*, requeues the submission, exits 0).
@@ -48,8 +50,12 @@ from repro.store.api import (
     DEFAULT_MAX_CLAIMS,
     DEFAULT_SHARD_POINTS,
 )
+from repro.store.wake import Doorbell
 
-#: Seconds an idle worker sleeps between claim attempts.
+#: Longest an idle worker waits on its doorbell before re-checking
+#: the queue anyway.  Submits and drain requeues ring the doorbell, so
+#: this only bounds how late an expired lease (a dead peer's
+#: submission) or a missed ring is noticed.
 DEFAULT_POLL_SECONDS = 0.5
 
 #: Heartbeats per lease window — 4 extensions before expiry leaves
@@ -162,10 +168,11 @@ class Worker:
     """One queue-draining worker over a shared-lock store handle.
 
     The loop: claim → execute (with heartbeats) → release → repeat;
-    idle polls every ``poll_seconds``.  :meth:`stop` (wired to
-    SIGTERM by the CLI) drains gracefully: the current point finishes
-    and commits, the submission is requeued as ``pending``, the loop
-    exits.
+    idle, it waits on its doorbell until a submit or requeue rings it,
+    re-checking at least every ``poll_seconds``.  :meth:`stop` (wired
+    to SIGTERM by the CLI) drains gracefully: the current point
+    finishes and commits, the submission is requeued as ``pending``,
+    the loop exits.
     """
 
     def __init__(
@@ -192,18 +199,25 @@ class Worker:
             self.directory, code_version=code_version, shared_writer=True
         )
         self._stop = threading.Event()
+        self._doorbell: Optional[Doorbell] = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def stop(self) -> None:
         """Request a graceful drain (safe from signal handlers)."""
         self._stop.set()
+        doorbell = self._doorbell
+        if doorbell is not None:
+            doorbell.ring()
 
     @property
     def stopping(self) -> bool:
         return self._stop.is_set()
 
     def close(self) -> None:
+        doorbell, self._doorbell = self._doorbell, None
+        if doorbell is not None:
+            doorbell.close()
         self.store.close()
 
     def __enter__(self) -> "Worker":
@@ -232,6 +246,13 @@ class Worker:
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
+        # The doorbell exists before the first claim, so a submit that
+        # commits after a claim found nothing always finds it to ring.
+        if self._doorbell is None:
+            try:
+                self._doorbell = Doorbell(self.directory)
+            except (AttributeError, OSError):
+                pass  # no FIFOs on this platform or filesystem: poll
         while not self._stop.is_set():
             record = self.store.claim_next_submission(
                 self.worker_id,
@@ -251,7 +272,10 @@ class Worker:
                 break
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            self._stop.wait(self.poll_seconds)
+            if self._doorbell is not None:
+                self._doorbell.wait(self.poll_seconds)
+            else:
+                self._stop.wait(self.poll_seconds)
         return executed
 
     def _drained(self) -> bool:

@@ -51,6 +51,7 @@ from repro.experiments.sweep import (
     canonical_params,
 )
 from repro.store import columns as col
+from repro.store import wake
 from repro.store.db import StoreDB, crash_point
 
 #: Points per columnar shard file (a 10^4-point grid → 5 shards).
@@ -91,7 +92,8 @@ class ResultStore:
 
     ``stats`` counts decode work (``unpickle``, ``json_decode``,
     ``column_point``, ``column_read``) so tests and benchmarks can
-    assert the column path never unpickles per-point dicts.
+    assert the column path never unpickles per-point dicts, and
+    ``read_touch`` counts ``last_read_at`` writes.
     """
 
     def __init__(
@@ -751,7 +753,17 @@ class ResultStore:
         Touches only that metric's npz members — never unpickles a
         per-point dict (``stats['unpickle']`` stays flat; the
         benchmark asserts it).  Requires a finalized (columnar) sweep.
+        Stamps the sweep's ``last_read_at`` (what :meth:`gc` keeps by).
         """
+        sweep_id, n_points = self._finalized_sweep(spec, runner_name)
+        column = self._read_column(sweep_id, n_points, metric)
+        self._touch_read(sweep_id)
+        return column
+
+    def _finalized_sweep(
+        self, spec: SweepSpec, runner_name: str
+    ) -> Tuple[int, int]:
+        """``(sweep_id, n_points)`` of a finalized sweep, or raise."""
         row = self._sweep_row(spec, runner_name)
         if row is None or row[1] != "columnar":
             raise StoreError(
@@ -759,7 +771,12 @@ class ResultStore:
                 "store — run it through the store cache, then call "
                 "finalize_sweep()"
             )
-        sweep_id, _state, n_points = row
+        return row[0], row[2]
+
+    def _read_column(
+        self, sweep_id: int, n_points: int, metric: str
+    ) -> col.MetricColumn:
+        """:meth:`read_column` without the ``last_read_at`` write."""
         conn = self.db.connection()
         blocks = []
         for shard_id, start, count, metrics_json in conn.execute(
@@ -784,13 +801,17 @@ class ResultStore:
                 ) from exc
             blocks.append((start, count, arrays))
         self.stats["column_read"] += 1
+        return col.assemble_column(metric, blocks, n_points)
+
+    def _touch_read(self, sweep_id: int) -> None:
+        """Stamp ``last_read_at`` (one best-effort write transaction)."""
+        self.stats["read_touch"] += 1
         with contextlib.suppress(sqlite3.Error):
             with self.db.transaction() as conn:
                 conn.execute(
                     "UPDATE sweeps SET last_read_at = ? WHERE id = ?",
                     (self.db.now(), sweep_id),
                 )
-        return col.assemble_column(metric, blocks, n_points)
 
     def sweep_metrics(self, spec: SweepSpec, runner_name: str) -> List[str]:
         """Metric names a finalized sweep's shards carry."""
@@ -818,7 +839,9 @@ class ResultStore:
         runner_name: str,
         kind: str = "scenario-sweep",
     ) -> int:
-        """Queue one sweep submission (state ``pending``)."""
+        """Queue one sweep submission (state ``pending``); once it has
+        committed, ring the idle workers' doorbells (:mod:`repro.store.
+        wake`) so one claims it without waiting out its poll."""
         now = self.db.now()
         with self._write() as conn:
             cursor = conn.execute(
@@ -839,6 +862,7 @@ class ResultStore:
             )
             crash_point("submit-pre-commit")
             submission_id = cursor.lastrowid
+        wake.ring(self.directory)
         return submission_id
 
     def _set_submission_state(
@@ -1044,8 +1068,9 @@ class ResultStore:
         release is a no-op returning ``False`` — so a submission
         reaches its terminal state exactly once no matter how many
         expired claimants are still alive.  ``state='pending'``
-        requeues (graceful drain); ``done``/``failed`` are terminal
-        and may carry ``ok_points``/``failed_points``/``error``.
+        requeues (graceful drain) and rings the idle workers'
+        doorbells; ``done``/``failed`` are terminal and may carry
+        ``ok_points``/``failed_points``/``error``.
         """
         if state not in ("pending", "done", "failed"):
             raise ConfigurationError(
@@ -1068,6 +1093,8 @@ class ResultStore:
             released = cursor.rowcount == 1
             crash_point("lease-release-pre-commit")
         crash_point("lease-release-post-commit")
+        if released and state == "pending":
+            wake.ring(self.directory)
         return released
 
     def run_claimed_submission(
@@ -1236,7 +1263,15 @@ class ResultStore:
             metrics if metrics is not None
             else scoped.sweep_metrics(spec, runner)
         )
-        columns = [scoped.read_column(spec, runner, name) for name in names]
+        columns = []
+        if names:
+            # One last_read_at write for the whole table, not per column.
+            sweep_id, n_points = scoped._finalized_sweep(spec, runner)
+            columns = [
+                scoped._read_column(sweep_id, n_points, name)
+                for name in names
+            ]
+            scoped._touch_read(sweep_id)
         values = [column.tolist() for column in columns]
         residuals: Dict[int, Any] = {}
         rows = []

@@ -246,6 +246,27 @@ class TestEndToEnd:
             0.0, 2.0, 4.0, 6.0,
         ]
 
+    def test_results_stamp_last_read_once_per_request(
+        self, server, port, store_dir
+    ):
+        status, created = request(
+            port, "POST", "/submissions", raw_spec_body(n=3)
+        )
+        with Worker(
+            store_dir, poll_seconds=0.01, code_version="pinned"
+        ) as worker:
+            assert worker.run(until_drained=True, timeout=30) == 1
+        stats = server.service.store.stats
+        touches, reads = stats["read_touch"], stats["column_read"]
+        status, results = request(
+            port, "GET",
+            f"/submissions/{created['id']}/results?metrics=y,n,seed_mod",
+        )
+        assert status == 200
+        assert results["headers"] == ["index", "params", "y", "n", "seed_mod"]
+        assert stats["column_read"] == reads + 3
+        assert stats["read_touch"] == touches + 1
+
 
 class TestDraining:
     def test_draining_rejects_submissions_but_stays_alive(self, server):
@@ -277,35 +298,40 @@ class TestServeSubprocess:
         )
         os.set_blocking(proc.stdout.fileno(), False)
         line, deadline = "", time.monotonic() + 30
-        while "listening on" not in line:
-            assert time.monotonic() < deadline, "serve never came up"
-            assert proc.poll() is None, proc.stderr.read()
-            ready, _, _ = select.select([proc.stdout], [], [], 0.5)
-            if ready:
-                line += proc.stdout.readline() or ""
+        try:
+            while "listening on" not in line:
+                assert time.monotonic() < deadline, "serve never came up"
+                assert proc.poll() is None, proc.stderr.read()
+                ready, _, _ = select.select([proc.stdout], [], [], 0.5)
+                if ready:
+                    line += proc.stdout.readline() or ""
+        except BaseException:
+            with proc:  # closes the pipes and reaps
+                proc.kill()
+            raise
         return proc, int(line.rsplit(":", 1)[1].strip())
 
     def test_sigterm_mid_request_still_drains_cleanly(self, store_dir):
         proc, port = self._start_serve(store_dir)
-        try:
-            status, _ = request(port, "GET", "/healthz")
-            assert status == 200
-            # A half-sent request: headers promise a body that never
-            # arrives, parking one handler thread mid-read.
-            import socket
+        # Leaving the block closes the stdout/stderr pipes and reaps.
+        with proc:
+            try:
+                status, _ = request(port, "GET", "/healthz")
+                assert status == 200
+                # A half-sent request: headers promise a body that
+                # never arrives, parking one handler thread mid-read.
+                import socket
 
-            hung = socket.create_connection(("127.0.0.1", port))
-            hung.sendall(
-                b"POST /submissions HTTP/1.1\r\n"
-                b"Host: x\r\nContent-Length: 64\r\n\r\n"
-            )
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30) == 0
-            hung.close()
-        finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup
-                proc.kill()
-            proc.wait()
+                with socket.create_connection(("127.0.0.1", port)) as hung:
+                    hung.sendall(
+                        b"POST /submissions HTTP/1.1\r\n"
+                        b"Host: x\r\nContent-Length: 64\r\n\r\n"
+                    )
+                    proc.send_signal(signal.SIGTERM)
+                    assert proc.wait(timeout=30) == 0
+            finally:
+                if proc.poll() is None:  # pragma: no cover - cleanup
+                    proc.kill()
         # The store the server held is intact and reopenable.
         with ResultStore(store_dir, code_version="pinned") as store:
             assert store.verify()["ok"]

@@ -7,6 +7,14 @@ mid-submission, bounded runs — plus the runner-resolution contract
 and the supervisor's restart bookkeeping.
 """
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import ServiceError
@@ -153,6 +161,139 @@ class TestWorkerLoop:
             worker.stop()
             assert worker.run() == 0
         assert store.status()[0]["state"] == "pending"
+
+
+def wake_fifos(store_dir):
+    return sorted((store_dir / "wake").glob("*.fifo"))
+
+
+def wait_until(predicate, timeout):
+    """Seconds until ``predicate()`` held, or ``None`` past ``timeout``."""
+    start = time.monotonic()
+    while time.monotonic() - start < timeout:
+        if predicate():
+            return time.monotonic() - start
+        time.sleep(0.005)
+    return None
+
+
+@contextlib.contextmanager
+def idle_worker(store_dir, **run_kwargs):
+    """A ``poll_seconds=30`` worker looping in a thread, yielded once it
+    is past its first (empty) claim: only a ring wakes it in time."""
+    worker = Worker(store_dir, poll_seconds=30, code_version="pinned")
+    thread = threading.Thread(
+        target=worker.run, kwargs=run_kwargs, daemon=True
+    )
+    with worker:
+        thread.start()
+        wait_until(lambda: wake_fifos(store_dir), 5.0)
+        time.sleep(0.2)
+        try:
+            yield worker, thread
+        finally:
+            worker.stop()
+            thread.join(timeout=35)
+
+
+def leaves_pending(store, sid):
+    return lambda: store.submission(sid)["state"] != "pending"
+
+
+class TestDoorbell:
+    """Idle workers block on a FIFO under ``<store>/wake/`` that every
+    submit and drain requeue rings; ``poll_seconds`` is only the
+    fallback, so each test pins it at 30 s and expects < 1 s."""
+
+    def test_submit_wakes_an_idle_worker(self, store_dir, store):
+        with idle_worker(store_dir, max_submissions=1):
+            sid = submit(store)
+            assert wait_until(leaves_pending(store, sid), 1.0) is not None
+        assert store.submission(sid)["state"] == "done"
+
+    def test_stop_interrupts_an_idle_wait(self, store_dir, store):
+        with idle_worker(store_dir) as (worker, thread):
+            start = time.monotonic()
+            worker.stop()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert time.monotonic() - start < 1.0
+
+    def test_drain_requeue_wakes_an_idle_peer(self, store_dir, store):
+        sid = submit(store)
+        # A peer holds the lease, so the idle worker's claim finds
+        # nothing; the peer's drain requeue must wake it.
+        assert store.claim_next_submission("peer")["id"] == sid
+        with idle_worker(store_dir, max_submissions=1):
+            assert store.submission(sid)["claimed_by"] == "peer"
+            assert store.release_submission(sid, "peer", "pending")
+            assert wait_until(leaves_pending(store, sid), 1.0) is not None
+        assert store.submission(sid)["state"] == "done"
+
+    def test_fifo_of_a_killed_worker_is_unlinked_by_the_next_ring(
+        self, store_dir, store
+    ):
+        env = dict(os.environ, PYTHONPATH=subprocess_pythonpath())
+        script = (
+            "import sys\n"
+            "from repro.service import Worker\n"
+            "with Worker(sys.argv[1], poll_seconds=30,"
+            " code_version='pinned') as worker:\n"
+            "    worker.run()\n"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", script, str(store_dir)], env=env
+        ) as proc:
+            try:
+                assert wait_until(lambda: wake_fifos(store_dir), 30.0)
+            finally:
+                proc.send_signal(signal.SIGKILL)
+        (stale,) = wake_fifos(store_dir)
+        sid = submit(store)
+        assert store.submission(sid)["state"] == "pending"
+        assert not stale.exists()
+        assert wake_fifos(store_dir) == []
+
+    @pytest.mark.parametrize("layout", ["missing", "file", "stray"])
+    def test_submit_survives_an_odd_wake_directory(
+        self, store_dir, store, layout
+    ):
+        wake = store_dir / "wake"
+        if layout == "file":
+            wake.write_text("not a directory")
+        elif layout == "stray":
+            wake.mkdir()
+            (wake / "plain.fifo").write_text("keep")
+            (wake / "nested.fifo").mkdir()
+        sid = submit(store)
+        assert store.submission(sid)["state"] == "pending"
+        if layout == "missing":
+            assert not wake.exists()  # rings never create it
+        elif layout == "file":
+            assert wake.read_text() == "not a directory"
+        else:
+            assert (wake / "plain.fifo").read_text() == "keep"
+            assert (wake / "nested.fifo").is_dir()
+
+    def test_worker_without_a_doorbell_falls_back_to_polling(
+        self, store_dir, store
+    ):
+        (store_dir / "wake").write_text("not a directory")
+        submit(store, name="a")
+        with Worker(
+            store_dir, poll_seconds=0.01, code_version="pinned"
+        ) as worker:
+            assert worker.run(until_drained=True, timeout=30) == 1
+            assert worker._doorbell is None
+
+    def test_close_unlinks_the_fifo(self, store_dir, store):
+        with Worker(
+            store_dir, poll_seconds=0.01, code_version="pinned"
+        ) as worker:
+            worker.run(timeout=0.05)
+            assert len(wake_fifos(store_dir)) == 1
+        assert wake_fifos(store_dir) == []
+        worker.close()  # idempotent
 
 
 class TestWorkerSupervisor:

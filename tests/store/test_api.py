@@ -86,6 +86,28 @@ class TestSubmissions:
         assert headers == ["index", "params", "big", "y"]
         assert rows[3][2] == 2**63 + 3
 
+    def test_results_touch_last_read_once_per_table(self, store):
+        spec = grid_spec(3, "sub-touch")
+        name = runner_name(scalar_runner)
+        submission_id = store.submit("t", spec, name)
+        store.run_submission(submission_id, scalar_runner)
+        with store.db.transaction() as conn:
+            conn.execute("UPDATE sweeps SET last_read_at = NULL")
+        touches = store.stats["read_touch"]
+        headers, _rows = store.results_rows(
+            submission_id, metrics=["y", "n", "seed_mod"]
+        )
+        assert len(headers) == 5
+        assert store.stats["read_touch"] == touches + 1
+        (stamp,) = store.db.connection().execute(
+            "SELECT last_read_at FROM sweeps"
+        ).fetchone()
+        assert stamp is not None  # gc still sees the read
+        # The public per-column read stamps once per call.
+        store.read_column(spec, name, "y")
+        store.read_column(spec, name, "n")
+        assert store.stats["read_touch"] == touches + 3
+
     def test_wrong_runner_is_rejected(self, store):
         spec = grid_spec(3, "sub-wrong")
         submission_id = store.submit(
