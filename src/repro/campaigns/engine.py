@@ -429,7 +429,7 @@ class CampaignEngine:
                 finish_ok(name, outcome, value)
                 return
             if kind == "err":
-                _, error, trace, elapsed = report
+                _, error, trace, _exception, elapsed = report
                 state.last_error = error
                 state.last_traceback = trace
                 state.last_status = STATUS_FAILED

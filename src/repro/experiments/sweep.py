@@ -10,7 +10,8 @@ simulation campaigns.  This module turns those grids into declarative
   result is a function of its coordinates alone, never of which worker
   ran it or in what order.
 - **Process-pool execution** — :func:`run_sweep` fans points across
-  ``workers`` processes (serial in-process fallback when ``workers=1``)
+  ``workers`` processes of a :class:`~repro.experiments.pool.
+  PoolSupervisor` (serial in-process fallback when ``workers=1``)
   and always returns results in *point order*; streaming consumers see
   the same order regardless of completion order.
 - **Opt-in durable cache** — results are memoised in a
@@ -40,12 +41,7 @@ import json
 import hashlib
 import os
 import subprocess
-import threading
 import time
-import traceback as traceback_module
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -59,10 +55,8 @@ from typing import (
     Tuple,
 )
 
-import multiprocessing
-
 from repro._version import __version__
-from repro.errors import ConfigurationError, PointFailedError, SweepError
+from repro.errors import ConfigurationError, PointFailedError
 from repro.experiments.resilience import (
     STATUS_CRASHED,
     STATUS_FAILED,
@@ -72,6 +66,7 @@ from repro.experiments.resilience import (
     FailurePolicy,
     PointOutcome,
 )
+from repro.experiments.pool import PoolSupervisor, timed_call
 from repro.metrics.stats import RunningStats
 from repro.sim.rng import derive_seed
 
@@ -483,38 +478,22 @@ def runner_name(runner: PointRunner) -> str:
     return f"{module}:{qualname}"
 
 
-def _execute_point_attempt(
+def _run_point(
     runner: PointRunner,
     params: Dict[str, Any],
     seed: int,
     chaos: Optional[ChaosSpec],
     point_index: int,
     attempt: int,
-) -> Tuple[Any, ...]:
-    """One attempt of one point; never raises (worker-side).
+) -> Any:
+    """One attempt of one point (run through :func:`timed_call`).
 
-    Returns ``("ok", value, elapsed)`` or ``("err", error_text,
-    traceback_text, exception, elapsed)``.  Runner exceptions are
-    *returned*, not raised: an exception that failed to pickle across
-    the pool boundary would otherwise surface as an opaque transfer
-    error.  Chaos is injected before the runner runs, so injection can
-    never perturb the runner's RNG draws.
+    Chaos is injected before the runner runs, so injection can never
+    perturb the runner's RNG draws.
     """
-    start = time.perf_counter()
-    try:
-        if chaos is not None:
-            chaos.inject(point_index, attempt)
-        value = runner(params, seed)
-        return ("ok", value, time.perf_counter() - start)
-    except Exception as exc:
-        elapsed = time.perf_counter() - start
-        return (
-            "err",
-            f"{type(exc).__name__}: {exc}",
-            traceback_module.format_exc(),
-            exc,
-            elapsed,
-        )
+    if chaos is not None:
+        chaos.inject(point_index, attempt)
+    return runner(params, seed)
 
 
 class _PointState:
@@ -525,10 +504,8 @@ class _PointState:
         "attempt_seconds",
         "failures",
         "crashes",
-        "last_status",
         "last_error",
         "last_traceback",
-        "last_exception",
     )
 
     def __init__(self, point: SweepPoint) -> None:
@@ -536,10 +513,8 @@ class _PointState:
         self.attempt_seconds: List[float] = []
         self.failures = 0
         self.crashes = 0
-        self.last_status = STATUS_FAILED
         self.last_error: Optional[str] = None
         self.last_traceback: Optional[str] = None
-        self.last_exception: Optional[BaseException] = None
 
     @property
     def next_attempt(self) -> int:
@@ -555,35 +530,6 @@ class _PointState:
             traceback=None if status == STATUS_OK else self.last_traceback,
             attempt_seconds=list(self.attempt_seconds),
         )
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool: cancel queued work, kill and reap workers.
-
-    Used when the orchestrator must reclaim workers it cannot wait for
-    — hung points past their timeout, a broken pool, or an abort
-    (``KeyboardInterrupt`` / a raising ``on_result`` callback) — so no
-    orphaned processes outlive the sweep.
-    """
-    # Snapshot the workers first: ``shutdown`` drops the pool's
-    # ``_processes`` reference, and a hung worker left unkilled keeps
-    # the executor's management thread (and interpreter exit) blocked
-    # forever.
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - shutdown of a broken pool
-        pass
-    for process in processes:
-        try:
-            process.kill()
-        except Exception:  # pragma: no cover - already dead
-            pass
-    for process in processes:
-        try:
-            process.join(timeout=5.0)
-        except Exception:  # pragma: no cover - already reaped
-            pass
 
 
 def resolve_workers(workers: Optional[Any]) -> int:
@@ -610,48 +556,6 @@ def resolve_workers(workers: Optional[Any]) -> int:
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-#: Seconds between a pool worker's checks that its parent still lives.
-_PARENT_POLL_SECONDS = 0.5
-
-
-def _exit_with_parent(parent_pid: int) -> None:
-    """Pool-worker initializer: exit once the orchestrator is gone.
-
-    A SIGKILL'd orchestrator cannot reap its workers, and an idle worker
-    blocked on the call queue would live on, reparented to init.  A
-    daemon thread polls ``os.getppid()`` and hard-exits the worker as
-    soon as it changes.
-    """
-
-    def watch() -> None:
-        while os.getppid() == parent_pid:
-            time.sleep(_PARENT_POLL_SECONDS)
-        os._exit(1)
-
-    threading.Thread(
-        target=watch, name="exit-with-parent", daemon=True
-    ).start()
-
-
-def _process_pool(max_workers: int) -> ProcessPoolExecutor:
-    """The worker pool sweeps and campaign backends execute in.
-
-    Fork where available: point runners defined in non-importable
-    modules (pytest benchmark files) resolve by reference in forked
-    children; spawn elsewhere.  Workers exit when their parent dies.
-    """
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context()
-    return ProcessPoolExecutor(
-        max_workers=max_workers,
-        mp_context=context,
-        initializer=_exit_with_parent,
-        initargs=(os.getpid(),),
-    )
 
 
 def run_sweep(
@@ -854,13 +758,16 @@ def _run_serial(
             # The runner gets a copy so an in-process mutation can
             # never corrupt the point's identity (cache key, reports) —
             # pool workers get a pickled copy for free.
-            result = _execute_point_attempt(
-                runner,
-                dict(point.params),
-                point.seed,
-                chaos,
-                point.index,
-                state.next_attempt,
+            result = timed_call(
+                _run_point,
+                (
+                    runner,
+                    dict(point.params),
+                    point.seed,
+                    chaos,
+                    point.index,
+                    state.next_attempt,
+                ),
             )
             if result[0] == "ok":
                 _, value, elapsed = result
@@ -872,7 +779,6 @@ def _run_serial(
             state.failures += 1
             state.last_error = text
             state.last_traceback = trace
-            state.last_exception = exception
             if state.failures >= policy.max_attempts:
                 fail_terminal(
                     point, state.outcome(STATUS_FAILED), exception
@@ -894,281 +800,102 @@ def _run_pool(
     fail_terminal: Callable[..., None],
     flush: Callable[[], None],
 ) -> None:
-    """Pool execution with retries, timeouts and crash recovery.
+    """Pool execution: the sweep's retry budgets over a supervisor.
 
-    In-flight submissions are bounded by the worker count.  When the
-    pool breaks, the culprit cannot be told apart from innocent
-    co-residents, so *nobody* is charged: every in-flight point
-    becomes a **suspect** and re-runs exclusively (one in-flight at a
-    time).  A pool break during a solo run is unambiguous — that point
-    is charged one crash against ``policy.max_crashes`` and becomes
-    terminally ``crashed`` once the budget is spent, instead of
-    killing workers forever; innocents clear themselves with one clean
-    solo run and full parallelism resumes.  On *any* abort —
+    The :class:`~repro.experiments.pool.PoolSupervisor` runs the
+    attempts, enforces the per-point timeout and attributes worker
+    crashes (innocents re-run alone, uncharged); this loop only
+    charges outcomes.  A failure or timeout spends one of
+    ``policy.max_attempts`` and retries after its backoff.  A crash —
+    reported only once a solo run convicted the point — spends one of
+    ``policy.max_crashes`` and retries at once, alone, until the
+    budget makes the point terminally ``crashed``.  On *any* abort —
     ``KeyboardInterrupt``, a raising ``on_result`` callback, a
-    terminal failure under ``on_error="raise"`` — queued futures are
-    cancelled and workers terminated, never orphaned.
+    terminal failure under ``on_error="raise"`` — the supervisor kills
+    its workers, never orphaning them.
     """
-    max_pool = max(1, min(workers, len(to_run)))
-    pool = _process_pool(max_pool)
     states = {point.index: _PointState(point) for point in to_run}
-    ready: deque = deque(point.index for point in to_run)
-    #: Suspects awaiting an exclusive (solo) run for crash attribution.
-    solo: deque = deque()
     #: (eligible_monotonic, index) pairs sleeping out a backoff.
     waiting: List[Tuple[float, int]] = []
-    #: future -> (index, deadline_monotonic, submit_perf, is_solo)
-    inflight: Dict[Any, Tuple[int, float, float, bool]] = {}
-    #: Backstop against a pathologically break-happy environment.
-    rebuilds = 0
-    max_rebuilds = 4 + 2 * policy.max_crashes * len(to_run)
+    supervisor = PoolSupervisor(min(workers, len(to_run)))
 
-    def rebuild_pool() -> None:
-        nonlocal pool, rebuilds
-        rebuilds += 1
-        if rebuilds > max_rebuilds:
-            raise SweepError(
-                f"worker pool broke {rebuilds} times; giving up "
-                "(crash budgets should have made this unreachable)"
-            )
-        _terminate_pool(pool)
-        pool = _process_pool(max_pool)
-
-    def schedule(index: int, eligible: float) -> None:
-        if eligible <= time.monotonic():
-            ready.append(index)
-        else:
-            waiting.append((eligible, index))
-
-    def charge_crash(index: int, elapsed: float, now: float) -> None:
+    def submit(index: int) -> None:
         state = states[index]
-        state.attempt_seconds.append(elapsed)
-        state.crashes += 1
-        state.last_error = (
-            "worker process died while executing this point "
-            f"(crash {state.crashes}/{policy.max_crashes})"
+        supervisor.submit(
+            index,
+            _run_point,
+            (
+                runner,
+                state.point.params,
+                state.point.seed,
+                chaos,
+                index,
+                state.next_attempt,
+            ),
+            policy.timeout_seconds,
         )
-        state.last_traceback = None
-        state.last_exception = None
-        if state.crashes >= policy.max_crashes:
-            fail_terminal(state.point, state.outcome(STATUS_CRASHED))
-        else:
-            # Retry exclusively: a repeat killer must not take the
-            # whole pool down again on the way to its crash budget.
-            solo.append(index)
 
-    def handle_broken_future(
-        index: int, is_solo: bool, elapsed: float, now: float
-    ) -> None:
-        if is_solo:
-            charge_crash(index, elapsed, now)
-        else:
-            # Ambiguous attribution: re-run exclusively, uncharged.
-            solo.append(index)
-
-    def record_failure(
-        index: int,
-        text: str,
-        trace: Optional[str],
-        exception: Optional[BaseException],
-        elapsed: float,
-        now: float,
-        status: str = STATUS_FAILED,
-    ) -> None:
+    def settle(index: int, report: Tuple[Any, ...]) -> None:
         state = states[index]
-        state.attempt_seconds.append(elapsed)
-        state.failures += 1
-        state.last_status = status
-        state.last_error = text
-        state.last_traceback = trace
-        state.last_exception = exception
-        if state.failures >= policy.max_attempts:
-            fail_terminal(state.point, state.outcome(status), exception)
-        else:
-            schedule(
-                index,
-                now
-                + policy.backoff_for(
-                    state.failures, key=state.point.key()
-                ),
-            )
-
-    def process_completion(future: Any, now: float) -> bool:
-        """Handle one done future; returns True if the pool broke."""
-        index, _, submitted, is_solo = inflight.pop(future)
-        try:
-            result = future.result()
-        except BrokenProcessPool:
-            handle_broken_future(
-                index, is_solo, time.perf_counter() - submitted, now
-            )
-            return True
-        except Exception as exc:
-            # The attempt itself cannot raise; this is a transfer
-            # failure (e.g. an unpicklable runner return value).
-            record_failure(
-                index,
-                f"{type(exc).__name__}: {exc}",
-                traceback_module.format_exc(),
-                exc,
-                time.perf_counter() - submitted,
-                now,
-            )
-            return False
-        state = states[index]
-        if result[0] == "ok":
-            _, value, elapsed = result
+        kind = report[0]
+        if kind == "ok":
+            _, value, elapsed = report
             state.attempt_seconds.append(elapsed)
             finish(state.point, value, state.outcome(STATUS_OK))
-        else:
-            _, text, trace, exception, elapsed = result
-            record_failure(index, text, trace, exception, elapsed, now)
-        return False
-
-    def handle_pool_break(now: float) -> None:
-        """Quarantine every in-flight point, rebuild the pool."""
-        for future in list(inflight):
-            if future.done():
-                process_completion(future, now)
-            else:  # pragma: no cover - executor failed them already
-                index, _, submitted, is_solo = inflight.pop(future)
-                handle_broken_future(
-                    index, is_solo, time.perf_counter() - submitted, now
-                )
-        rebuild_pool()
-
-    def expire_timeouts(now: float) -> None:
-        """Reclaim workers hung past the per-point deadline."""
-        expired = [
-            (future, index)
-            for future, (index, deadline, _, _) in inflight.items()
-            if not future.done() and now >= deadline
-        ]
-        if not expired:
             return
-        # Harvest any finished results first, then kill the pool: a
-        # hung task cannot be cancelled, only its worker can.
-        for future in [f for f in list(inflight) if f.done()]:
-            process_completion(future, now)
-        expired_set = {future for future, _ in expired}
-        innocents = [
-            index
-            for future, (index, _, _, _) in inflight.items()
-            if future not in expired_set
-        ]
-        for future, index in expired:
-            if future not in inflight:
-                continue
-            inflight.pop(future)
-            record_failure(
-                index,
-                (
-                    "point exceeded its "
-                    f"{policy.timeout_seconds}s wall-clock timeout"
-                ),
-                None,
-                None,
-                float(policy.timeout_seconds or 0.0),
-                now,
-                status=STATUS_TIMED_OUT,
+        if kind == "crashed":
+            state.attempt_seconds.append(report[1])
+            state.crashes += 1
+            state.last_error = (
+                "worker process died while executing this point "
+                f"(crash {state.crashes}/{policy.max_crashes})"
             )
-        inflight.clear()
-        rebuild_pool()
-        # Interrupted bystanders are resubmitted uncharged: our
-        # teardown, not their failure.
-        for index in innocents:
-            schedule(index, now)
-
-    def submit_ready(now: float) -> None:
-        while True:
-            # Suspect quarantine drains first, one exclusive run at a
-            # time; normal submission resumes once it is empty.
-            if solo:
-                if inflight:
-                    return
-                index = solo[0]
-                is_solo = True
-            elif ready and len(inflight) < max_pool:
-                index = ready.popleft()
-                is_solo = False
+            state.last_traceback = None
+            if state.crashes >= policy.max_crashes:
+                fail_terminal(state.point, state.outcome(STATUS_CRASHED))
             else:
-                return
-            state = states[index]
-            try:
-                future = pool.submit(
-                    _execute_point_attempt,
-                    runner,
-                    state.point.params,
-                    state.point.seed,
-                    chaos,
-                    index,
-                    state.next_attempt,
-                )
-            except (BrokenProcessPool, RuntimeError):
-                if not is_solo:
-                    ready.appendleft(index)
-                handle_pool_break(now)
-                continue
-            if is_solo:
-                solo.popleft()
-            deadline = (
-                now + policy.timeout_seconds
-                if policy.timeout_seconds is not None
-                else float("inf")
+                submit(index)
+            return
+        if kind == "timeout":
+            status = STATUS_TIMED_OUT
+            text = (
+                "point exceeded its "
+                f"{policy.timeout_seconds}s wall-clock timeout"
             )
-            inflight[future] = (
-                index, deadline, time.perf_counter(), is_solo
-            )
+            trace = exception = None
+            elapsed = float(policy.timeout_seconds or 0.0)
+        else:
+            status = STATUS_FAILED
+            _, text, trace, exception, elapsed = report
+        state.attempt_seconds.append(elapsed)
+        state.failures += 1
+        state.last_error = text
+        state.last_traceback = trace
+        if state.failures >= policy.max_attempts:
+            fail_terminal(state.point, state.outcome(status), exception)
+            return
+        delay = policy.backoff_for(state.failures, key=state.point.key())
+        if delay > 0.0:
+            waiting.append((time.monotonic() + delay, index))
+        else:
+            submit(index)
 
     try:
-        while ready or solo or waiting or inflight:
+        for point in to_run:
+            submit(point.index)
+        while supervisor.pending or waiting:
             now = time.monotonic()
-            if waiting:
-                still = []
-                for eligible, index in waiting:
-                    if eligible <= now:
-                        ready.append(index)
-                    else:
-                        still.append((eligible, index))
-                waiting[:] = still
-            submit_ready(now)
-            if not inflight:
-                if waiting:
-                    time.sleep(
-                        max(0.0, min(t for t, _ in waiting) - now)
-                    )
-                continue
-            bounds = [
-                deadline
-                for _, deadline, _, _ in inflight.values()
-                if deadline != float("inf")
-            ]
-            bounds.extend(eligible for eligible, _ in waiting)
-            wait_timeout = (
-                max(0.01, min(bounds) - now) if bounds else None
-            )
-            done, _ = wait(
-                set(inflight),
-                timeout=wait_timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            now = time.monotonic()
-            broke = False
-            for future in done:
-                if future in inflight:
-                    broke = process_completion(future, now) or broke
-            if broke:
-                handle_pool_break(now)
-            else:
-                expire_timeouts(now)
+            for item in [item for item in waiting if item[0] <= now]:
+                waiting.remove(item)
+                submit(item[1])
+            next_due = min((item[0] for item in waiting), default=None)
+            for index, report in supervisor.drain(
+                None if next_due is None else next_due - now
+            ):
+                settle(index, report)
             flush()
-    except BaseException:
-        # Abort path (KeyboardInterrupt, raising callbacks, terminal
-        # failure under on_error="raise"): never leave orphans.
-        _terminate_pool(pool)
-        raise
-    else:
-        pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        supervisor.stop()
 
 
 def sweep_cache(cache_dir: Optional[os.PathLike]) -> Optional[Any]:

@@ -701,11 +701,11 @@ class ResultStore:
             return cached
         path, _start, _count, metrics = self._shard_record(shard_id)
         try:
-            npz = col.open_shard(path)
-            arrays = {
-                metric: col.shard_metric_arrays(npz, metric)
-                for metric in metrics
-            }
+            with col.open_shard(path) as npz:
+                arrays = {
+                    metric: col.shard_metric_arrays(npz, metric)
+                    for metric in metrics
+                }
             arrays = {
                 metric: block for metric, block in arrays.items()
                 if block is not None
@@ -789,8 +789,8 @@ class ResultStore:
                 continue
             path, _s, _c, _m = self._shard_record(shard_id)
             try:
-                npz = col.open_shard(path)
-                arrays = col.shard_metric_arrays(npz, metric)
+                with col.open_shard(path) as npz:
+                    arrays = col.shard_metric_arrays(npz, metric)
             except (OSError, EOFError, ValueError, KeyError,
                 zipfile.BadZipFile) as exc:
                 quarantined = self.quarantine_shard(shard_id)
@@ -1332,8 +1332,8 @@ class ResultStore:
         ).fetchall():
             path = self.db.shards_dir / filename
             try:
-                npz = col.open_shard(path)
-                npz.files  # forces the zip directory read
+                # Opening reads (and checks) the zip directory.
+                col.open_shard(path).close()
             except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
                 report["ok"] = False
                 report["issues"].append(

@@ -257,8 +257,17 @@ def write_shard(path: os.PathLike, arrays: Mapping[str, np.ndarray]) -> None:
 
 
 def open_shard(path: os.PathLike) -> "np.lib.npyio.NpzFile":
-    """Open one shard for lazy member reads (raises on torn files)."""
-    return np.load(path, allow_pickle=False)
+    """Open one shard for member reads; close it after use.
+
+    Raises on torn files.  The handle is opened here, not by
+    ``np.load``, which leaks it when the zip directory does not parse.
+    """
+    handle = open(path, "rb")
+    try:
+        return np.lib.npyio.NpzFile(handle, own_fid=True, allow_pickle=False)
+    except BaseException:
+        handle.close()
+        raise
 
 
 def shard_metric_arrays(

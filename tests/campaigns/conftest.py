@@ -7,6 +7,7 @@ so crash/resume tests can assert *exact* execution counts without
 trusting in-process state that a SIGKILL would lose.
 """
 
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -97,6 +98,21 @@ if "t.add" not in STEPS:
         if sentinel.exists():
             sentinel.unlink()
             raise KeyboardInterrupt(f"simulated kill at {ctx.stage}")
+        _mark(ctx, "completed")
+        return ctx.param("x", 0)
+
+    @STEPS.register("t.die_once")
+    def _t_die_once(ctx):
+        """Kills its pool worker while a ``<stage>.die`` sentinel exists.
+
+        The sentinel is consumed first, so a re-run sails through.  In
+        the orchestrating process (serial backend) it never dies.
+        """
+        _mark(ctx, "started")
+        sentinel = Path(ctx.state_dir) / f"{ctx.stage}.die"
+        if sentinel.exists() and multiprocessing.parent_process():
+            sentinel.unlink()
+            os._exit(1)
         _mark(ctx, "completed")
         return ctx.param("x", 0)
 

@@ -1,12 +1,18 @@
 """Campaign engine tests: execution, retries, cone-skips, resume."""
 
+import multiprocessing
+import os
+import signal
 import sqlite3
+import time
 
 import pytest
 
 from repro.campaigns import (
     CampaignEngine,
     CampaignSpec,
+    LocalPoolBackend,
+    StageContext,
     StageSpec,
     create_backend,
     stage_seed,
@@ -89,7 +95,8 @@ class TestRetries:
         assert marker_count(tmp_path, "c", "completed") == 1
         assert marker_count(tmp_path, "d", "started") == 0
 
-    def test_timeout_counts_as_terminal_timed_out(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_timeout_counts_as_terminal_timed_out(self, tmp_path, backend):
         spec = diamond_campaign(
             b={
                 "step": "t.sleep",
@@ -98,11 +105,19 @@ class TestRetries:
                 "timeout_seconds": 0.5,
                 "on_error": "collect",
             },
+            # Still running when b's deadline kills the pool.
+            c={"step": "t.sleep", "params": {"seconds": 1.0},
+               "after": ("a",)},
         )
-        result = run(spec, tmp_path)
+        result = run(spec, tmp_path, backend=backend, workers=2)
         assert result.outcomes["b"].status == "timed_out"
         assert result.outcomes["d"].status == STATUS_SKIPPED
         assert result.outcomes["c"].ok
+        if backend == "process":
+            # The rebuild killed c's worker: c was resubmitted and not
+            # charged, and only its second run completed.
+            assert result.outcomes["c"].attempts == 1
+            assert marker_count(tmp_path, "c", "completed") == 1
 
 
 class TestChaos:
@@ -240,6 +255,43 @@ class TestBackends:
         backend = create_backend("serial")
         result = run(diamond, tmp_path, backend=backend)
         assert result.ok
+
+    def test_crash_is_not_charged_to_an_innocent_sibling(self, tmp_path):
+        spec = diamond_campaign(
+            b={"step": "t.die_once", "after": ("a",),
+               "on_error": "collect"},
+            c={"step": "t.sleep", "params": {"seconds": 1.0},
+               "after": ("a",), "retries": 0, "on_error": "collect"},
+            d={"step": "t.seeded", "after": ("b", "c")},
+        )
+        (tmp_path / "b.die").write_text("")
+        result = run(spec, tmp_path, backend="process", workers=2)
+        # Both were in flight when b's worker died; each re-ran alone
+        # and neither crashed again, so nobody was charged.
+        assert result.outcomes["c"].ok
+        assert result.outcomes["c"].attempts == 1
+        assert result.outcomes["b"].ok
+        assert result.ok
+        assert not (tmp_path / "b.die").exists()
+
+    def test_worker_that_died_idle_is_replaced(self, tmp_path):
+        backend = LocalPoolBackend(workers=2)
+        backend.start()
+        try:
+            backend.submit("a", "t.add", StageContext("a", {"x": 1},
+                                                      state_dir=tmp_path))
+            assert backend.drain()[0][1][:2] == ("ok", 1)
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            time.sleep(0.5)  # let the executor notice the dead worker
+            backend.submit("b", "t.add", StageContext("b", {"x": 2},
+                                                      state_dir=tmp_path))
+            [(stage, report)] = backend.drain()
+        finally:
+            backend.stop()
+        assert (stage, report[:2]) == ("b", ("ok", 2))
+        assert not multiprocessing.active_children()
 
 
 class TestJournalGuard:

@@ -319,6 +319,7 @@ class TestRunJournal:
         journal.record(PointOutcome(index=0, key="a", status="ok"))
         journal.reset()
         assert journal.load() == {}
+        journal.result_store.close()
 
     def test_for_sweep_binds_code_version(self, tmp_path):
         one = self._journal(tmp_path, code_version="v1")
