@@ -15,7 +15,6 @@ kernel throughput is tracked across PRs as a first-class number.
 import time
 
 from repro.sim.kernel import Kernel
-from repro.sim.resources import Resource
 from repro.sim.store import Store
 
 EVENTS = 20000
@@ -38,14 +37,18 @@ def _timeout_churn():
 
 
 def _resource_contention():
+    """25 users contend for 4 slots: a store pre-filled with 4 tokens,
+    ``get`` to acquire and ``put`` to release."""
     kernel = Kernel()
-    resource = Resource(kernel, capacity=4)
+    slots = Store(kernel)
+    for token in range(4):
+        slots.put(token)
 
     def user(k):
         for _ in range(200):
-            with resource.request() as request:
-                yield request
-                yield k.timeout(1.0)
+            token = yield slots.get()
+            yield k.timeout(1.0)
+            slots.put(token)
 
     for _ in range(25):
         kernel.process(user(kernel))

@@ -98,10 +98,6 @@ class CampaignDAG:
             )
         return order
 
-    def predecessors(self, name: str) -> Tuple[str, ...]:
-        """The direct dependencies of one stage, in declaration order."""
-        return tuple(self.stages[name].after)
-
     def successors(self, name: str) -> Tuple[str, ...]:
         """The direct dependents of one stage."""
         return tuple(self._children[name])

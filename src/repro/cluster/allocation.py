@@ -41,10 +41,6 @@ class Allocation:
         return len(self.nodes)
 
     @property
-    def node_names(self) -> List[str]:
-        return [node.name for node in self.nodes]
-
-    @property
     def expected_end(self) -> float:
         """Scheduler's estimate of when this allocation frees its nodes."""
         if self.walltime is None:

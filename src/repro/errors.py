@@ -32,10 +32,6 @@ class QuantumDeviceError(ReproError):
     """A quantum device model was used inconsistently."""
 
 
-class CalibrationError(QuantumDeviceError):
-    """A calibration cycle failed or was requested in a bad state."""
-
-
 class WorkflowError(ReproError):
     """A workflow DAG was malformed or executed inconsistently."""
 

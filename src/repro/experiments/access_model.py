@@ -26,9 +26,7 @@ from repro.experiments.harness import (
 from repro.experiments.resilience import ChaosSpec, FailurePolicy
 from repro.experiments.sweep import (
     SweepSpec,
-    run_sweep,
-    sweep_cache,
-    sweep_journal,
+    run_cached_sweep,
 )
 from repro.metrics.stats import mean
 from repro.quantum.circuit import Circuit
@@ -256,16 +254,14 @@ def run(
         scheduling_cycle=scheduling_cycle,
         user_counts=user_counts,
     )
-    cache = sweep_cache(cache_dir)
-    sweep_result = run_sweep(
+    sweep_result = run_cached_sweep(
         grid,
         _run_point,
+        cache_dir,
         workers=workers,
-        cache=cache,
         on_result=aggregate,
         policy=policy,
         chaos=chaos,
-        journal=sweep_journal(cache, grid, _run_point),
         resume=resume,
     )
     if attach_sweep_failures(result, sweep_result):

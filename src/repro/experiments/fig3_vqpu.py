@@ -39,9 +39,7 @@ from repro.experiments.harness import (
 from repro.experiments.resilience import ChaosSpec, FailurePolicy
 from repro.experiments.sweep import (
     SweepSpec,
-    run_sweep,
-    sweep_cache,
-    sweep_journal,
+    run_cached_sweep,
 )
 from repro.metrics.stats import mean
 from repro.quantum.technology import SUPERCONDUCTING
@@ -203,16 +201,14 @@ def run(
         iterations=iterations,
         vqpu_counts=vqpu_counts,
     )
-    cache = sweep_cache(cache_dir)
-    sweep_result = run_sweep(
+    sweep_result = run_cached_sweep(
         grid,
         _run_point,
+        cache_dir,
         workers=workers,
-        cache=cache,
         on_result=aggregate,
         policy=policy,
         chaos=chaos,
-        journal=sweep_journal(cache, grid, _run_point),
         resume=resume,
     )
     if attach_sweep_failures(result, sweep_result):

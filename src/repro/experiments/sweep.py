@@ -67,7 +67,6 @@ from repro.experiments.resilience import (
     PointOutcome,
 )
 from repro.experiments.pool import PoolSupervisor, timed_call
-from repro.metrics.stats import RunningStats
 from repro.sim.rng import derive_seed
 
 #: Environment knobs: default worker count and cache directory for
@@ -431,13 +430,6 @@ class SweepResult:
     #: Per-point terminal outcomes, index-aligned with ``points``.
     outcomes: List[PointOutcome] = field(default_factory=list)
 
-    def value_map(self) -> Dict[str, Any]:
-        """Point key -> value (for non-positional lookups)."""
-        return {
-            point.key(): value
-            for point, value in zip(self.points, self.values)
-        }
-
     @property
     def ok_count(self) -> int:
         """Points that completed with a value (executed or cached)."""
@@ -457,14 +449,6 @@ class SweepResult:
         """Raise :class:`PointFailedError` for the first failed point."""
         for outcome in self.failures():
             raise PointFailedError(outcome.describe(), outcome=outcome)
-
-    def timing_stats(self) -> RunningStats:
-        """Summary statistics over the simulated points' wall times."""
-        stats = RunningStats()
-        for seconds in self.point_seconds:
-            if seconds > 0.0:
-                stats.add(seconds)
-        return stats
 
 
 def runner_name(runner: PointRunner) -> str:
@@ -928,6 +912,28 @@ def sweep_journal(
     )
 
 
+def run_cached_sweep(
+    spec: SweepSpec,
+    runner: PointRunner,
+    cache_dir: Optional[os.PathLike],
+    **kwargs: Any,
+) -> SweepResult:
+    """:func:`run_sweep` with the store of :func:`sweep_cache` as cache
+    and run journal; that store is closed again before returning."""
+    cache = sweep_cache(cache_dir)
+    try:
+        return run_sweep(
+            spec,
+            runner,
+            cache=cache,
+            journal=sweep_journal(cache, spec, runner),
+            **kwargs,
+        )
+    finally:
+        if cache is not None:
+            cache.result_store.close()
+
+
 def sweep_values(
     spec: SweepSpec,
     runner: PointRunner,
@@ -935,6 +941,9 @@ def sweep_values(
     cache_dir: Optional[os.PathLike] = None,
 ) -> List[Any]:
     """Convenience wrapper: values in point order, cache by directory."""
-    return run_sweep(
-        spec, runner, workers=workers, cache=sweep_cache(cache_dir)
-    ).values
+    cache = sweep_cache(cache_dir)
+    try:
+        return run_sweep(spec, runner, workers=workers, cache=cache).values
+    finally:
+        if cache is not None:
+            cache.result_store.close()

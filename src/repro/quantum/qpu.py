@@ -137,11 +137,6 @@ class QPU:
         return self.busy.time_average()
 
     @property
-    def calibration_fraction(self) -> float:
-        """Time-averaged fraction of time spent calibrating."""
-        return self.calibrating.time_average()
-
-    @property
     def pending_maintenance(self) -> List[tuple]:
         """Booked ``(start, duration)`` windows not yet performed."""
         return list(self._maintenance)

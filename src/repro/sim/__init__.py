@@ -1,21 +1,20 @@
 """Discrete-event simulation kernel (written from scratch for repro).
 
-Public surface::
+Public surface: a :class:`Kernel` with timeouts, generator processes,
+``all_of``/``any_of`` conditions and a FIFO :class:`Store`.
 
-    from repro.sim import Kernel, Interrupt
-    kernel = Kernel()
-
-    def ping(kernel):
-        yield kernel.timeout(1.0)
-        return "pong"
-
-    proc = kernel.process(ping(kernel))
-    kernel.run()
-    assert proc.value == "pong"
+>>> from repro.sim import Kernel
+>>> kernel = Kernel()
+>>> def ping(kernel):
+...     yield kernel.timeout(1.0)
+...     return "pong"
+>>> proc = kernel.process(ping(kernel))
+>>> kernel.run()
+>>> proc.value, kernel.now
+('pong', 1.0)
 """
 
 from repro.sim.conditions import AllOf, AnyOf, Condition, ConditionValue
-from repro.sim.container import Container
 from repro.sim.events import (
     NORMAL,
     URGENT,
@@ -26,50 +25,21 @@ from repro.sim.events import (
 from repro.sim.kernel import EmptySchedule, Kernel
 from repro.sim.monitor import SampleSeries, TimeWeightedValue
 from repro.sim.process import Process
-from repro.sim.resources import (
-    Preempted,
-    PreemptiveResource,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
 from repro.sim.rng import RandomStreams
-from repro.sim.store import (
-    FilterStore,
-    FilterStoreGet,
-    PriorityItem,
-    PriorityStore,
-    Store,
-    StoreGet,
-    StorePut,
-)
+from repro.sim.store import Store, StoreGet, StorePut
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "EmptySchedule",
     "Event",
-    "FilterStore",
-    "FilterStoreGet",
     "Interrupt",
     "Kernel",
     "NORMAL",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityItem",
-    "PriorityRequest",
-    "PriorityResource",
-    "PriorityStore",
     "Process",
     "RandomStreams",
-    "Release",
-    "Request",
-    "Resource",
     "SampleSeries",
     "Store",
     "StoreGet",

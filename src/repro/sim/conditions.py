@@ -8,35 +8,20 @@ waiting process inspect exactly which events completed.
 A failure in any constituent event propagates to the condition (and is
 thereby delivered to the waiting process).
 
-Hot-path notes: conditions and their :class:`ConditionValue` results
-are recycled through the kernel's free lists (a condition is only
-recycled when the kernel's refcount check proves no user code can still
-observe it; its value is only recycled when additionally nothing but
-the condition referenced it), and triggering pushes directly onto the
-kernel heap like ``Event.succeed``.
+Hot-path note: triggering pushes directly onto the kernel heap like
+``Event.succeed``.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    HEAP_RECYCLABLE,
-    PENDING,
-    POOL_CAP,
-    Event,
-    _NORMAL_KEY,
-)
+from repro.sim.events import PENDING, Event, _NORMAL_KEY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
-
-try:
-    from sys import getrefcount as _getrefcount
-except ImportError:  # pragma: no cover - CPython always has it
-    _getrefcount = None
 
 
 class ConditionValue:
@@ -44,8 +29,8 @@ class ConditionValue:
 
     __slots__ = ("events",)
 
-    def __init__(self) -> None:
-        self.events: List[Event] = []
+    def __init__(self, events: Optional[List[Event]] = None) -> None:
+        self.events: List[Event] = [] if events is None else events
 
     def __getitem__(self, event: Event) -> Any:
         if event not in self.events:
@@ -122,17 +107,11 @@ class Condition(Event):
     def _maybe_trigger(self) -> None:
         if self._value is PENDING and self._satisfied():
             kernel = self.kernel
-            pool = kernel._pools.get(ConditionValue)
-            if pool:
-                value = pool.pop()
-            else:
-                value = ConditionValue.__new__(ConditionValue)
-            value.events = [
-                event for event in self._events if event.callbacks is None
-            ]
             # Fused succeed: the condition was pending by construction.
             self._ok = True
-            self._value = value
+            self._value = ConditionValue(
+                [event for event in self._events if event.callbacks is None]
+            )
             kernel._sequence = sequence = kernel._sequence + 1
             kernel._live += 1
             heappush(kernel._heap, (kernel._now, _NORMAL_KEY | sequence, self))
@@ -166,23 +145,3 @@ class AnyOf(Condition):
         if not self._events:
             return True
         return self._processed_count >= 1
-
-
-def _clear_condition(event: Event) -> None:
-    # Drop references to the constituent events; if nothing but this
-    # condition referenced its ConditionValue, recycle that too.
-    event._events = ()
-    value = event._value
-    event._value = None
-    if type(value) is ConditionValue and _getrefcount(value) == 2:
-        pools = event.kernel._pools
-        pool = pools.get(ConditionValue)
-        if pool is None:
-            pool = pools[ConditionValue] = []
-        if len(pool) < POOL_CAP:
-            value.events = ()
-            pool.append(value)
-
-
-HEAP_RECYCLABLE[AllOf] = _clear_condition
-HEAP_RECYCLABLE[AnyOf] = _clear_condition

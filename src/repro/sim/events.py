@@ -19,18 +19,12 @@ Hot-path design notes (see docs/architecture.md, "Kernel fast path"):
   elements.  The packed order is identical to the old
   ``(time, priority, sequence)`` tuples, which keeps event ordering —
   and therefore every simulation output — byte-identical.
-- Short-lived internal events (:class:`Timeout`, :class:`Initialize`
-  and friends) are recycled through per-kernel free lists: when the
-  kernel finishes processing an event whose refcount proves no user
-  code can ever observe it again, the instance is cleared and parked
-  for reuse.  The :data:`HEAP_RECYCLABLE` registry maps each poolable
-  class to the function that clears its references before pooling.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -41,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 PENDING = object()
 
 #: Scheduling priority for events that must run before ordinary events
-#: scheduled at the same timestamp (e.g. interrupts, resource releases).
+#: scheduled at the same timestamp (interrupts, process start and end).
 URGENT = 0
 
 #: Default scheduling priority.
@@ -54,16 +48,6 @@ NORMAL = 1
 KEY_SHIFT = 56
 
 _NORMAL_KEY = NORMAL << KEY_SHIFT
-
-#: Registry of heap-poolable event classes: exact class -> function
-#: clearing the instance's external references before it is parked on a
-#: free list.  Only classes registered here are ever recycled, and only
-#: when the kernel's refcount check proves the instance unreachable.
-HEAP_RECYCLABLE: Dict[type, Callable[["Event"], None]] = {}
-
-#: Cap on each per-kernel free list so pathological workloads cannot
-#: pin unbounded memory in the pools.
-POOL_CAP = 1024
 
 
 class Event:
@@ -294,18 +278,3 @@ class Interrupt(Exception):
 
     def __str__(self) -> str:
         return f"Interrupt({self.cause!r})"
-
-
-# -- free-list recycling ----------------------------------------------------
-
-
-def _clear_timeout(event: Event) -> None:
-    event._value = None
-
-
-def _clear_initialize(event: Event) -> None:
-    event._value = None
-
-
-HEAP_RECYCLABLE[Timeout] = _clear_timeout
-HEAP_RECYCLABLE[Initialize] = _clear_initialize

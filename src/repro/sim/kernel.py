@@ -23,49 +23,24 @@ Fast-path design (docs/architecture.md, "Kernel fast path"):
   *lazily deleted*: they stay on the heap and are skipped at pop time.
   A live-entry counter keeps :attr:`queued_event_count` truthful and
   :meth:`peek` discards the dead prefix before reading the head.
-- Short-lived internal events (timeouts, process initialisers, store
-  and resource bookkeeping events) are recycled through per-kernel free
-  lists.  After an event's callbacks have run, a refcount check proves
-  whether any user code can still observe the instance; only then is it
-  cleared and pooled, so recycling is semantically invisible (and
-  therefore cannot perturb determinism).  Pooling requires CPython
-  refcount semantics and can be disabled with ``REPRO_SIM_POOL=0`` or
-  ``Kernel(pooling=False)``.
+- Events are plain allocations: pooling them measured no gain (see
+  docs/architecture.md).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import platform
-from sys import getrefcount
 from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.conditions import AllOf, AnyOf
-from repro.sim.events import (
-    HEAP_RECYCLABLE,
-    KEY_SHIFT,
-    NORMAL,
-    PENDING,
-    POOL_CAP,
-    Event,
-    Timeout,
-)
+from repro.sim.events import KEY_SHIFT, NORMAL, PENDING, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Heap entry: (time, packed priority/sequence key, event).
 _HeapEntry = Tuple[float, int, Event]
 
 _INFINITY = float("inf")
-
-#: Free-list pooling relies on CPython refcount semantics; other
-#: interpreters fall back to plain allocation (results are identical
-#: either way — pooling only recycles provably unobservable instances).
-_POOLING_DEFAULT = (
-    platform.python_implementation() == "CPython"
-    and os.environ.get("REPRO_SIM_POOL", "1") != "0"
-)
 
 
 class EmptySchedule(SimulationError):
@@ -80,35 +55,17 @@ class Kernel:
     initial_time:
         Starting value of the simulated clock (default ``0.0``).
         Experiments replaying traces may start at an arbitrary epoch.
-    pooling:
-        Whether processed internal events may be recycled through free
-        lists (default: on under CPython unless ``REPRO_SIM_POOL=0``).
     """
 
-    __slots__ = (
-        "_now",
-        "_heap",
-        "_sequence",
-        "_active_process",
-        "_live",
-        "_pools",
-        "_pooling",
-    )
+    __slots__ = ("_now", "_heap", "_sequence", "_active_process", "_live")
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        pooling: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._heap: List[_HeapEntry] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
         #: Number of scheduled-and-not-cancelled entries on the heap.
         self._live = 0
-        #: Per-class free lists of recycled event instances.
-        self._pools: dict = {}
-        self._pooling = _POOLING_DEFAULT if pooling is None else bool(pooling)
 
     # -- clock & introspection --------------------------------------------
 
@@ -151,40 +108,20 @@ class Kernel:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
-        pool = self._pools.get(Timeout)
-        if pool:
-            timeout = pool.pop()
-            timeout.__init__(self, delay, value)
-            return timeout
         return Timeout(self, delay, value)
 
     def process(
         self, generator: ProcessGenerator, name: Optional[str] = None
     ) -> Process:
         """Start a new process driving ``generator``."""
-        pool = self._pools.get(Process)
-        if pool:
-            process = pool.pop()
-            process.__init__(self, generator, name=name)
-            return process
         return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires once every event in ``events`` has fired."""
-        pool = self._pools.get(AllOf)
-        if pool:
-            condition = pool.pop()
-            condition.__init__(self, list(events))
-            return condition
         return AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires once any event in ``events`` has fired."""
-        pool = self._pools.get(AnyOf)
-        if pool:
-            condition = pool.pop()
-            condition.__init__(self, list(events))
-            return condition
         return AnyOf(self, list(events))
 
     # -- scheduling & execution ---------------------------------------------
@@ -277,9 +214,6 @@ class Kernel:
         filled it was processed."""
         heap = self._heap
         pop = heapq.heappop
-        pooling = self._pooling
-        pools = self._pools
-        recyclers = HEAP_RECYCLABLE
         while heap:
             if heap[0][2]._cancelled:
                 pop(heap)
@@ -302,18 +236,6 @@ class Kernel:
                     # A failure nobody consumed: crash the simulation
                     # loudly so bugs in models do not pass silently.
                     raise event._value
-                if pooling and getrefcount(event) == 2:
-                    # Nothing outside this frame can ever observe the
-                    # instance again: clear and recycle it.
-                    cls = event.__class__
-                    clear = recyclers.get(cls)
-                    if clear is not None:
-                        pool = pools.get(cls)
-                        if pool is None:
-                            pool = pools[cls] = []
-                        if len(pool) < POOL_CAP:
-                            clear(event)
-                            pool.append(event)
                 if stop is not None and stop:
                     return
 

@@ -7,10 +7,9 @@ process is itself an event that fires when the generator terminates,
 which makes ``yield other_process`` a natural join operation.
 
 Hot-path notes: the generator's ``send``/``throw`` bound methods are
-cached at creation so every resume skips two attribute lookups, process
-termination pushes directly onto the kernel heap (fused, like
-``Event.succeed``), and process shells are recycled through the
-kernel's free lists once provably unobservable.
+cached at creation so every resume skips two attribute lookups, and
+process termination pushes directly onto the kernel heap (fused, like
+``Event.succeed``).
 """
 
 from __future__ import annotations
@@ -19,14 +18,7 @@ from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    HEAP_RECYCLABLE,
-    PENDING,
-    URGENT,
-    Event,
-    Initialize,
-    Interruption,
-)
+from repro.sim.events import PENDING, Event, Initialize, Interruption
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -64,12 +56,7 @@ class Process(Event):
         #: before the first resume and after termination).
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        pool = kernel._pools.get(Initialize)
-        if pool:
-            initialize = pool.pop()
-            initialize.__init__(kernel, self)
-        else:
-            Initialize(kernel, self)
+        Initialize(kernel, self)
 
     @property
     def is_alive(self) -> bool:
@@ -157,14 +144,3 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"
-
-
-def _clear_process(event: Event) -> None:
-    event._generator = None
-    event._send = None
-    event._throw = None
-    event._target = None
-    event._value = None
-
-
-HEAP_RECYCLABLE[Process] = _clear_process

@@ -1,25 +1,38 @@
-"""Object stores: producer/consumer queues in simulated time.
+"""Object stores: FIFO producer/consumer queues in simulated time.
 
 A :class:`Store` holds arbitrary items up to an optional capacity.
 ``put`` blocks while the store is full; ``get`` blocks while it is
-empty.  :class:`FilterStore` lets consumers wait for an item matching a
-predicate, and :class:`PriorityStore` serves the smallest item first —
-both are the building blocks for scheduler queues and device inboxes in
-the cluster model.
+empty.  Items leave in the order they arrived, and blocked puts and
+gets are served in the order they were issued.  The cluster model uses
+one as each QPU's kernel inbox.
 
-Hot-path notes: plain :class:`StorePut`/:class:`StoreGet` events are
-recycled through the kernel's free lists once provably unobservable
-(:class:`FilterStoreGet` is not pooled — its predicate closure may pin
-arbitrary state and the filter path is not hot).
+A capacity-N pool of identical slots is a store pre-filled with N
+tokens: ``get`` acquires a slot and ``put`` returns it.
+
+>>> from repro.sim import Kernel, Store
+>>> kernel = Kernel()
+>>> slots = Store(kernel)
+>>> for token in range(2):
+...     _ = slots.put(token)
+>>> log = []
+>>> def user(k, name):
+...     token = yield slots.get()
+...     log.append((k.now, name, "acquired"))
+...     yield k.timeout(1.0)
+...     slots.put(token)
+>>> for name in "abc":
+...     _ = kernel.process(user(kernel, name))
+>>> kernel.run()
+>>> log
+[(0.0, 'a', 'acquired'), (0.0, 'b', 'acquired'), (1.0, 'c', 'acquired')]
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import HEAP_RECYCLABLE, Event
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
@@ -64,18 +77,6 @@ class StoreGet(Event):
             pass
 
 
-class FilterStoreGet(StoreGet):
-    """Pending retrieval of an item satisfying ``predicate``."""
-
-    __slots__ = ("predicate",)
-
-    def __init__(
-        self, store: "FilterStore", predicate: Callable[[Any], bool]
-    ) -> None:
-        self.predicate = predicate
-        super().__init__(store)
-
-
 class Store:
     """FIFO object store with optional capacity."""
 
@@ -92,20 +93,10 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; the returned event fires once accepted."""
-        pool = self.kernel._pools.get(StorePut)
-        if pool:
-            put = pool.pop()
-            put.__init__(self, item)
-            return put
         return StorePut(self, item)
 
     def get(self) -> StoreGet:
         """Retrieve the next item; the event fires with the item."""
-        pool = self.kernel._pools.get(StoreGet)
-        if pool:
-            get = pool.pop()
-            get.__init__(self)
-            return get
         return StoreGet(self)
 
     @property
@@ -117,115 +108,26 @@ class Store:
 
     def _dispatch(self) -> None:
         """Match puts against free capacity and gets against items."""
+        items = self.items
+        puts = self._put_waiters
+        gets = self._get_waiters
+        capacity = self.capacity
         progress = True
         while progress:
             progress = False
             # Accept queued puts while capacity allows.
-            while self._put_waiters and (
-                self.capacity is None or len(self.items) < self.capacity
-            ):
-                put = self._put_waiters.pop(0)
-                self._accept(put)
+            while puts and (capacity is None or len(items) < capacity):
+                put = puts.pop(0)
+                items.append(put.item)
+                put.succeed()
                 progress = True
-            # Serve queued gets while items match.
-            index = 0
-            while index < len(self._get_waiters):
-                get = self._get_waiters[index]
-                item_index = self._match(get)
-                if item_index is None:
-                    index += 1
-                    continue
-                self._get_waiters.pop(index)
-                item = self.items.pop(item_index)
-                get.succeed(item)
+            # Serve queued gets while items remain.
+            while gets and items:
+                gets.pop(0).succeed(items.pop(0))
                 progress = True
-
-    def _accept(self, put: StorePut) -> None:
-        self.items.append(put.item)
-        put.succeed()
-
-    def _match(self, get: StoreGet) -> Optional[int]:
-        """Index of the item that should serve ``get``, or ``None``."""
-        if not self.items:
-            return None
-        return 0
 
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} items={len(self.items)} "
             f"puts={len(self._put_waiters)} gets={len(self._get_waiters)}>"
         )
-
-
-class FilterStore(Store):
-    """Store whose consumers may wait for items matching a predicate."""
-
-    def get(  # type: ignore[override]
-        self, predicate: Callable[[Any], bool] = lambda item: True
-    ) -> FilterStoreGet:
-        return FilterStoreGet(self, predicate)
-
-    def _match(self, get: StoreGet) -> Optional[int]:
-        predicate = getattr(get, "predicate", lambda item: True)
-        for index, item in enumerate(self.items):
-            if predicate(item):
-                return index
-        return None
-
-
-class PriorityItem:
-    """Wrapper pairing a priority with an arbitrary (unorderable) item."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __repr__(self) -> str:
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """Store that always serves its smallest item first."""
-
-    def _accept(self, put: StorePut) -> None:
-        heapq.heappush(self.items, put.item)
-        put.succeed()
-
-    def _match(self, get: StoreGet) -> Optional[int]:
-        if not self.items:
-            return None
-        return 0
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._put_waiters and (
-                self.capacity is None or len(self.items) < self.capacity
-            ):
-                self._accept(self._put_waiters.pop(0))
-                progress = True
-            while self._get_waiters and self.items:
-                get = self._get_waiters.pop(0)
-                get.succeed(heapq.heappop(self.items))
-                progress = True
-
-
-def _clear_store_put(event: Event) -> None:
-    event.item = None
-    event.store = None
-    event._value = None
-
-
-def _clear_store_get(event: Event) -> None:
-    event.store = None
-    event._value = None
-
-
-HEAP_RECYCLABLE[StorePut] = _clear_store_put
-HEAP_RECYCLABLE[StoreGet] = _clear_store_get

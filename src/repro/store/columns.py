@@ -97,17 +97,6 @@ def is_scalar_dict(value: Any) -> bool:
     return True
 
 
-def is_column_eligible(value: Any) -> bool:
-    """True when every metric of ``value`` fits the shard arrays
-    (scalar dict whose ints all fit int64) — i.e. the point needs no
-    residual payload at all."""
-    if not is_scalar_dict(value):
-        return False
-    return all(
-        scalar_kind(item) != KIND_ABSENT for item in value.values()
-    )
-
-
 def split_point(
     value: Any,
 ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:

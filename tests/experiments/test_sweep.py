@@ -6,27 +6,46 @@ count, cold cache or warm cache — and aggregation order is the point
 order, never the completion order.
 """
 
+import os
 import sqlite3
 import time
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import fig3_vqpu
+from repro.experiments import (
+    access_model,
+    crossover,
+    fig3_vqpu,
+    fig4_malleability,
+)
 from repro.experiments.sweep import (
     SweepSpec,
     canonical_bytes,
     derive_point_seed,
     resolve_workers,
+    run_cached_sweep,
     run_sweep,
+    runner_name,
     sweep_values,
 )
 from repro.store import ResultStore
 
 
-def _store_cache(directory, code_version=None):
-    """A sweep cache in a result store at ``directory``."""
-    return ResultStore(directory, code_version=code_version).sweep_cache()
+@pytest.fixture
+def store_cache():
+    """Opens sweep caches in result stores; closes every store at
+    teardown, so no SQLite handle or writer lock outlives the test."""
+    stores = []
+
+    def open_cache(directory, code_version=None):
+        store = ResultStore(directory, code_version=code_version)
+        stores.append(store)
+        return store.sweep_cache()
+
+    yield open_cache
+    for store in stores:
+        store.close()
 
 
 def _corrupt_payloads(directory, payload):
@@ -58,6 +77,10 @@ def _slow_early_points(params, seed):
 
 def _record_seed(params, seed):
     return seed
+
+
+def _failing_runner(params, seed):
+    raise RuntimeError(f"point {params['vqpus']} failed")
 
 
 def _mutating_runner(params, seed):
@@ -175,9 +198,11 @@ class TestByteIdentity:
                 serial.values
             )
 
-    def test_cold_and_warm_cache_are_byte_identical(self, tmp_path):
+    def test_cold_and_warm_cache_are_byte_identical(
+        self, tmp_path, store_cache
+    ):
         spec = _small_spec(seed=0)
-        cache = _store_cache(tmp_path)
+        cache = store_cache(tmp_path)
         cold = run_sweep(spec, _simulate, workers=1, cache=cache)
         assert cold.cache_hits == 0
         assert cold.cache_misses == len(spec)
@@ -187,10 +212,10 @@ class TestByteIdentity:
         assert canonical_bytes(warm.values) == canonical_bytes(cold.values)
 
     def test_worker_count_change_on_warm_cache_is_byte_identical(
-        self, tmp_path
+        self, tmp_path, store_cache
     ):
         spec = _small_spec(seed=0)
-        cache = _store_cache(tmp_path)
+        cache = store_cache(tmp_path)
         cold = run_sweep(spec, _simulate, workers=1, cache=cache)
         warm_parallel = run_sweep(spec, _simulate, workers=4, cache=cache)
         assert warm_parallel.cache_hits == len(spec)
@@ -198,8 +223,10 @@ class TestByteIdentity:
             cold.values
         )
 
-    def test_partial_cache_only_simulates_new_points(self, tmp_path):
-        cache = _store_cache(tmp_path)
+    def test_partial_cache_only_simulates_new_points(
+        self, tmp_path, store_cache
+    ):
+        cache = store_cache(tmp_path)
         small = SweepSpec(
             experiment_id="test-sweep",
             axes={"case": ["classical"], "vqpus": [1]},
@@ -338,17 +365,17 @@ class TestCodeVersion:
 
 
 class TestCacheKeying:
-    def test_code_version_invalidates(self, tmp_path):
+    def test_code_version_invalidates(self, tmp_path, store_cache):
         spec = _small_spec()
-        old = _store_cache(tmp_path, code_version="v1")
+        old = store_cache(tmp_path, code_version="v1")
         run_sweep(spec, _simulate, cache=old)
         old.result_store.close()  # one writer per store directory
-        new = _store_cache(tmp_path, code_version="v2")
+        new = store_cache(tmp_path, code_version="v2")
         result = run_sweep(spec, _simulate, cache=new)
         assert result.cache_hits == 0
 
-    def test_different_seeds_never_collide(self, tmp_path):
-        cache = _store_cache(tmp_path)
+    def test_different_seeds_never_collide(self, tmp_path, store_cache):
+        cache = store_cache(tmp_path)
         a = run_sweep(
             _small_spec(seed=0, seed_mode="derived"), _record_seed,
             cache=cache,
@@ -361,7 +388,7 @@ class TestCacheKeying:
         assert a.values != b.values
 
     def test_runner_mutating_params_cannot_poison_identity(
-        self, tmp_path
+        self, tmp_path, store_cache
     ):
         """Runners get a copy: the point's params (and thus its cache
         key and report coordinates) stay pristine, and a warm re-run
@@ -369,7 +396,7 @@ class TestCacheKeying:
         spec = SweepSpec(
             experiment_id="mut", axes={"i": [1, 2]}, replications=2
         )
-        cache = _store_cache(tmp_path)
+        cache = store_cache(tmp_path)
         cold = run_sweep(spec, _mutating_runner, cache=cache)
         assert all(
             set(p.params) == {"i"} for p in cold.points
@@ -378,18 +405,18 @@ class TestCacheKeying:
         assert warm.cache_hits == len(spec)
         assert warm.values == cold.values
 
-    def test_corrupt_entry_counts_as_miss(self, tmp_path):
+    def test_corrupt_entry_counts_as_miss(self, tmp_path, store_cache):
         spec = _small_spec()
-        cache = _store_cache(tmp_path)
+        cache = store_cache(tmp_path)
         run_sweep(spec, _record_seed, cache=cache)
         _corrupt_payloads(tmp_path, b"not json")
         result = run_sweep(spec, _record_seed, cache=cache)
         assert result.cache_hits == 0
         assert result.cache_misses == len(spec)
 
-    def test_truncated_entry_counts_as_miss(self, tmp_path):
+    def test_truncated_entry_counts_as_miss(self, tmp_path, store_cache):
         spec = _small_spec()
-        cache = _store_cache(tmp_path)
+        cache = store_cache(tmp_path)
         cold = run_sweep(spec, _simulate, cache=cache)
         conn = sqlite3.connect(tmp_path / "store.sqlite3")
         with conn:  # torn payload: only its first bytes survive
@@ -399,9 +426,11 @@ class TestCacheKeying:
         assert result.cache_hits == 0
         assert result.values == cold.values
 
-    def test_corrupt_entry_is_replaced_not_left_in_place(self, tmp_path):
+    def test_corrupt_entry_is_replaced_not_left_in_place(
+        self, tmp_path, store_cache
+    ):
         spec = _small_spec()
-        cache = _store_cache(tmp_path)
+        cache = store_cache(tmp_path)
         cold = run_sweep(spec, _record_seed, cache=cache)
         _corrupt_payloads(tmp_path, b"not json")
         run_sweep(spec, _record_seed, cache=cache)
@@ -458,3 +487,96 @@ class TestExperimentLevelDeterminism:
         spec = _small_spec()
         sweep_values(spec, _record_seed)
         assert (tmp_path / "store.sqlite3").exists()
+
+
+def _open_files_under(directory):
+    """Paths under ``directory`` this process holds a descriptor on."""
+    prefix = str(directory)
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(prefix):
+            held.append(target)
+    return held
+
+
+#: One small cached run per experiment that routes its grid through
+#: :func:`run_cached_sweep`.
+_CACHED_EXPERIMENTS = {
+    "access_model": lambda cache_dir: access_model.run(
+        seed=0, kernels_per_user=1, user_counts=(1,), cache_dir=cache_dir
+    ),
+    "crossover": lambda cache_dir: crossover.run(
+        seed=0, horizon=1800.0, warmup=300.0, cache_dir=cache_dir
+    ),
+    "fig3_vqpu": lambda cache_dir: fig3_vqpu.run(
+        seed=0, tenants=2, iterations=1, vqpu_counts=(1,),
+        cache_dir=cache_dir,
+    ),
+    "fig4_malleability": lambda cache_dir: fig4_malleability.run(
+        seed=0, iterations=1, horizon=1800.0, warmup=300.0,
+        cache_dir=cache_dir,
+    ),
+}
+
+
+class TestCachedSweepClosesItsStore:
+    """A store opened from a cache directory is closed before the call
+    returns: no SQLite handle or writer lock waits for the collector."""
+
+    def test_run_cached_sweep_closes_its_store(self, tmp_path):
+        result = run_cached_sweep(_small_spec(), _record_seed, tmp_path)
+        assert result.cache_misses == 2
+        assert (tmp_path / "store.sqlite3").exists()
+        assert _open_files_under(tmp_path) == []
+
+    def test_run_cached_sweep_closes_its_store_on_error(self, tmp_path):
+        with pytest.raises(RuntimeError, match="point 1 failed"):
+            run_cached_sweep(_small_spec(), _failing_runner, tmp_path)
+        assert _open_files_under(tmp_path) == []
+
+    def test_writer_lock_is_free_after_return(self, tmp_path):
+        run_cached_sweep(_small_spec(), _record_seed, tmp_path)
+        with ResultStore(tmp_path) as store:
+            store.acquire()
+            assert store.db.holds_writer_lock
+
+    def test_warm_run_is_served_from_the_store(self, tmp_path):
+        cold = run_cached_sweep(_small_spec(), _record_seed, tmp_path)
+        warm = run_cached_sweep(_small_spec(), _record_seed, tmp_path)
+        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
+        assert canonical_bytes(warm.values) == canonical_bytes(cold.values)
+
+    def test_outcomes_are_journaled_in_the_same_store(self, tmp_path):
+        spec = _small_spec()
+        result = run_cached_sweep(spec, _record_seed, tmp_path)
+        with ResultStore(tmp_path) as store:
+            journaled = store.load_outcomes(
+                spec.experiment_id, runner_name(_record_seed)
+            )
+        assert sorted(journaled) == sorted(
+            point.key() for point in result.points
+        )
+        assert all(outcome.ok for outcome in journaled.values())
+
+    def test_without_a_cache_dir_it_is_a_plain_sweep(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        spec = _small_spec()
+        cached = run_cached_sweep(spec, _record_seed, None)
+        plain = run_sweep(spec, _record_seed)
+        assert cached.values == plain.values
+        assert cached.cache_hits == plain.cache_hits == 0
+
+    def test_sweep_values_closes_its_store(self, tmp_path):
+        values = sweep_values(_small_spec(), _record_seed, cache_dir=tmp_path)
+        assert len(values) == 2
+        assert _open_files_under(tmp_path) == []
+
+    @pytest.mark.parametrize("experiment", sorted(_CACHED_EXPERIMENTS))
+    def test_experiment_closes_its_cache_store(self, experiment, tmp_path):
+        _CACHED_EXPERIMENTS[experiment](str(tmp_path))
+        assert (tmp_path / "store.sqlite3").exists()
+        assert _open_files_under(tmp_path) == []

@@ -150,6 +150,46 @@ class TestConditionValue:
         value = ConditionValue()
         assert "ConditionValue" in repr(value)
 
+    def test_empty_value(self):
+        value = ConditionValue()
+        assert len(value) == 0
+        assert list(value) == []
+        assert value.todict() == {}
+
+    def test_lists_events_in_construction_order(self, kernel):
+        def proc(k):
+            late = k.timeout(5.0, "late")
+            early = k.timeout(1.0, "early")
+            result = yield k.all_of([late, early])
+            return list(result), result.todict()
+
+        process = kernel.process(proc(kernel))
+        kernel.run()
+        (late, early), mapping = process.value
+        assert (late.value, early.value) == ("late", "early")
+        assert mapping == {late: "late", early: "early"}
+
+    def test_any_of_value_holds_only_processed_events(self, kernel):
+        def proc(k):
+            fast = k.timeout(1.0, "fast")
+            slow = k.timeout(9.0, "slow")
+            result = yield k.any_of([slow, fast])
+            return fast, slow, result
+
+        process = kernel.process(proc(kernel))
+        kernel.run()
+        fast, slow, result = process.value
+        assert fast in result
+        assert slow not in result
+        with pytest.raises(KeyError):
+            _ = result[slow]
+
+    def test_events_property_is_a_copy(self, kernel):
+        first = kernel.timeout(1.0)
+        condition = kernel.all_of([first])
+        condition.events.append(kernel.timeout(2.0))
+        assert condition.events == [first]
+
 
 class TestNesting:
     def test_condition_of_conditions(self, kernel):

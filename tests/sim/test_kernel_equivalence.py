@@ -1,52 +1,41 @@
 """Equivalence suite: fast-path kernel vs the naive seed stepper.
 
 The kernel hot path was rebuilt around packed heap keys, fused
-trigger-and-schedule, batched same-timestamp cascade draining and
-free-list pooling of internal events.  These tests pin the rebuild to
-the original semantics:
+trigger-and-schedule, lazy cancellation and batched same-timestamp
+cascade draining.  These tests pin the rebuild to the original
+semantics:
 
 - :class:`ReferenceKernel` ports the seed kernel's run discipline —
   one :meth:`~repro.sim.kernel.Kernel.step` per iteration, the time
-  bound checked per event, pooling off — and serves as the executable
+  bound checked per event — and serves as the executable
   specification.  Both kernels drain the *same* heap representation,
   so any divergence in callback order, clock values or process results
   is a real semantic difference, not a representation artefact.
 - Property tests drive both kernels with randomized workloads
-  (timeouts, process chains, conditions, resources, stores,
-  interrupts) and require the full observable traces to be identical.
-- Free-list recycling properties prove pooled instances can never leak
-  state: a recycled object is only reused after the kernel's refcount
-  check showed no user code could still observe it, and reuse resets
-  callbacks and values completely.
+  (timeouts, process chains, conditions, token-store contention,
+  stores, interrupts) and require the full observable traces to be
+  identical.
 """
-
-import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import POOL_CAP, Timeout
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process
-from repro.sim.resources import Resource
 from repro.sim.store import Store
 
 # -- naive reference (port of the seed run discipline) -----------------------
 
 
 class ReferenceKernel(Kernel):
-    """Seed-port stepper: one event per iteration, no batching/pooling.
+    """Seed-port stepper: one event per iteration, no batching.
 
-    The seed kernel had no ``cancel``/pooling and ran via repeated
+    The seed kernel had no ``cancel`` and ran via repeated
     ``step()`` with the ``until`` bound re-checked per event; this
     class reproduces exactly that control flow on top of the shared
     event structures.
     """
 
     __slots__ = ()
-
-    def __init__(self, initial_time: float = 0.0) -> None:
-        super().__init__(initial_time, pooling=False)
 
     def run(self, until=None):
         from repro.errors import SimulationError
@@ -114,13 +103,16 @@ def _trace_conditions(kernel, trace, delays):
 
 
 def _trace_resources(kernel, trace, delays):
-    resource = Resource(kernel, capacity=2)
+    # Capacity-2 contention: a store pre-filled with two slot tokens.
+    slots = Store(kernel)
+    for token in range(2):
+        slots.put(token)
 
     def user(k, label, delay):
-        with resource.request() as request:
-            yield request
-            trace.append(("acquired", label, k.now))
-            yield k.timeout(delay)
+        token = yield slots.get()
+        trace.append(("acquired", label, token, k.now))
+        yield k.timeout(delay)
+        slots.put(token)
         trace.append(("released", label, k.now))
 
     for index, delay in enumerate(delays):
@@ -191,7 +183,7 @@ _DELAYS = st.lists(
 @settings(max_examples=120, deadline=None)
 def test_fast_kernel_matches_reference_stepper(workload_index, delays, until):
     """Identical observable traces, clocks and queue counts under any
-    workload and run mode, batching/pooling on or off."""
+    workload and run mode."""
     workload = _WORKLOADS[workload_index]
     traces = []
     clocks = []
@@ -206,137 +198,117 @@ def test_fast_kernel_matches_reference_stepper(workload_index, delays, until):
     assert clocks[0] == clocks[1]
 
 
-@given(delays=_DELAYS, seed=st.integers(min_value=0, max_value=2**16))
-@settings(max_examples=60, deadline=None)
-def test_pooling_on_and_off_are_byte_identical(delays, seed):
-    """The same workload with pooling enabled and disabled yields the
-    same trace — recycling is semantically invisible."""
-    import random
-
-    traces = []
-    for pooling in (True, False):
-        kernel = Kernel(pooling=pooling)
-        trace = []
-        rng = random.Random(seed)
-
-        def worker(k, label):
-            for delay in delays:
-                yield k.timeout(delay * rng.random())
-                trace.append((label, k.now))
-
-        for label in range(3):
-            kernel.process(worker(kernel, label))
-        kernel.run()
-        traces.append(trace)
-    assert traces[0] == traces[1]
+# -- callbacks pair with their own event ------------------------------------
 
 
-# -- free-list recycling safety ---------------------------------------------
+@given(count=st.integers(min_value=1, max_value=200))
+@settings(max_examples=30, deadline=None)
+def test_no_stale_callbacks_across_recycling(count):
+    """A callback attached to one timeout fires once, for that timeout's
+    own value, and never for a later timeout of the same process."""
+    kernel = Kernel()
+    fired = []
 
-
-def _drain_timeouts(kernel, count):
     def ticker(k):
-        for _ in range(count):
-            yield k.timeout(1.0)
+        for index in range(count):
+            timeout = k.timeout(1.0, value=index)
+            timeout.callbacks.append(
+                lambda event, index=index: fired.append(
+                    (index, event._value)
+                )
+            )
+            yield timeout
 
     kernel.process(ticker(kernel))
     kernel.run()
+    assert fired == [(index, index) for index in range(count)]
 
 
-class TestPoolReuse:
-    def test_recycled_timeouts_are_reused(self):
-        kernel = Kernel(pooling=True)
-        _drain_timeouts(kernel, 50)
-        pool = kernel._pools.get(Timeout)
-        assert pool, "timeout churn should have populated the free list"
-        recycled = pool[-1]
-        fresh = kernel.timeout(3.0, value="v")
-        assert fresh is recycled
-        # Reuse fully re-initialises the instance: live callbacks list,
-        # the new value, not cancelled.
-        assert fresh.callbacks == []
-        assert fresh._value == "v"
-        assert not fresh.cancelled
-        assert kernel.peek() == kernel.now + 3.0
+# -- plain allocation: a drained event keeps its state ----------------------
 
-    def test_pool_never_exceeds_cap(self):
-        kernel = Kernel(pooling=True)
-        _drain_timeouts(kernel, POOL_CAP + 500)
-        for pool in kernel._pools.values():
-            assert len(pool) <= POOL_CAP
 
-    def test_referenced_events_are_never_recycled(self):
-        kernel = Kernel(pooling=True)
-        held = []
+def test_referenced_events_are_never_recycled():
+    """Timeouts held by user code keep their identities and values
+    after the kernel has processed them and moved on."""
+    kernel = Kernel()
+    held = []
 
-        def holder(k):
-            for index in range(30):
-                timeout = k.timeout(1.0, value=index)
-                held.append(timeout)
-                yield timeout
+    def holder(k):
+        for index in range(30):
+            timeout = k.timeout(1.0, value=index)
+            held.append(timeout)
+            yield timeout
 
-        kernel.process(holder(kernel))
-        kernel.run()
-        pool = kernel._pools.get(Timeout, [])
-        assert not any(timeout in pool for timeout in held)
-        # The held instances keep their identities and final values.
-        assert [timeout._value for timeout in held] == list(range(30))
+    kernel.process(holder(kernel))
+    kernel.run()
+    assert len({id(timeout) for timeout in held}) == len(held)
+    assert [timeout.value for timeout in held] == list(range(30))
+    assert all(timeout.processed and timeout.ok for timeout in held)
 
-    def test_recycled_process_shells_are_reused(self):
-        kernel = Kernel(pooling=True)
 
-        def short(k):
-            yield k.timeout(1.0)
+def test_new_timeouts_start_clean_after_churn():
+    """A timeout made after heavy churn has fresh state: no callbacks
+    inherited, its own value, not cancelled, scheduled at its delay."""
+    kernel = Kernel()
 
-        def spawner(k):
-            for _ in range(40):
-                yield k.process(short(k))
+    def ticker(k):
+        for _ in range(50):
+            timeout = k.timeout(1.0, value="old")
+            timeout.callbacks.append(lambda event: None)
+            yield timeout
 
-        kernel.process(spawner(kernel))
-        kernel.run()
-        pool = kernel._pools.get(Process)
-        assert pool, "short-lived processes should have been recycled"
-        shell = pool[-1]
-        # A cleared shell holds no references that could pin memory or
-        # leak state into its next incarnation.
-        assert shell._generator is None
-        assert shell._target is None
-        assert shell._value is None
-        revived = kernel.process(short(kernel))
-        assert revived is shell
-        assert revived.is_alive
-        kernel.run()
-        assert revived.processed
+    kernel.process(ticker(kernel))
+    kernel.run()
+    fresh = kernel.timeout(3.0, value="v")
+    assert fresh.callbacks == []
+    assert fresh.value == "v"
+    assert not fresh.cancelled
+    assert not fresh.processed
+    assert kernel.peek() == kernel.now + 3.0
 
-    @given(count=st.integers(min_value=1, max_value=200))
-    @settings(max_examples=30, deadline=None)
-    def test_no_stale_callbacks_across_recycling(self, count):
-        """A callback attached to one timeout incarnation never fires
-        for a later incarnation of the recycled instance."""
-        kernel = Kernel(pooling=True)
-        fired = []
 
-        def ticker(k):
-            for index in range(count):
-                timeout = k.timeout(1.0, value=index)
-                timeout.callbacks.append(
-                    lambda event, index=index: fired.append(
-                        (index, event._value)
-                    )
-                )
-                yield timeout
+def test_finished_processes_keep_their_outcome():
+    """Short-lived processes keep their return values and state after
+    they end, however many more processes start afterwards."""
+    kernel = Kernel()
+    finished = []
 
-        kernel.process(ticker(kernel))
-        kernel.run()
-        assert fired == [(index, index) for index in range(count)]
+    def short(k, index):
+        yield k.timeout(1.0)
+        return index
 
-    def test_pooling_disabled_pools_nothing(self):
-        kernel = Kernel(pooling=False)
-        _drain_timeouts(kernel, 50)
-        assert kernel._pools == {}
+    def spawner(k):
+        for index in range(40):
+            process = k.process(short(k, index))
+            finished.append(process)
+            yield process
 
-    def test_refcount_probe_matches_cpython_semantics(self):
-        """The recycling gate relies on getrefcount(x) == 2 meaning
-        'only the probe frame and the caller's local refer to x'."""
-        probe = object()
-        assert sys.getrefcount(probe) == 2
+    kernel.process(spawner(kernel))
+    kernel.run()
+    assert [process.value for process in finished] == list(range(40))
+    assert not any(process.is_alive for process in finished)
+    revived = kernel.process(short(kernel, 99))
+    assert revived not in finished
+    assert revived.is_alive
+    kernel.run()
+    assert revived.value == 99
+    assert finished[0].value == 0
+
+
+def test_condition_values_survive_later_conditions():
+    """A held ``ConditionValue`` still maps the events it fired with
+    after many later conditions have fired."""
+    kernel = Kernel()
+    values = []
+
+    def waiter(k):
+        for index in range(20):
+            first = k.timeout(1.0, value=index)
+            second = k.timeout(2.0, value=-index)
+            values.append((first, second, (yield k.all_of([first, second]))))
+
+    kernel.process(waiter(kernel))
+    kernel.run()
+    for index, (first, second, value) in enumerate(values):
+        assert list(value) == [first, second]
+        assert value.todict() == {first: index, second: -index}

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import Kernel
 from repro.sim.monitor import SampleSeries, TimeWeightedValue
-from repro.sim.resources import Resource
 from repro.sim.store import Store
 
 
@@ -49,20 +48,23 @@ def test_time_is_monotone_for_any_timeout_set(delays):
 )
 @settings(max_examples=60, deadline=None)
 def test_resource_never_exceeds_capacity(holds, capacity):
-    """Concurrent users never exceed capacity; everyone eventually runs."""
+    """Concurrent users of a capacity-N token store never exceed N;
+    everyone eventually runs, and every token comes back."""
     kernel = Kernel()
-    resource = Resource(kernel, capacity=capacity)
+    slots = Store(kernel)
+    for token in range(capacity):
+        slots.put(token)
     active = TimeWeightedValue(kernel)
     served = []
     peak = [0]
 
     def user(k, duration, tag):
-        with resource.request() as request:
-            yield request
-            active.add(1)
-            peak[0] = max(peak[0], int(active.value))
-            yield k.timeout(duration)
-            active.add(-1)
+        token = yield slots.get()
+        active.add(1)
+        peak[0] = max(peak[0], int(active.value))
+        yield k.timeout(duration)
+        active.add(-1)
+        slots.put(token)
         served.append(tag)
 
     for index, duration in enumerate(holds):
@@ -70,6 +72,7 @@ def test_resource_never_exceeds_capacity(holds, capacity):
     kernel.run()
     assert peak[0] <= capacity
     assert sorted(served) == list(range(len(holds)))
+    assert sorted(slots.items) == list(range(capacity))
 
 
 @given(
@@ -96,6 +99,82 @@ def test_store_conserves_items(items):
     kernel.run()
     assert received == items
     assert store.size == 0
+
+
+@given(
+    ops=st.lists(st.booleans(), min_size=0, max_size=40),
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+)
+@settings(max_examples=80, deadline=None)
+def test_store_never_idles_a_waiter_it_could_serve(ops, capacity):
+    """Under any interleaving of puts (True) and gets (False): the store
+    stays within capacity, gets receive items in put order, and no put
+    or get is left waiting while the store could serve it."""
+    kernel = Kernel()
+    store = Store(kernel, capacity=capacity)
+    puts = []
+    gets = []
+
+    def check():
+        assert capacity is None or store.size <= capacity
+        waiting_puts = [put for put in puts if not put.triggered]
+        waiting_gets = [get for get in gets if not get.triggered]
+        assert not (waiting_gets and store.size)
+        assert not (waiting_puts and waiting_gets)
+        if capacity is not None and waiting_puts:
+            assert store.size == capacity
+
+    def driver(k):
+        for index, is_put in enumerate(ops):
+            if is_put:
+                puts.append(store.put(index))
+            else:
+                gets.append(store.get())
+            check()
+            yield k.timeout(1.0)
+
+    kernel.process(driver(kernel))
+    kernel.run()
+    check()
+    put_items = [index for index, is_put in enumerate(ops) if is_put]
+    received = [get.value for get in gets if get.triggered]
+    assert received == put_items[: len(received)]
+    assert len(received) == min(len(put_items), len(gets))
+    accepted = [put.item for put in puts if put.triggered]
+    assert received + store.items == accepted
+
+
+@given(
+    holds=st.lists(
+        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+        min_size=1,
+        max_size=20,
+    ),
+    capacity=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_token_store_never_hands_out_a_held_token(holds, capacity):
+    """In a capacity-N token store no token is held by two users at
+    once: a token is handed out again only after it was put back."""
+    kernel = Kernel()
+    slots = Store(kernel)
+    for token in range(capacity):
+        slots.put(token)
+    held = set()
+
+    def user(k, duration):
+        token = yield slots.get()
+        assert token not in held
+        held.add(token)
+        yield k.timeout(duration)
+        held.discard(token)
+        slots.put(token)
+
+    for duration in holds:
+        kernel.process(user(kernel, duration))
+    kernel.run()
+    assert held == set()
+    assert sorted(slots.items) == list(range(capacity))
 
 
 @given(
