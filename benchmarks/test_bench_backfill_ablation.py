@@ -12,8 +12,9 @@ from repro.experiments.common import standard_hybrid_app
 from repro.metrics.report import render_series
 from repro.metrics.stats import mean
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios.build import build
+from repro.scenarios.spec import PolicySpec, ScenarioSpec, TopologySpec
 from repro.strategies.coschedule import CoScheduleStrategy
-from repro.strategies.envs import make_environment
 from repro.workloads.distributions import LogUniform, PowerOfTwoNodes
 from repro.workloads.generator import CampaignDriver, submit_trace
 from repro.workloads.swf import synthesise_trace
@@ -22,11 +23,12 @@ POLICIES = ("fifo", "easy", "conservative")
 
 
 def _run_policy(policy: str, seed: int):
-    env = make_environment(
-        classical_nodes=32,
-        technology=SUPERCONDUCTING,
-        policy=policy,
-        seed=seed,
+    env = build(
+        ScenarioSpec(
+            topology=TopologySpec(classical_nodes=32),
+            policy=PolicySpec(policy=policy),
+            seed=seed,
+        )
     )
     trace = synthesise_trace(
         env.streams.stream("trace"),

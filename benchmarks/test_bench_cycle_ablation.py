@@ -11,7 +11,11 @@ The cycle x strategy grid runs as a
 engine (``REPRO_SWEEP_WORKERS`` fans it out).
 """
 
-from repro.experiments.common import run_campaign, standard_hybrid_app
+from repro.experiments.common import (
+    campaign_scenario,
+    run_campaign,
+    standard_hybrid_app,
+)
 from repro.experiments.sweep import SweepSpec, run_sweep, sweep_cache
 from repro.metrics.report import render_series
 from repro.quantum.technology import SUPERCONDUCTING
@@ -39,10 +43,12 @@ def _point(params, seed):
     records, _ = run_campaign(
         strategy_class(),
         [app],
-        SUPERCONDUCTING,
-        classical_nodes=8,
-        seed=seed,
-        scheduling_cycle=params["cycle"],
+        campaign_scenario(
+            SUPERCONDUCTING,
+            classical_nodes=8,
+            scheduling_cycle=params["cycle"],
+            seed=seed,
+        ),
     )
     return records[0].turnaround
 

@@ -14,7 +14,11 @@ cycle.  The honest placement this asserts:
   scheduler negotiation per quantum phase.
 """
 
-from repro.experiments.common import run_campaign, standard_hybrid_app
+from repro.experiments.common import (
+    campaign_scenario,
+    run_campaign,
+    standard_hybrid_app,
+)
 from repro.metrics.report import render_table
 from repro.metrics.stats import mean
 from repro.quantum.technology import TRAPPED_ION
@@ -49,11 +53,13 @@ def _run_all(seed: int = 0):
         records, env = run_campaign(
             strategy,
             apps,
-            TRAPPED_ION,
-            classical_nodes=8 * TENANTS,
-            vqpus_per_qpu=vqpus,
-            seed=seed,
-            scheduling_cycle=CYCLE,
+            campaign_scenario(
+                TRAPPED_ION,
+                classical_nodes=8 * TENANTS,
+                vqpus_per_qpu=vqpus,
+                scheduling_cycle=CYCLE,
+                seed=seed,
+            ),
         )
         outcomes[name] = {
             "turnaround": mean([r.turnaround for r in records]),

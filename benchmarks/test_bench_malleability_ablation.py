@@ -8,7 +8,11 @@ until co-scheduling is faster (the paper's "significant modifications
 to application code" caveat made quantitative).
 """
 
-from repro.experiments.common import run_campaign, standard_hybrid_app
+from repro.experiments.common import (
+    campaign_scenario,
+    run_campaign,
+    standard_hybrid_app,
+)
 from repro.metrics.report import render_series
 from repro.quantum.technology import SUPERCONDUCTING
 from repro.strategies.coschedule import CoScheduleStrategy
@@ -25,9 +29,8 @@ def _sweep(seed: int = 0):
         classical_nodes=8,
         min_classical_nodes=1,
     )
-    co_records, _ = run_campaign(
-        CoScheduleStrategy(), [app], SUPERCONDUCTING, seed=seed
-    )
+    scenario = campaign_scenario(SUPERCONDUCTING, seed=seed)
+    co_records, _ = run_campaign(CoScheduleStrategy(), [app], scenario)
     baseline = co_records[0].turnaround
     turnarounds = []
     held = []
@@ -35,8 +38,7 @@ def _sweep(seed: int = 0):
         records, _ = run_campaign(
             MalleableStrategy(reconfiguration_cost=cost),
             [app],
-            SUPERCONDUCTING,
-            seed=seed,
+            scenario,
         )
         turnarounds.append(records[0].turnaround)
         held.append(records[0].classical_held_node_seconds)

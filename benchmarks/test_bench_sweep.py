@@ -18,7 +18,11 @@ measured times and speedups are recorded in ``BENCH_<rev>.json``.
 
 import os
 
-from repro.experiments.common import run_campaign, standard_hybrid_app
+from repro.experiments.common import (
+    campaign_scenario,
+    run_campaign,
+    standard_hybrid_app,
+)
 from repro.experiments.sweep import (
     SweepSpec,
     canonical_bytes,
@@ -60,13 +64,15 @@ def _campaign_point(params, seed):
     records, env = run_campaign(
         VQPUStrategy(),
         apps,
-        SUPERCONDUCTING,
-        classical_nodes=4 * params["tenants"],
-        vqpus_per_qpu=params["vqpus"],
-        background_rho=0.9,
-        background_horizon=4 * 3600.0,
-        seed=seed,
-        scheduling_cycle=30.0,
+        campaign_scenario(
+            SUPERCONDUCTING,
+            classical_nodes=4 * params["tenants"],
+            vqpus_per_qpu=params["vqpus"],
+            background_rho=0.9,
+            background_horizon=4 * 3600.0,
+            scheduling_cycle=30.0,
+            seed=seed,
+        ),
     )
     ends = [r.end_time for r in records if r.end_time is not None]
     return {

@@ -9,7 +9,11 @@ The grid runs as a :class:`~repro.experiments.sweep.SweepSpec` through
 the parallel sweep engine (``REPRO_SWEEP_WORKERS`` fans it out).
 """
 
-from repro.experiments.common import run_campaign, standard_hybrid_app
+from repro.experiments.common import (
+    campaign_scenario,
+    run_campaign,
+    standard_hybrid_app,
+)
 from repro.experiments.sweep import SweepSpec, sweep_values
 from repro.metrics.report import render_series
 from repro.quantum.technology import SUPERCONDUCTING
@@ -33,10 +37,12 @@ def _point(params, seed):
     records, env = run_campaign(
         VQPUStrategy(),
         apps,
-        SUPERCONDUCTING,
-        classical_nodes=4 * params["tenants"],
-        vqpus_per_qpu=params["vqpus"],
-        seed=seed,
+        campaign_scenario(
+            SUPERCONDUCTING,
+            classical_nodes=4 * params["tenants"],
+            vqpus_per_qpu=params["vqpus"],
+            seed=seed,
+        ),
     )
     ends = [r.end_time for r in records if r.end_time is not None]
     starts = [r.submit_time for r in records]

@@ -5,10 +5,7 @@ Every experiment declares its facility as a
 :func:`campaign_scenario`) and materialises it through the single
 :func:`repro.scenarios.build.build` pipeline; :func:`run_campaign`
 drives a set of hybrid applications through one strategy inside such a
-scenario.  The legacy keyword form of ``run_campaign`` (classical
-nodes, rho, horizon as separate arguments) remains for benchmarks and
-tests and is translated into a spec internally — both forms build
-identical facilities.
+scenario.
 """
 
 from __future__ import annotations
@@ -16,12 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.quantum.technology import QPUTechnology
-from repro.scenarios.build import (
-    background_trace,
-    build,
-    install_background,
-    offered_load_interarrival,
-)
+from repro.scenarios.build import build, install_background
 from repro.scenarios.spec import (
     FleetSpec,
     PolicySpec,
@@ -30,19 +22,14 @@ from repro.scenarios.spec import (
     WorkloadSpec,
 )
 from repro.quantum.circuit import Circuit
-from repro.scheduler.job import Job
 from repro.strategies.application import HybridApplication, vqe_like
 from repro.strategies.base import Environment, IntegrationStrategy, RunRecord
-from repro.workloads.generator import CampaignDriver, submit_trace
-from repro.workloads.swf import TraceJob
+from repro.workloads.generator import CampaignDriver
 
 __all__ = [
     "campaign_scenario",
-    "make_background_trace",
-    "offered_load_interarrival",
     "run_campaign",
     "standard_hybrid_app",
-    "start_background",
 ]
 
 
@@ -58,10 +45,9 @@ def campaign_scenario(
 ) -> ScenarioSpec:
     """The scenario one experiment campaign runs under.
 
-    This is the declarative equivalent of the historical
-    ``make_environment`` + ``start_background`` pair: a two-partition
-    facility around ``technology`` with an optional Poisson background
-    of offered load ``background_rho`` over ``background_horizon``.
+    A two-partition facility around ``technology`` with an optional
+    Poisson background of offered load ``background_rho`` over
+    ``background_horizon``.
     """
     return ScenarioSpec(
         name=name or f"campaign-{technology.name}",
@@ -75,39 +61,6 @@ def campaign_scenario(
         policy=PolicySpec(scheduling_cycle=scheduling_cycle),
         seed=seed,
     )
-
-
-def make_background_trace(
-    env: Environment,
-    rho: float,
-    horizon: float,
-    seed_name: str = "background",
-    min_runtime: float = 300.0,
-    max_runtime: float = 1800.0,
-    min_nodes: int = 2,
-    max_nodes: int = 16,
-) -> List[TraceJob]:
-    """Synthesise a classical background trace of offered load ``rho``."""
-    return background_trace(
-        env,
-        WorkloadSpec(
-            background_rho=rho,
-            horizon=horizon,
-            min_runtime=min_runtime,
-            max_runtime=max_runtime,
-            min_nodes=min_nodes,
-            max_nodes=max_nodes,
-        ),
-        seed_name=seed_name,
-    )
-
-
-def start_background(
-    env: Environment, rho: float, horizon: float, **kwargs
-) -> List[Job]:
-    """Submit a background load of intensity ``rho`` over ``horizon``."""
-    trace = make_background_trace(env, rho, horizon, **kwargs)
-    return submit_trace(env, trace)
 
 
 def standard_hybrid_app(
@@ -155,40 +108,23 @@ def standard_hybrid_app(
 def run_campaign(
     strategy: IntegrationStrategy,
     apps: Sequence[HybridApplication],
-    technology: Optional[QPUTechnology] = None,
-    classical_nodes: int = 32,
-    vqpus_per_qpu: int = 1,
-    background_rho: float = 0.0,
-    background_horizon: float = 0.0,
-    seed: Optional[int] = None,
+    scenario: ScenarioSpec,
     submit_times: Optional[Sequence[float]] = None,
-    scheduling_cycle: float = 0.0,
-    scenario: Optional[ScenarioSpec] = None,
 ) -> tuple[List[RunRecord], Environment]:
-    """Run ``apps`` under ``strategy`` in a fresh scenario environment.
+    """Run ``apps`` under ``strategy`` in a fresh ``scenario`` facility.
 
-    Pass a :class:`ScenarioSpec` via ``scenario=`` (the declarative
-    form experiments use), or the legacy keyword arguments, which are
-    folded into an equivalent spec.  Returns the per-app records plus
-    the environment (for facility metrics); the scenario's background
-    workload is injected before the campaign launches.
+    Returns the per-app records plus the environment (for facility
+    metrics); the scenario's background workload is injected before
+    the campaign launches.
+
+    >>> from repro.quantum.technology import SUPERCONDUCTING
+    >>> from repro.strategies import CoScheduleStrategy
+    >>> scenario = campaign_scenario(SUPERCONDUCTING, classical_nodes=8)
+    >>> app = standard_hybrid_app(SUPERCONDUCTING, iterations=2)
+    >>> records, env = run_campaign(CoScheduleStrategy(), [app], scenario)
+    >>> len(records)
+    1
     """
-    if scenario is None:
-        if technology is None:
-            raise TypeError(
-                "run_campaign needs either scenario= or technology="
-            )
-        scenario = campaign_scenario(
-            technology,
-            classical_nodes=classical_nodes,
-            vqpus_per_qpu=vqpus_per_qpu,
-            background_rho=background_rho,
-            background_horizon=background_horizon,
-            scheduling_cycle=scheduling_cycle,
-            seed=0 if seed is None else seed,
-        )
-    elif seed is not None:
-        scenario = scenario.with_seed(seed)
     env = build(scenario)
     install_background(env, scenario.workload)
     driver = CampaignDriver(env, strategy)

@@ -8,10 +8,9 @@ scenario's fault schedule installed into the kernel (timed node
 fail/repair/drain/undrain events, booked QPU maintenance windows and
 optional stochastic failure churn).
 
-Construction order matters: it is *exactly* the order the historical
-``make_environment`` factory used (kernel, streams, QPUs, cluster,
-scheduler), so a spec with an empty fault schedule and no background
-workload reproduces pre-scenario results event for event.
+Construction order is fixed: kernel, streams, QPUs, cluster,
+scheduler.  The kernel's event sequence follows it, so keeping the
+order is what lets a spec reproduce its results event for event.
 
 :func:`run_scenario` additionally injects the spec's background
 workload, drives the kernel to the horizon and returns facility-level
@@ -284,14 +283,12 @@ def offered_load_interarrival(
 
 
 def background_trace(
-    env: Environment,
-    workload: WorkloadSpec,
-    seed_name: str = "background",
+    env: Environment, workload: WorkloadSpec
 ) -> List[TraceJob]:
     """Synthesise the scenario's background trace (empty if rho == 0)."""
     if workload.background_rho <= 0 or workload.horizon <= 0:
         return []
-    rng = env.streams.stream(seed_name)
+    rng = env.streams.stream("background")
     sizes = PowerOfTwoNodes(workload.min_nodes, workload.max_nodes)
     runtimes = LogUniform(workload.min_runtime, workload.max_runtime)
     cluster_nodes = env.cluster.partition("classical").node_count
@@ -508,7 +505,7 @@ def trace_kernel_worker(
     fleet router, so the pool's admission bound (at most ``V - 1``
     foreign kernels ahead of any request) survives trace replay.
     """
-    if trace.qpu_fraction <= 0 or env.fleet is None:
+    if trace.qpu_fraction <= 0:
         return None
     from repro.workloads.hybrid import trace_kernel_payload
 
@@ -612,14 +609,13 @@ def run_scenario(
     for index, qpu in enumerate(env.qpus):
         metrics[f"qpu{index}_utilisation"] = qpu.utilisation
         metrics[f"qpu{index}_maintenance"] = qpu.maintenance_performed
-    if env.fleet is not None:
-        metrics["fleet_policy"] = env.fleet.policy
-        metrics["fleet_routed_total"] = env.fleet.total_routed
-        for qpu in env.fleet.qpus:
-            routed = env.fleet.routed_counts[qpu.name]
-            metrics[f"device_{qpu.name}_routed"] = routed
-            metrics[f"device_{qpu.name}_executed"] = qpu.jobs_executed
-            metrics[f"device_{qpu.name}_utilisation"] = qpu.utilisation
+    metrics["fleet_policy"] = env.fleet.policy
+    metrics["fleet_routed_total"] = env.fleet.total_routed
+    for qpu in env.fleet.qpus:
+        routed = env.fleet.routed_counts[qpu.name]
+        metrics[f"device_{qpu.name}_routed"] = routed
+        metrics[f"device_{qpu.name}_executed"] = qpu.jobs_executed
+        metrics[f"device_{qpu.name}_utilisation"] = qpu.utilisation
     failures = sum(i.failure_count for i in env.fault_injectors)
     repairs = sum(i.repair_count for i in env.fault_injectors)
     metrics["random_failures"] = failures

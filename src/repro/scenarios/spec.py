@@ -618,9 +618,6 @@ class ScenarioSpec:
             raise ConfigurationError("scenario JSON must be an object")
         return cls.from_dict(data)
 
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        return dataclasses.replace(self, seed=int(seed))
-
 
 # -- dict plumbing -----------------------------------------------------------
 

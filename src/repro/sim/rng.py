@@ -27,10 +27,6 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-#: Backwards-compatible alias (pre-sweep-engine name).
-_derive_seed = derive_seed
-
-
 class RandomStreams:
     """Factory of independent named :class:`numpy.random.Generator` streams.
 
@@ -55,13 +51,13 @@ class RandomStreams:
         statistically independent streams.
         """
         if name not in self._streams:
-            child_seed = _derive_seed(self.seed, name)
+            child_seed = derive_seed(self.seed, name)
             self._streams[name] = np.random.default_rng(child_seed)
         return self._streams[name]
 
     def spawn(self, name: str) -> "RandomStreams":
         """Derive a whole child factory, e.g. one per experiment replication."""
-        return RandomStreams(_derive_seed(self.seed, f"spawn:{name}"))
+        return RandomStreams(derive_seed(self.seed, f"spawn:{name}"))
 
     def __repr__(self) -> str:
         return f"RandomStreams(seed={self.seed!r})"

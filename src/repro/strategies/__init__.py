@@ -28,11 +28,9 @@ from repro.strategies.base import (
     IntegrationStrategy,
     RunRecord,
     StrategyRun,
-    run_strategies_to_completion,
 )
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.elastic import ElasticQPUStrategy
-from repro.strategies.envs import make_environment
 from repro.strategies.malleability import GrowMode, MalleableStrategy
 from repro.strategies.vqpu import VirtualQPU, VirtualQPUPool, VQPUStrategy
 from repro.strategies.workflow import (
@@ -73,10 +71,8 @@ __all__ = [
     "WorkflowStep",
     "WorkflowStrategy",
     "classical",
-    "make_environment",
     "qaoa_like",
     "quantum",
-    "run_strategies_to_completion",
     "sampling_campaign",
     "vqe_like",
 ]

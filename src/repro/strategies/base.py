@@ -42,15 +42,14 @@ class Environment:
     scheduler: BatchScheduler
     qpus: List[QPU]
     streams: RandomStreams
+    #: Router over the physical devices.
+    fleet: QPUFleet
     #: Virtual-QPU pools, populated when the environment virtualises
     #: its devices (``vqpus_per_qpu > 1``).
     vqpu_pools: List[Any] = field(default_factory=list)
     #: Stochastic failure injectors installed by the scenario's fault
     #: schedule (empty unless the scenario requests random churn).
     fault_injectors: List[Any] = field(default_factory=list)
-    #: Router over the physical devices (the scenario build pipeline
-    #: always installs one; hand-built environments may leave it None).
-    fleet: Optional[QPUFleet] = None
 
     @property
     def now(self) -> float:
@@ -240,16 +239,3 @@ class IntegrationStrategy:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
-
-
-def run_strategies_to_completion(
-    env: Environment,
-    runs: List[StrategyRun],
-    extra_time: float = 0.0,
-) -> List[RunRecord]:
-    """Drive the kernel until every run completes; return the records."""
-    for run in runs:
-        env.kernel.run(until=run.done)
-    if extra_time > 0:
-        env.kernel.run(until=env.kernel.now + extra_time)
-    return [run.record for run in runs]

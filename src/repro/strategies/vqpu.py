@@ -124,7 +124,7 @@ class VQPUStrategy(CoScheduleStrategy):
     Identical job shape to :class:`CoScheduleStrategy` — one hetjob
     with ``--gres=qpu:1`` — but launched into an environment whose
     quantum partition exposes ``V`` virtual units per physical device
-    (see :func:`repro.strategies.envs.make_environment` with
+    (a scenario whose :class:`~repro.scenarios.spec.FleetSpec` sets
     ``vqpus_per_qpu > 1``), so up to V tenants hold "a QPU"
     simultaneously and interleave on the real one.
 

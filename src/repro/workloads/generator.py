@@ -133,7 +133,7 @@ class CampaignDriver:
         for app, time in zip(apps, times):
             self.launch_at(app, time)
 
-    def collect(self, settle_time: float = 0.0) -> List[RunRecord]:
+    def collect(self) -> List[RunRecord]:
         """Run the simulation until every launched app completes."""
         kernel = self.env.kernel
         # First let every scheduled launch materialise its run...
@@ -144,6 +144,4 @@ class CampaignDriver:
         for run in self.runs:
             if not run.done.processed:
                 kernel.run(until=run.done)
-        if settle_time > 0:
-            kernel.run(until=kernel.now + settle_time)
         return [run.record for run in self.runs]

@@ -2,16 +2,30 @@
 
 import pytest
 
+from repro.cluster.builders import QUANTUM_PARTITION
 from repro.experiments.common import (
-    make_background_trace,
-    offered_load_interarrival,
+    campaign_scenario,
     run_campaign,
     standard_hybrid_app,
-    start_background,
 )
 from repro.quantum.technology import NEUTRAL_ATOM, SUPERCONDUCTING
+from repro.scenarios import (
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    background_trace,
+    build,
+    install_background,
+    offered_load_interarrival,
+)
 from repro.strategies.coschedule import CoScheduleStrategy
-from repro.strategies.envs import make_environment
+from repro.strategies.vqpu import VirtualQPUPool
+
+
+def _facility(seed: int = 0):
+    return build(
+        ScenarioSpec(topology=TopologySpec(classical_nodes=32), seed=seed)
+    )
 
 
 class TestOfferedLoad:
@@ -37,25 +51,82 @@ class TestOfferedLoad:
 
 class TestBackgroundTrace:
     def test_covers_horizon(self):
-        env = make_environment(classical_nodes=32, seed=0)
-        trace = make_background_trace(env, rho=0.5, horizon=7200.0)
+        env = _facility(seed=0)
+        trace = background_trace(
+            env, WorkloadSpec(background_rho=0.5, horizon=7200.0)
+        )
         assert trace
         assert trace[-1].submit_time < 7200.0 * 10
 
-    def test_start_background_submits(self):
-        env = make_environment(classical_nodes=32, seed=0)
-        jobs = start_background(env, rho=0.5, horizon=3600.0)
+    def test_install_background_submits(self):
+        env = _facility(seed=0)
+        jobs = install_background(
+            env, WorkloadSpec(background_rho=0.5, horizon=3600.0)
+        )
         env.kernel.run(until=3600.0)
         assert jobs  # replay processes have materialised submissions
 
     def test_deterministic_per_seed(self):
-        env_a = make_environment(classical_nodes=32, seed=5)
-        env_b = make_environment(classical_nodes=32, seed=5)
-        trace_a = make_background_trace(env_a, 0.5, 3600.0)
-        trace_b = make_background_trace(env_b, 0.5, 3600.0)
+        workload = WorkloadSpec(background_rho=0.5, horizon=3600.0)
+        trace_a = background_trace(_facility(seed=5), workload)
+        trace_b = background_trace(_facility(seed=5), workload)
         assert [(j.submit_time, j.nodes) for j in trace_a] == [
             (j.submit_time, j.nodes) for j in trace_b
         ]
+
+
+class TestCampaignScenario:
+    """Each ``campaign_scenario`` argument reaches the built facility."""
+
+    def test_classical_nodes(self):
+        env = build(campaign_scenario(SUPERCONDUCTING, classical_nodes=12))
+        assert env.cluster.partition("classical").node_count == 12
+
+    def test_vqpus_per_qpu(self):
+        env = build(campaign_scenario(SUPERCONDUCTING, vqpus_per_qpu=3))
+        quantum = env.cluster.partition(QUANTUM_PARTITION)
+        assert quantum.gres_capacity("qpu") == 3
+        assert len(env.vqpu_pools) == 1
+        assert isinstance(env.vqpu_pools[0], VirtualQPUPool)
+        assert env.vqpu_pools[0].size == 3
+
+    def test_scheduling_cycle(self):
+        env = build(
+            campaign_scenario(SUPERCONDUCTING, scheduling_cycle=30.0)
+        )
+        assert env.scheduler.cycle_time == 30.0
+
+    def test_background_submits_jobs(self):
+        scenario = campaign_scenario(
+            SUPERCONDUCTING, background_rho=0.5, background_horizon=3600.0
+        )
+        env = build(scenario)
+        jobs = install_background(env, scenario.workload)
+        env.kernel.run(until=3600.0)
+        assert jobs
+
+    def test_zero_rho_submits_nothing(self):
+        scenario = campaign_scenario(
+            SUPERCONDUCTING, background_rho=0.0, background_horizon=3600.0
+        )
+        env = build(scenario)
+        jobs = install_background(env, scenario.workload)
+        env.kernel.run(until=3600.0)
+        assert jobs == []
+        assert env.scheduler.finished_jobs == []
+
+    def test_name_and_seed(self):
+        scenario = campaign_scenario(
+            NEUTRAL_ATOM, seed=7, name="my-campaign"
+        )
+        assert scenario.name == "my-campaign"
+        assert scenario.seed == 7
+        assert build(scenario).streams.seed == 7
+
+    def test_default_name_names_the_technology(self):
+        scenario = campaign_scenario(NEUTRAL_ATOM)
+        assert scenario.name == f"campaign-{NEUTRAL_ATOM.name}"
+        assert scenario.fleet.technology == NEUTRAL_ATOM.name
 
 
 class TestStandardHybridApp:
@@ -90,8 +161,9 @@ class TestRunCampaign:
             classical_nodes=2,
         )
         records, env = run_campaign(
-            CoScheduleStrategy(), [app, app], SUPERCONDUCTING,
-            classical_nodes=8, seed=0,
+            CoScheduleStrategy(),
+            [app, app],
+            campaign_scenario(SUPERCONDUCTING, classical_nodes=8, seed=0),
         )
         assert len(records) == 2
         assert env.kernel.now > 0
@@ -104,11 +176,13 @@ class TestRunCampaign:
         records, env = run_campaign(
             CoScheduleStrategy(),
             [app],
-            SUPERCONDUCTING,
-            classical_nodes=16,
-            background_rho=0.5,
-            background_horizon=1800.0,
-            seed=0,
+            campaign_scenario(
+                SUPERCONDUCTING,
+                classical_nodes=16,
+                background_rho=0.5,
+                background_horizon=1800.0,
+                seed=0,
+            ),
         )
         env.kernel.run()  # drain the remaining background replay
         trace_jobs = [

@@ -8,10 +8,10 @@ from repro.metrics.collector import (
     summarise,
 )
 from repro.quantum.circuit import Circuit
+from repro.scenarios import ScenarioSpec, TopologySpec, build
 from repro.strategies.application import vqe_like
 from repro.strategies.base import RunRecord
 from repro.strategies.coschedule import CoScheduleStrategy
-from repro.strategies.envs import make_environment
 
 
 def record(strategy, submit, end, wait=0.0, held=100.0, useful=50.0):
@@ -60,7 +60,7 @@ class TestSummarise:
 
 class TestFacilitySnapshot:
     def test_snapshot_after_run(self):
-        env = make_environment(classical_nodes=8, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=8)))
         app = vqe_like(2, 100.0, Circuit(5, 10), classical_nodes=4)
         run = CoScheduleStrategy().launch(env, app)
         env.kernel.run(until=run.done)
@@ -75,7 +75,7 @@ class TestFacilitySnapshot:
         )
 
     def test_idle_facility(self):
-        env = make_environment(seed=0)
+        env = build(ScenarioSpec())
         env.kernel.timeout(100.0)
         env.kernel.run()
         snapshot = facility_snapshot(env)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.node import NodeState
 from repro.errors import ConfigurationError
-from repro.quantum.technology import TRAPPED_ION
 from repro.scenarios import (
     FaultSchedule,
     FleetSpec,
@@ -23,42 +22,10 @@ from repro.scenarios import (
     resolve_trace_path,
     run_scenario,
 )
-from repro.strategies.envs import environment_scenario, make_environment
 
 
 class TestBuildEquivalence:
-    """build(spec) and the legacy factory construct identical facilities."""
-
-    def test_matches_make_environment(self):
-        legacy = make_environment(
-            classical_nodes=12,
-            technology=TRAPPED_ION,
-            vqpus_per_qpu=2,
-            seed=4,
-            scheduling_cycle=30.0,
-        )
-        scenario = build(
-            environment_scenario(
-                classical_nodes=12,
-                technology=TRAPPED_ION,
-                vqpus_per_qpu=2,
-                seed=4,
-                scheduling_cycle=30.0,
-            )
-        )
-        assert sorted(legacy.cluster.partitions) == sorted(
-            scenario.cluster.partitions
-        )
-        for name, partition in legacy.cluster.partitions.items():
-            twin = scenario.cluster.partition(name)
-            assert [n.name for n in partition.nodes] == [
-                n.name for n in twin.nodes
-            ]
-        assert [q.name for q in legacy.qpus] == [
-            q.name for q in scenario.qpus
-        ]
-        assert legacy.scheduler.cycle_time == scenario.scheduler.cycle_time
-        assert legacy.streams.seed == scenario.streams.seed
+    """What build(spec) materialises from each part of the spec."""
 
     def test_seed_override_beats_spec_seed(self):
         env = build(ScenarioSpec(seed=3), seed=11)

@@ -113,14 +113,16 @@ class TestValidation:
 
 class TestSchedulerDrivenWorkflow:
     def test_dag_submitted_with_dependencies(self, env):
-        from repro.strategies.envs import make_environment
+        from repro.scenarios import ScenarioSpec, TopologySpec, build
         from repro.strategies.workflow import (
             Workflow,
             WorkflowEngine,
             WorkflowStep,
         )
 
-        environment = make_environment(classical_nodes=8, seed=0)
+        environment = build(
+            ScenarioSpec(topology=TopologySpec(classical_nodes=8))
+        )
 
         def make_step(name, deps=(), duration=10.0):
             def factory():

@@ -1,17 +1,17 @@
 """Tests for deterministic named random streams."""
 
-from repro.sim.rng import RandomStreams, _derive_seed
+from repro.sim.rng import RandomStreams, derive_seed
 
 
 class TestDerivation:
     def test_same_inputs_same_seed(self):
-        assert _derive_seed(1, "a") == _derive_seed(1, "a")
+        assert derive_seed(1, "a") == derive_seed(1, "a")
 
     def test_different_names_different_seeds(self):
-        assert _derive_seed(1, "a") != _derive_seed(1, "b")
+        assert derive_seed(1, "a") != derive_seed(1, "b")
 
     def test_different_roots_different_seeds(self):
-        assert _derive_seed(1, "a") != _derive_seed(2, "a")
+        assert derive_seed(1, "a") != derive_seed(2, "a")
 
 
 class TestRandomStreams:

@@ -4,10 +4,16 @@ import pytest
 
 from repro.quantum.circuit import Circuit
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios import (
+    FleetSpec,
+    PolicySpec,
+    ScenarioSpec,
+    TopologySpec,
+    build,
+)
 from repro.strategies.application import vqe_like
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.elastic import ElasticQPUStrategy
-from repro.strategies.envs import make_environment
 
 
 def app_sc(iterations=3, classical_work=400.0, nodes=4):
@@ -21,11 +27,12 @@ def app_sc(iterations=3, classical_work=400.0, nodes=4):
 
 
 def run_one(strategy, app, nodes=16, scheduling_cycle=0.0):
-    env = make_environment(
-        classical_nodes=nodes,
-        technology=SUPERCONDUCTING,
-        seed=0,
-        scheduling_cycle=scheduling_cycle,
+    env = build(
+        ScenarioSpec(
+            topology=TopologySpec(classical_nodes=nodes),
+            fleet=FleetSpec(technology=SUPERCONDUCTING.name),
+            policy=PolicySpec(scheduling_cycle=scheduling_cycle),
+        )
     )
     run = strategy.launch(env, app)
     env.kernel.run(until=run.done)
@@ -84,7 +91,7 @@ class TestElasticBasics:
 class TestElasticVsCoschedule:
     def test_device_free_between_phases(self):
         """During classical phases, another tenant can use the QPU."""
-        env = make_environment(classical_nodes=16, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
         app_a = app_sc(nodes=4)
         app_b = app_sc(nodes=4)
         strategy = ElasticQPUStrategy()
@@ -94,7 +101,7 @@ class TestElasticVsCoschedule:
         env.kernel.run(until=run_b.done)
         # Both tenants ran concurrently: the campaign is far shorter
         # than two serial co-scheduled runs would be.
-        co_env = make_environment(classical_nodes=16, seed=0)
+        co_env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
         co = CoScheduleStrategy()
         co_a = co.launch(co_env, app_a)
         co_env.kernel.run(until=co_a.done)

@@ -1,10 +1,18 @@
-"""Edge-path tests: environment factory wiring and the phase driver."""
+"""Edge-path tests: scenario-to-environment wiring and the phase driver."""
 
 import pytest
 
 from repro.quantum.circuit import Circuit
 from repro.quantum.qpu import QPU
 from repro.quantum.technology import SUPERCONDUCTING, TRAPPED_ION
+from repro.scenarios import (
+    DeviceSpec,
+    FleetSpec,
+    PolicySpec,
+    ScenarioSpec,
+    TopologySpec,
+    build,
+)
 from repro.scheduler.backfill import ConservativeBackfillPolicy
 from repro.scheduler.job import JobComponent, JobSpec
 from repro.strategies.application import (
@@ -13,32 +21,31 @@ from repro.strategies.application import (
     quantum,
 )
 from repro.strategies.base import RunRecord
-from repro.strategies.envs import make_environment
 from repro.strategies.phases import execute_phases
 
 
 class TestEnvironmentWiring:
     def test_policy_name_propagates(self):
-        env = make_environment(policy="conservative")
+        env = build(ScenarioSpec(policy=PolicySpec(policy="conservative")))
         assert isinstance(env.scheduler.policy, ConservativeBackfillPolicy)
 
     def test_scheduling_cycle_propagates(self):
-        env = make_environment(scheduling_cycle=45.0)
+        env = build(ScenarioSpec(policy=PolicySpec(scheduling_cycle=45.0)))
         assert env.scheduler.cycle_time == 45.0
 
     def test_technology_propagates(self):
-        env = make_environment(technology=TRAPPED_ION)
+        env = build(ScenarioSpec(fleet=FleetSpec(technology="trapped_ion")))
         assert env.primary_qpu().technology is TRAPPED_ION
 
     def test_jitter_enables_stochastic_durations(self):
-        deterministic = make_environment(jitter=False)
-        stochastic = make_environment(jitter=True)
+        deterministic = build(ScenarioSpec(fleet=FleetSpec(jitter=False)))
+        stochastic = build(ScenarioSpec(fleet=FleetSpec(jitter=True)))
         assert deterministic.primary_qpu()._rng is None
         assert stochastic.primary_qpu()._rng is not None
 
     def test_seed_isolation(self):
-        env_a = make_environment(seed=1, jitter=True)
-        env_b = make_environment(seed=2, jitter=True)
+        env_a = build(ScenarioSpec(fleet=FleetSpec(jitter=True), seed=1))
+        env_b = build(ScenarioSpec(fleet=FleetSpec(jitter=True), seed=2))
         draw_a = env_a.streams.stream("x").random()
         draw_b = env_b.streams.stream("x").random()
         assert draw_a != draw_b
@@ -48,13 +55,6 @@ class TestPlanningTechnology:
     """Fleet-aware walltime planning on the Environment."""
 
     def _hetero_env(self):
-        from repro.scenarios import (
-            DeviceSpec,
-            FleetSpec,
-            ScenarioSpec,
-            build,
-        )
-
         return build(
             ScenarioSpec(
                 fleet=FleetSpec(
@@ -75,7 +75,7 @@ class TestPlanningTechnology:
         )
 
     def test_homogeneous_env_matches_primary_qpu(self):
-        env = make_environment(technology=TRAPPED_ION)
+        env = build(ScenarioSpec(fleet=FleetSpec(technology="trapped_ion")))
         app = self._app(10)
         assert env.planning_technology(app) is env.primary_qpu().technology
 
@@ -97,13 +97,6 @@ class TestPlanningTechnology:
             env.planning_technology(self._app(500))
 
     def test_technologies_deduplicates_in_order(self):
-        from repro.scenarios import (
-            DeviceSpec,
-            FleetSpec,
-            ScenarioSpec,
-            build,
-        )
-
         env = build(
             ScenarioSpec(
                 fleet=FleetSpec(
@@ -140,7 +133,7 @@ class TestExecutePhasesDriver:
     """Drive execute_phases directly through a minimal job context."""
 
     def _run(self, app, hooks=False):
-        env = make_environment(classical_nodes=8, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=8)))
         record = RunRecord(
             app_name=app.name, strategy="direct", submit_time=0.0
         )

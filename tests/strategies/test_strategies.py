@@ -4,10 +4,10 @@ import pytest
 
 from repro.quantum.circuit import Circuit
 from repro.quantum.technology import NEUTRAL_ATOM, SUPERCONDUCTING
+from repro.scenarios import FleetSpec, ScenarioSpec, TopologySpec, build
 from repro.strategies.application import vqe_like
 from repro.strategies.base import Environment
 from repro.strategies.coschedule import CoScheduleStrategy
-from repro.strategies.envs import make_environment
 from repro.strategies.malleability import GrowMode, MalleableStrategy
 from repro.strategies.vqpu import VQPUStrategy
 from repro.strategies.workflow import WorkflowStrategy
@@ -25,11 +25,11 @@ def app_sc(iterations=3, classical_work=400.0, nodes=4, shots=1000):
 
 
 def run_one(strategy, app, technology=SUPERCONDUCTING, vqpus=1, nodes=16):
-    env = make_environment(
-        classical_nodes=nodes,
-        technology=technology,
-        vqpus_per_qpu=vqpus,
-        seed=0,
+    env = build(
+        ScenarioSpec(
+            topology=TopologySpec(classical_nodes=nodes),
+            fleet=FleetSpec(technology=technology.name, vqpus_per_qpu=vqpus),
+        )
     )
     run = strategy.launch(env, app)
     env.kernel.run(until=run.done)
@@ -115,11 +115,13 @@ class TestVQPU:
         )
 
     def test_tenants_share_one_physical_qpu(self):
-        env = make_environment(
-            classical_nodes=16,
-            technology=SUPERCONDUCTING,
-            vqpus_per_qpu=4,
-            seed=0,
+        env = build(
+            ScenarioSpec(
+                topology=TopologySpec(classical_nodes=16),
+                fleet=FleetSpec(
+                    technology=SUPERCONDUCTING.name, vqpus_per_qpu=4
+                ),
+            )
         )
         strategy = VQPUStrategy()
         apps = [app_sc(nodes=2) for _ in range(4)]
@@ -137,7 +139,7 @@ class TestVQPU:
         assert max(ends) < serial
 
     def test_pool_records_requests(self):
-        env = make_environment(vqpus_per_qpu=2, seed=0)
+        env = build(ScenarioSpec(fleet=FleetSpec(vqpus_per_qpu=2)))
         strategy = VQPUStrategy()
         run = strategy.launch(env, app_sc(nodes=2))
         env.kernel.run(until=run.done)
@@ -192,7 +194,7 @@ class TestMalleable:
     def test_min_nodes_retained_during_quantum(self):
         """The shrunken allocation equals min_classical_nodes."""
         app = app_sc()
-        env = make_environment(classical_nodes=16, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
         observed = []
 
         class SpyStrategy(MalleableStrategy):
@@ -218,7 +220,7 @@ class TestMalleable:
 
 class TestEnvironmentFactory:
     def test_vqpu_pools_created(self):
-        env = make_environment(vqpus_per_qpu=4)
+        env = build(ScenarioSpec(fleet=FleetSpec(vqpus_per_qpu=4)))
         assert len(env.vqpu_pools) == 1
         assert env.vqpu_pools[0].size == 4
         quantum = env.cluster.partition("quantum")
@@ -226,17 +228,17 @@ class TestEnvironmentFactory:
         assert quantum.node_count == 4
 
     def test_no_pools_without_virtualisation(self):
-        env = make_environment()
+        env = build(ScenarioSpec())
         assert env.vqpu_pools == []
         assert isinstance(env, Environment)
 
     def test_multiple_qpus(self):
-        env = make_environment(qpu_count=3)
+        env = build(ScenarioSpec(fleet=FleetSpec(qpu_count=3)))
         assert len(env.qpus) == 3
         assert env.cluster.partition("quantum").gres_capacity("qpu") == 3
 
     def test_primary_qpu(self):
-        env = make_environment()
+        env = build(ScenarioSpec())
         assert env.primary_qpu() is env.qpus[0]
 
 

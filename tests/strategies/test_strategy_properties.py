@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.quantum.circuit import Circuit
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios import FleetSpec, ScenarioSpec, TopologySpec, build
 from repro.strategies.application import (
     HybridApplication,
     classical,
@@ -24,7 +25,6 @@ from repro.strategies.application import (
 )
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.elastic import ElasticQPUStrategy
-from repro.strategies.envs import make_environment
 from repro.strategies.malleability import MalleableStrategy
 from repro.strategies.vqpu import VQPUStrategy
 from repro.strategies.workflow import WorkflowStrategy
@@ -54,11 +54,13 @@ def build_app(shape, nodes):
 
 
 def run_strategy(strategy, app, vqpus=1):
-    env = make_environment(
-        classical_nodes=16,
-        technology=SUPERCONDUCTING,
-        vqpus_per_qpu=vqpus,
-        seed=0,
+    env = build(
+        ScenarioSpec(
+            topology=TopologySpec(classical_nodes=16),
+            fleet=FleetSpec(
+                technology=SUPERCONDUCTING.name, vqpus_per_qpu=vqpus
+            ),
+        )
     )
     run = strategy.launch(env, app)
     env.kernel.run(until=run.done)

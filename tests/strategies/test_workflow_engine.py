@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import WorkflowError
+from repro.scenarios import ScenarioSpec, TopologySpec, build
 from repro.scheduler.job import JobComponent, JobSpec
-from repro.strategies.envs import make_environment
 from repro.strategies.workflow import Workflow, WorkflowEngine, WorkflowStep
 
 
@@ -61,7 +61,7 @@ class TestDagValidation:
 
 class TestEngineExecution:
     def test_linear_chain_runs_sequentially(self):
-        env = make_environment(classical_nodes=4, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=4)))
         workflow = Workflow(
             "chain",
             [
@@ -83,7 +83,7 @@ class TestEngineExecution:
         assert holder["s2"].end_time <= holder["s3"].start_time
 
     def test_independent_steps_run_in_parallel(self):
-        env = make_environment(classical_nodes=4, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=4)))
         workflow = Workflow(
             "fanout",
             [
@@ -104,7 +104,7 @@ class TestEngineExecution:
         assert holder["left"].start_time == holder["right"].start_time
 
     def test_failed_step_aborts_workflow(self):
-        env = make_environment(classical_nodes=4, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=4)))
 
         def failing_factory():
             def work(ctx):
@@ -138,7 +138,7 @@ class TestEngineExecution:
         assert "failed" in outcome["error"]
 
     def test_diamond_dependency_joins(self):
-        env = make_environment(classical_nodes=8, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=8)))
         workflow = Workflow(
             "diamond",
             [

@@ -5,10 +5,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios import ScenarioSpec, TopologySpec, build
 from repro.scheduler.job import JobState
 from repro.strategies.application import PhaseKind
 from repro.strategies.coschedule import CoScheduleStrategy
-from repro.strategies.envs import make_environment
 from repro.workloads.generator import CampaignDriver, submit_trace
 from repro.workloads.hybrid import HybridAppConfig, HybridAppGenerator
 from repro.workloads.swf import TraceJob, synthesise_trace
@@ -125,7 +125,7 @@ class TestTraceKernelPayload:
 
 class TestSubmitTrace:
     def test_jobs_submitted_at_trace_times(self):
-        env = make_environment(classical_nodes=64, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=64)))
         trace = [
             TraceJob(1, 10.0, 20.0, 2, 100.0),
             TraceJob(2, 50.0, 20.0, 2, 100.0),
@@ -138,7 +138,7 @@ class TestSubmitTrace:
         assert all(job.state == JobState.COMPLETED for job in jobs)
 
     def test_synthetic_trace_replay_completes(self, rng):
-        env = make_environment(classical_nodes=64, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=64)))
         trace = synthesise_trace(
             rng, job_count=20, mean_interarrival=50.0
         )
@@ -153,7 +153,7 @@ class TestCampaignDriver:
         from repro.quantum.circuit import Circuit
         from repro.strategies.application import vqe_like
 
-        env = make_environment(classical_nodes=16, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
         driver = CampaignDriver(env, CoScheduleStrategy())
         apps = [
             vqe_like(2, 50.0, Circuit(5, 10), classical_nodes=2)
@@ -168,7 +168,7 @@ class TestCampaignDriver:
         from repro.quantum.circuit import Circuit
         from repro.strategies.application import vqe_like
 
-        env = make_environment(classical_nodes=16, seed=0)
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
         driver = CampaignDriver(env, CoScheduleStrategy())
         apps = [
             vqe_like(1, 50.0, Circuit(5, 10), classical_nodes=2)
@@ -183,7 +183,7 @@ class TestCampaignDriver:
         from repro.quantum.circuit import Circuit
         from repro.strategies.application import vqe_like
 
-        env = make_environment(seed=0)
+        env = build(ScenarioSpec())
         driver = CampaignDriver(env, CoScheduleStrategy())
         with pytest.raises(ValueError):
             driver.launch_all(
