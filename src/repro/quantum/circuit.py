@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -100,21 +101,45 @@ def sample_counts(circuit: Circuit, shots: int, max_outcomes: int = 16
     are derived from the circuit's stable hash, so repeated runs of the
     same circuit return identical distributions — enough realism for
     examples and tests without simulating amplitudes.
+
+    The draw is computed once per distinct input and memoised; every
+    call returns a fresh dict, so callers may mutate their result.
+
+    >>> bell = Circuit(num_qubits=2, depth=3, name="bell")
+    >>> first = sample_counts(bell, shots=100)
+    >>> second = sample_counts(bell, shots=100)
+    >>> first == second, first is second, sum(first.values())
+    (True, False, 100)
+    """
+    if shots <= 0:
+        return {}
+    return dict(
+        _sampled_counts(
+            circuit.stable_hash(), circuit.num_qubits, shots, max_outcomes
+        )
+    )
+
+
+@lru_cache(maxsize=128)
+def _sampled_counts(seed: int, num_qubits: int, shots: int,
+                    max_outcomes: int) -> Tuple[Tuple[str, int], ...]:
+    """The counts :func:`sample_counts` returns, as immutable pairs.
+
+    Keyed by exactly what the draw reads — the circuit's stable-hash
+    seed and its width — rather than by the circuit object, whose
+    equality would merge ``two_qubit_fraction=0`` with ``0.0`` although
+    their stable hashes differ.
     """
     import numpy as np
 
-    if shots <= 0:
-        return {}
-    rng = np.random.default_rng(circuit.stable_hash())
-    n_outcomes = min(max_outcomes, 2 ** min(circuit.num_qubits, 20))
+    rng = np.random.default_rng(seed)
+    width = min(num_qubits, 20)
+    n_outcomes = min(max_outcomes, 2 ** width)
     weights = rng.dirichlet(np.ones(n_outcomes))
-    outcome_ids = rng.choice(
-        2 ** min(circuit.num_qubits, 20), size=n_outcomes, replace=False
-    )
+    outcome_ids = rng.choice(2 ** width, size=n_outcomes, replace=False)
     draws = rng.multinomial(shots, weights)
-    width = min(circuit.num_qubits, 20)
-    return {
-        format(int(outcome), f"0{width}b"): int(count)
+    return tuple(
+        (format(int(outcome), f"0{width}b"), int(count))
         for outcome, count in zip(outcome_ids, draws)
         if count > 0
-    }
+    )

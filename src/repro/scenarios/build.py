@@ -25,6 +25,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cluster.builders import QUANTUM_PARTITION, build_hpcqc_cluster
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureInjector
@@ -285,13 +287,65 @@ def offered_load_interarrival(
 def background_trace(
     env: Environment, workload: WorkloadSpec
 ) -> List[TraceJob]:
-    """Synthesise the scenario's background trace (empty if rho == 0)."""
+    """Synthesise the scenario's background trace (empty if rho == 0).
+
+    The draw is a pure function of the ``background`` stream's state,
+    the workload and the classical partition's width, so it is
+    memoised on exactly those: a repeat (another strategy on the same
+    matched-universe seed, another round at the same seed) returns the
+    same jobs and leaves the stream in the same state as drawing again
+    would, whether or not the stream was fresh.
+    """
     if workload.background_rho <= 0 or workload.horizon <= 0:
         return []
     rng = env.streams.stream("background")
+    jobs, state = _drawn_background(
+        _frozen(rng.bit_generator.state),
+        workload,
+        env.cluster.partition("classical").node_count,
+    )
+    rng.bit_generator.state = _thawed(state)
+    return list(jobs)
+
+
+@lru_cache(maxsize=32)
+def _drawn_background(
+    state: Tuple, workload: WorkloadSpec, cluster_nodes: int
+) -> Tuple[Tuple[TraceJob, ...], Tuple]:
+    """``(jobs, state after drawing)`` for one background draw.
+
+    Replays the draw on a private generator set to ``state`` (streams
+    are :func:`numpy.random.default_rng` generators).  The bound covers
+    a matched-universe grid (E6 needs 6 distinct draws per seed); one
+    ``large-1k`` trace holds about 780 KiB.
+    """
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = _thawed(state)
+    jobs = _synthesise_background(rng, workload, cluster_nodes)
+    return tuple(jobs), _frozen(rng.bit_generator.state)
+
+
+def _frozen(state: Dict[str, Any]) -> Tuple:
+    """A bit generator's state dict as nested, hashable item tuples."""
+    return tuple(
+        (key, _frozen(value) if isinstance(value, dict) else value)
+        for key, value in state.items()
+    )
+
+
+def _thawed(state: Tuple) -> Dict[str, Any]:
+    """Inverse of :func:`_frozen`."""
+    return {
+        key: _thawed(value) if isinstance(value, tuple) else value
+        for key, value in state
+    }
+
+
+def _synthesise_background(
+    rng: np.random.Generator, workload: WorkloadSpec, cluster_nodes: int
+) -> List[TraceJob]:
     sizes = PowerOfTwoNodes(workload.min_nodes, workload.max_nodes)
     runtimes = LogUniform(workload.min_runtime, workload.max_runtime)
-    cluster_nodes = env.cluster.partition("classical").node_count
     interarrival = offered_load_interarrival(
         workload.background_rho, cluster_nodes, sizes.mean(), runtimes.mean()
     )
@@ -333,9 +387,21 @@ def background_trace(
     return jobs
 
 
-def install_background(env: Environment, workload: WorkloadSpec) -> List:
-    """Submit the scenario's background workload; returns the jobs."""
+def install_background(
+    env: Environment, workload: WorkloadSpec, until: Optional[float] = None
+) -> List[Job]:
+    """Submit the scenario's background workload; returns the jobs.
+
+    The returned list fills as jobs reach their submit times.  ``until``
+    is the time the run stops at: a job submitted later could never
+    fire, so it gets no replay process.  The trace is still synthesised
+    to the workload horizon, so the jobs that remain, and the
+    ``background`` stream's state, are what an untrimmed install
+    gives.  ``None`` (a run driven to completion) installs every job.
+    """
     trace = background_trace(env, workload)
+    if until is not None:
+        trace = [job for job in trace if job.submit_time <= until]
     if not trace:
         return []
     return submit_trace(env, trace)
@@ -584,11 +650,11 @@ def run_scenario(
     JSON-representable, so sweep results over scenarios serialise
     byte-identically serial vs parallel.
     """
-    env = build(spec, seed=seed)
-    jobs = install_background(env, spec.workload)
     until = horizon
     if until is None:
         until = spec.workload.horizon or DEFAULT_HORIZON
+    env = build(spec, seed=seed)
+    jobs = install_background(env, spec.workload, until)
     trace_jobs = install_trace(env, spec.workload, until)
     env.kernel.run(until=until)
     completed = sum(

@@ -14,7 +14,7 @@ Every distribution exposes ``sample(rng) -> float`` over a
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence
+from typing import Protocol, Tuple
 
 import numpy as np
 
@@ -160,19 +160,20 @@ class PowerOfTwoNodes:
     def __init__(self, min_nodes: int = 1, max_nodes: int = 64) -> None:
         if min_nodes <= 0 or max_nodes < min_nodes:
             raise ConfigurationError("need 0 < min_nodes <= max_nodes")
-        self.choices: Sequence[int] = [
+        self.choices: Tuple[int, ...] = tuple(
             2**p
             for p in range(
                 int(math.floor(math.log2(min_nodes))),
                 int(math.floor(math.log2(max_nodes))) + 1,
             )
             if min_nodes <= 2**p <= max_nodes
-        ]
-        if not self.choices:
-            self.choices = [min_nodes]
+        ) or (min_nodes,)
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(list(self.choices)))
+        # One bounded-integer draw: the same bits (and generator state
+        # afterwards) as ``rng.choice(list(self.choices))``, without
+        # numpy's array machinery on every job.
+        return float(self.choices[int(rng.integers(0, len(self.choices)))])
 
     def mean(self) -> float:
         return float(sum(self.choices)) / len(self.choices)

@@ -1,9 +1,30 @@
 """Tests for circuit descriptions and synthetic results."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.quantum.circuit import Circuit, QuantumResult, sample_counts
+from repro.quantum.circuit import (
+    Circuit,
+    QuantumResult,
+    _sampled_counts,
+    sample_counts,
+)
+
+
+def reference_counts(circuit, shots, max_outcomes=16):
+    """The unmemoised draw: one fresh generator per call."""
+    rng = np.random.default_rng(circuit.stable_hash())
+    width = min(circuit.num_qubits, 20)
+    n_outcomes = min(max_outcomes, 2 ** width)
+    weights = rng.dirichlet(np.ones(n_outcomes))
+    outcome_ids = rng.choice(2 ** width, size=n_outcomes, replace=False)
+    draws = rng.multinomial(shots, weights)
+    return {
+        format(int(outcome), f"0{width}b"): int(count)
+        for outcome, count in zip(outcome_ids, draws)
+        if count > 0
+    }
 
 
 class TestCircuit:
@@ -67,6 +88,56 @@ class TestSampleCounts:
         circuit = Circuit(100, 5)
         counts = sample_counts(circuit, 10)
         assert all(len(bits) == 20 for bits in counts)
+
+
+class TestSampleCountsMemo:
+    @pytest.mark.parametrize(
+        "circuit, shots, max_outcomes",
+        [
+            (Circuit(5, 20, name="fixed"), 500, 16),
+            (Circuit(2, 3, name="bell"), 1, 16),
+            (Circuit(12, 40, 0.5, "g1"), 4096, 4),
+            (Circuit(100, 5), 10, 16),
+        ],
+    )
+    def test_matches_unmemoised_draw_on_every_call(
+        self, circuit, shots, max_outcomes
+    ):
+        expected = reference_counts(circuit, shots, max_outcomes)
+        for _ in range(3):
+            assert sample_counts(circuit, shots, max_outcomes) == expected
+
+    def test_repeat_call_returns_a_new_dict(self):
+        circuit = Circuit(4, 9, name="repeat")
+        first = sample_counts(circuit, 300)
+        second = sample_counts(circuit, 300)
+        assert first == second
+        assert first is not second
+
+    def test_mutating_a_result_does_not_leak(self):
+        circuit = Circuit(4, 9, name="mutate")
+        expected = reference_counts(circuit, 300)
+        first = sample_counts(circuit, 300)
+        first.clear()
+        first["bogus"] = 1
+        assert sample_counts(circuit, 300) == expected
+
+    def test_equal_circuits_with_distinct_hashes_stay_distinct(self):
+        # 0 == 0.0, so the two circuits compare (and hash) equal, but
+        # their stable hashes, and hence their counts, differ.
+        as_int = Circuit(6, 10, two_qubit_fraction=0, name="typed")
+        as_float = Circuit(6, 10, two_qubit_fraction=0.0, name="typed")
+        assert as_int == as_float
+        assert as_int.stable_hash() != as_float.stable_hash()
+        assert sample_counts(as_int, 200) == reference_counts(as_int, 200)
+        assert sample_counts(as_float, 200) == reference_counts(as_float, 200)
+
+    def test_memo_is_bounded(self):
+        bound = _sampled_counts.cache_info().maxsize
+        assert bound is not None
+        for depth in range(bound + 10):
+            sample_counts(Circuit(3, depth, name="bound"), 50)
+        assert _sampled_counts.cache_info().currsize <= bound
 
 
 class TestQuantumResult:

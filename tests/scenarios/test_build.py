@@ -1,8 +1,11 @@
 """Tests for the build pipeline: environments, faults, workloads, runs."""
 
+import importlib
+
 import pytest
 
 from repro.cluster.node import NodeState
+from repro.experiments.sweep import canonical_bytes
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     FaultSchedule,
@@ -22,6 +25,11 @@ from repro.scenarios import (
     resolve_trace_path,
     run_scenario,
 )
+from repro.scenarios.build import _drawn_background, _synthesise_background
+from repro.scenarios.registry import get_scenario, list_scenarios
+
+# The package re-exports the ``build`` function under the module's name.
+build_module = importlib.import_module("repro.scenarios.build")
 
 
 class TestBuildEquivalence:
@@ -179,6 +187,142 @@ class TestBackgroundTrace:
         assert [
             (j.submit_time, j.runtime, j.nodes) for j in first
         ] == [(j.submit_time, j.runtime, j.nodes) for j in second]
+
+
+POISSON = WorkloadSpec(background_rho=0.7, horizon=5400.0)
+DIURNAL = WorkloadSpec(
+    background_rho=0.7,
+    horizon=5400.0,
+    arrivals="diurnal",
+    burst_amplitude=0.8,
+    burst_period=3600.0,
+)
+
+
+def _uncached_draw(env, workload):
+    """The draw background_trace memoises, made on the live stream."""
+    return _synthesise_background(
+        env.streams.stream("background"),
+        workload,
+        env.cluster.partition("classical").node_count,
+    )
+
+
+def _partly_consumed(seed, draws):
+    env = build(ScenarioSpec(seed=seed))
+    env.streams.stream("background").random(draws)
+    return env
+
+
+class TestBackgroundMemo:
+    """A memo hit is indistinguishable from drawing again."""
+
+    @pytest.mark.parametrize("workload", [POISSON, DIURNAL],
+                             ids=["poisson", "diurnal"])
+    @pytest.mark.parametrize("consumed", [0, 5])
+    def test_hit_matches_uncached_draw_and_stream_state(
+        self, workload, consumed
+    ):
+        reference = _partly_consumed(41, consumed)
+        expected = _uncached_draw(reference, workload)
+        expected_state = reference.streams.stream("background") \
+            .bit_generator.state
+        background_trace(_partly_consumed(41, consumed), workload)
+        hits = _drawn_background.cache_info().hits
+        env = _partly_consumed(41, consumed)
+        jobs = background_trace(env, workload)
+        assert _drawn_background.cache_info().hits == hits + 1
+        assert jobs == expected
+        stream = env.streams.stream("background")
+        assert stream.bit_generator.state == expected_state
+        assert stream.random(4).tolist() == reference.streams.stream(
+            "background"
+        ).random(4).tolist()
+
+    def test_consecutive_draws_share_the_stream(self):
+        # A second draw on the same environment starts where the first
+        # left the stream, exactly as two uncached draws would.
+        reference = build(ScenarioSpec(seed=43))
+        expected = [
+            _uncached_draw(reference, POISSON),
+            _uncached_draw(reference, DIURNAL),
+        ]
+        for _ in range(2):
+            env = build(ScenarioSpec(seed=43))
+            got = [
+                background_trace(env, POISSON),
+                background_trace(env, DIURNAL),
+            ]
+            assert got == expected
+            assert (
+                env.streams.stream("background").bit_generator.state
+                == reference.streams.stream("background").bit_generator.state
+            )
+
+    def test_partition_width_is_part_of_the_key(self):
+        def wide():
+            topology = TopologySpec(classical_nodes=64)
+            return build(ScenarioSpec(seed=44, topology=topology))
+
+        background_trace(build(ScenarioSpec(seed=44)), POISSON)
+        assert background_trace(wide(), POISSON) == _uncached_draw(
+            wide(), POISSON
+        )
+
+    def test_returned_list_is_private_to_the_caller(self):
+        first = background_trace(build(ScenarioSpec(seed=45)), POISSON)
+        expected = list(first)
+        first.clear()
+        assert background_trace(
+            build(ScenarioSpec(seed=45)), POISSON
+        ) == expected
+
+    def test_memo_never_exceeds_its_bound(self):
+        bound = _drawn_background.cache_info().maxsize
+        assert bound == 32
+        short = WorkloadSpec(background_rho=0.5, horizon=600.0)
+        for seed in range(bound + 8):
+            background_trace(build(ScenarioSpec(seed=seed)), short)
+            assert _drawn_background.cache_info().currsize <= bound
+
+
+def _trim_horizon(spec, seed):
+    """A run horizon short of the workload horizon that falls exactly on
+    a background submit time, so the boundary job is exercised."""
+    trace = background_trace(build(spec, seed=seed), spec.workload)
+    inside = [job.submit_time for job in trace if job.submit_time <= 1800.0]
+    return (max(inside) if inside else 1800.0), trace
+
+
+class TestHorizonTrim:
+    """Installing only the background a run can reach changes nothing."""
+
+    @pytest.mark.parametrize("preset", list_scenarios())
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_trimmed_run_matches_untrimmed_install(
+        self, preset, seed, monkeypatch
+    ):
+        spec = get_scenario(preset)
+        until, trace = _trim_horizon(spec, seed)
+        assert until < spec.workload.horizon
+        trimmed = run_scenario(spec, seed=seed, horizon=until)
+
+        untrimmed_install = build_module.install_background
+        monkeypatch.setattr(
+            build_module,
+            "install_background",
+            lambda env, workload, until: untrimmed_install(env, workload),
+        )
+        untrimmed = run_scenario(spec, seed=seed, horizon=until)
+        assert canonical_bytes(trimmed) == canonical_bytes(untrimmed)
+
+        reachable = sum(1 for job in trace if job.submit_time <= until)
+        assert trimmed["background_jobs"] == reachable
+        if trace:
+            # The run stops short, so the trim has work to do, and the
+            # job submitted exactly at the stop time is kept.
+            assert reachable < len(trace)
+            assert any(job.submit_time == until for job in trace)
 
 
 def _inline_trace(**kwargs) -> TraceSpec:

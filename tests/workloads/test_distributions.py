@@ -132,3 +132,24 @@ class TestPowerOfTwoNodes:
     def test_narrow_range_fallback(self, rng):
         dist = PowerOfTwoNodes(5, 7)
         assert int(dist.sample(rng)) == 5
+
+    @pytest.mark.parametrize(
+        "bounds", [(1, 64), (2, 16), (3, 10), (5, 7), (1, 1), (1, 2**20)]
+    )
+    def test_draws_match_rng_choice(self, bounds):
+        # The bounded-integer draw must consume the same bits as
+        # numpy's choice over the list, so traces stay byte-identical.
+        dist = PowerOfTwoNodes(*bounds)
+        for seed in range(120):
+            ours = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            for _ in range(50):
+                expected = float(reference.choice(list(dist.choices)))
+                assert dist.sample(ours) == expected
+            assert (
+                ours.bit_generator.state == reference.bit_generator.state
+            )
+
+    def test_choices_are_an_immutable_tuple(self):
+        assert PowerOfTwoNodes(2, 16).choices == (2, 4, 8, 16)
+        assert PowerOfTwoNodes(5, 7).choices == (5,)
