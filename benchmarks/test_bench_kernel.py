@@ -12,10 +12,14 @@ measurement window.  The million-event tier additionally publishes a
 kernel throughput is tracked across PRs as a first-class number.
 """
 
+import gc
 import time
 
+from repro.scenarios import ScenarioSpec, TopologySpec, build
 from repro.sim.kernel import Kernel
 from repro.sim.store import Store
+from repro.workloads.generator import submit_trace
+from repro.workloads.swf import TraceJob
 
 EVENTS = 20000
 
@@ -117,6 +121,41 @@ def _million_events():
     return kernel.now, MILLION / elapsed
 
 
+#: Trace-arrival tier: a long background trace of which the run reaches
+#: only the first :data:`TRACE_FIRED` jobs (5%), as a campaign that
+#: stops long before its background horizon does.
+TRACE_JOBS = 20_000
+TRACE_FIRED = 1_000
+
+
+def _trace_arrivals():
+    """Install a 20,000-job trace (one 1-node, 30 s job a minute on 64
+    nodes) and run until the first 5% have been submitted.
+
+    Returns ``(submitted, pending_after_install, gc_collections)``:
+    the kernel's live events added by the install once its arrival
+    process has started, and the cyclic-GC collections (all
+    generations) over install plus run.
+    """
+    env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=64)))
+    kernel = env.kernel
+    kernel.run(until=0.0)
+    trace = [
+        TraceJob(index, 60.0 * index, 30.0, 1, 60.0)
+        for index in range(1, TRACE_JOBS + 1)
+    ]
+    collections = sum(stat["collections"] for stat in gc.get_stats())
+    before = kernel.queued_event_count
+    jobs = submit_trace(env, trace)
+    kernel.run(until=0.0)
+    pending = kernel.queued_event_count - before
+    kernel.run(until=60.0 * TRACE_FIRED)
+    collections = (
+        sum(stat["collections"] for stat in gc.get_stats()) - collections
+    )
+    return len(jobs), pending, collections
+
+
 def test_bench_kernel_object_churn(run_once):
     result = run_once(_object_churn)
     assert result == 8000 * 0.5
@@ -141,3 +180,12 @@ def test_bench_kernel_million_events(run_once, bench_record):
     final_time, events_per_second = run_once(_million_events)
     assert final_time == float(MILLION)
     bench_record(kernel_events_per_second=round(events_per_second, 1))
+
+
+def test_bench_kernel_trace_arrivals(run_once, bench_record):
+    submitted, pending, collections = run_once(_trace_arrivals)
+    assert submitted == TRACE_FIRED
+    bench_record(
+        trace_pending_events_after_install=pending,
+        trace_gc_collections=collections,
+    )

@@ -394,7 +394,7 @@ def install_background(
 
     The returned list fills as jobs reach their submit times.  ``until``
     is the time the run stops at: a job submitted later could never
-    fire, so it gets no replay process.  The trace is still synthesised
+    fire, so it is not installed.  The trace is still synthesised
     to the workload horizon, so the jobs that remain, and the
     ``background`` stream's state, are what an untrimmed install
     gives.  ``None`` (a run driven to completion) installs every job.

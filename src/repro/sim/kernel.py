@@ -25,6 +25,11 @@ Fast-path design (docs/architecture.md, "Kernel fast path"):
   :meth:`peek` discards the dead prefix before reading the head.
 - Events are plain allocations: pooling them measured no gain (see
   docs/architecture.md).
+- :meth:`reserve` takes the heap key a timeout created now would get,
+  and :meth:`timeout_at` pushes the timeout there later.  A model with
+  many far-future wake-ups (a trace's arrivals) keeps only the next
+  one on the heap, in the order eager timeouts would have had
+  (docs/architecture.md, "Lazy trace arrivals").
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ from repro.sim.process import Process, ProcessGenerator
 
 #: Heap entry: (time, packed priority/sequence key, event).
 _HeapEntry = Tuple[float, int, Event]
+
+#: A reserved heap position: (time, packed priority/sequence key).  See
+#: :meth:`Kernel.reserve`.
+Slot = Tuple[float, int]
 
 _INFINITY = float("inf")
 
@@ -109,6 +118,57 @@ class Kernel:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def reserve(self, delay: float) -> Slot:
+        """Reserve the heap slot a ``timeout(delay)`` created now would
+        take, without scheduling anything.
+
+        The slot takes the next sequence number, exactly as the timeout
+        would, so a :meth:`timeout_at` pushed on it later is ordered
+        among same-time events as if it had been created now.  Nothing
+        is on the heap until then: :attr:`queued_event_count` and
+        :meth:`peek` ignore reserved slots.  Push each slot at most
+        once, and no later than the slot's own position comes up.
+
+        >>> kernel = Kernel()
+        >>> slot = kernel.reserve(5.0)
+        >>> eager = kernel.timeout(5.0, value="eager")
+        >>> kernel.queued_event_count
+        1
+        >>> late = kernel.timeout_at(slot, value="reserved")
+        >>> fired = []
+        >>> for event in (eager, late):
+        ...     event.callbacks.append(lambda e: fired.append(e.value))
+        >>> kernel.run()
+        >>> fired
+        ['reserved', 'eager']
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay!r}")
+        self._sequence = sequence = self._sequence + 1
+        return (self._now + delay, (NORMAL << KEY_SHIFT) | sequence)
+
+    def timeout_at(self, slot: Slot, value: Any = None) -> Timeout:
+        """Push a :class:`~repro.sim.events.Timeout` at a slot from
+        :meth:`reserve`; no new sequence number is taken.  A slot whose
+        time has already passed is rejected."""
+        time, key = slot
+        if time < self._now:
+            raise SimulationError(
+                f"slot at t={time!r} lies in the past (now={self._now!r})"
+            )
+        # Timeout.__init__ would take a fresh sequence number.
+        timeout = Timeout.__new__(Timeout)
+        timeout.kernel = self
+        timeout.callbacks = []
+        timeout.delay = time - self._now
+        timeout._ok = True
+        timeout._value = value
+        timeout._defused = False
+        timeout._cancelled = False
+        self._live += 1
+        heapq.heappush(self._heap, (time, key, timeout))
+        return timeout
 
     def process(
         self, generator: ProcessGenerator, name: Optional[str] = None

@@ -5,7 +5,10 @@ Two pieces every multi-tenant experiment needs:
 - :func:`submit_trace` replays a (synthetic) SWF trace of rigid
   classical jobs, creating the background queue contention that makes
   per-step queue waits in the workflow strategy non-trivial (Fig 2's
-  downside);
+  downside).  One arrival process per trace submits the jobs: it
+  reserves each future job's heap slot and keeps only the next arrival
+  on the event heap, so a job the run never reaches costs a reserved
+  slot, not a suspended process;
 - :class:`CampaignDriver` launches a set of hybrid applications under
   one strategy, each at its own arrival time, and collects the
   :class:`~repro.strategies.base.RunRecord` results.
@@ -13,6 +16,7 @@ Two pieces every multi-tenant experiment needs:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.scheduler.job import Job, JobComponent, JobSpec
@@ -52,12 +56,32 @@ def submit_trace(
     sized straight from the trace.  ``components_for`` overrides that
     mapping per job — the scenario layer's trace source uses it to
     clamp oversize jobs and to route a subset to the quantum partition
-    as ``qpu`` gres requests; returning ``None`` drops the job.
-    ``work_for`` optionally supplies an in-job work generator for a
-    job (e.g. fleet-routed kernel dispatch); jobs it declines stay
+    as ``qpu`` gres requests; returning ``None`` drops the job.  The
+    mapping runs here, at install, so a mapper that raises does so
+    now.  ``work_for`` optionally supplies an in-job work generator for
+    a job (e.g. fleet-routed kernel dispatch); jobs it declines stay
     rigid with the trace runtime as their duration.
+
+    One arrival process replays the whole trace, and only its next
+    arrival is on the event heap, however long the trace:
+
+    >>> from repro.scenarios import ScenarioSpec, build
+    >>> env = build(ScenarioSpec())
+    >>> env.kernel.run(until=0.0)
+    >>> trace = [
+    ...     TraceJob(i, 60.0 * i, 30.0, 1, 60.0) for i in range(1, 101)
+    ... ]
+    >>> before = env.kernel.queued_event_count
+    >>> jobs = submit_trace(env, trace)
+    >>> env.kernel.run(until=0.0)
+    >>> env.kernel.queued_event_count - before
+    1
+    >>> env.kernel.run(until=6000.0)
+    >>> len(jobs), jobs[-1].submit_time
+    (100, 6000.0)
     """
     submitted: List[Job] = []
+    kernel = env.kernel
 
     def default_components(
         trace_job: TraceJob,
@@ -71,11 +95,15 @@ def submit_trace(
         ]
 
     mapper = components_for or default_components
+    mapped = []
+    for trace_job in jobs:
+        components = mapper(trace_job)
+        if components is not None:
+            mapped.append((trace_job, components))
+    if not mapped:
+        return submitted
 
-    def replay(trace_job: TraceJob, components: List[JobComponent]):
-        delay = trace_job.submit_time - env.kernel.now
-        if delay > 0:
-            yield env.kernel.timeout(delay)
+    def submit(trace_job: TraceJob, components: List[JobComponent]) -> None:
         work = work_for(trace_job) if work_for is not None else None
         spec = JobSpec(
             name=f"trace-{trace_job.job_id}",
@@ -87,13 +115,25 @@ def submit_trace(
         )
         submitted.append(env.scheduler.submit(spec))
 
-    for trace_job in jobs:
-        components = mapper(trace_job)
-        if components is None:
-            continue
-        env.kernel.process(
-            replay(trace_job, components), name=f"replay:{trace_job.job_id}"
-        )
+    def arrivals():
+        # Walk the trace in order, as one timeout per job created here
+        # would: due jobs are submitted inline, every later one
+        # reserves the heap slot its timeout would take.  Reserved
+        # slots are then pushed one at a time, earliest first, so the
+        # event order is that of the eager timeouts.
+        pending = []
+        for trace_job, components in mapped:
+            delay = trace_job.submit_time - kernel.now
+            if delay > 0:
+                pending.append((kernel.reserve(delay), trace_job, components))
+            else:
+                submit(trace_job, components)
+        pending.sort(key=itemgetter(0))
+        for slot, trace_job, components in pending:
+            yield kernel.timeout_at(slot)
+            submit(trace_job, components)
+
+    kernel.process(arrivals(), name="trace-arrivals")
     return submitted
 
 
@@ -127,10 +167,11 @@ class CampaignDriver:
         submit_times: Optional[Sequence[float]] = None,
     ) -> None:
         """Schedule every app (simultaneously when no times given)."""
-        times = submit_times or [self.env.kernel.now] * len(apps)
-        if len(times) != len(apps):
+        if submit_times is None:
+            submit_times = [self.env.kernel.now] * len(apps)
+        if len(submit_times) != len(apps):
             raise ValueError("submit_times length must match apps")
-        for app, time in zip(apps, times):
+        for app, time in zip(apps, submit_times):
             self.launch_at(app, time)
 
     def collect(self) -> List[RunRecord]:

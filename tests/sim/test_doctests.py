@@ -7,7 +7,8 @@ import pytest
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.sim", "repro.sim.rng", "repro.sim.store"]
+    "module",
+    ["repro.sim", "repro.sim.kernel", "repro.sim.rng", "repro.sim.store"],
 )
 def test_module_examples_pass(module):
     result = doctest.testmod(

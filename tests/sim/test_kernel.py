@@ -1,6 +1,8 @@
 """Tests for the simulation kernel: clock, run modes, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.kernel import EmptySchedule, Kernel
@@ -204,3 +206,106 @@ class TestCancellation:
         kernel.run()
         assert order == ["cancelled", "survivor"]
         assert kernel.now == 3.0
+
+
+class TestReservedSlots:
+    def test_reserve_schedules_nothing(self, kernel):
+        kernel.reserve(5.0)
+        assert kernel.queued_event_count == 0
+        assert kernel.peek() == float("inf")
+
+    def test_queued_event_count_counts_pushed_slots_only(self, kernel):
+        slots = [kernel.reserve(float(delay)) for delay in (1, 2, 3)]
+        kernel.timeout_at(slots[1])
+        assert kernel.queued_event_count == 1
+        assert kernel.peek() == 2.0
+        kernel.timeout_at(slots[0])
+        assert kernel.queued_event_count == 2
+        kernel.run()
+        assert kernel.queued_event_count == 0
+        assert kernel.now == 2.0
+
+    def test_timeout_at_carries_value_and_fires_at_slot_time(self, kernel):
+        slot = kernel.reserve(4.0)
+        kernel.run(until=1.5)
+        timeout = kernel.timeout_at(slot, value="v")
+        assert kernel.run(until=timeout) == "v"
+        assert kernel.now == 4.0
+
+    def test_slot_in_the_past_rejected(self, kernel):
+        slot = kernel.reserve(1.0)
+        kernel.run(until=2.0)
+        with pytest.raises(SimulationError, match="past"):
+            kernel.timeout_at(slot)
+        assert kernel.queued_event_count == 0
+
+    def test_slot_due_now_accepted(self, kernel):
+        slot = kernel.reserve(2.0)
+        kernel.run(until=2.0)
+        kernel.timeout_at(slot)
+        kernel.run()
+        assert kernel.now == 2.0
+
+    def test_negative_delay_rejected(self, kernel):
+        with pytest.raises(SimulationError):
+            kernel.reserve(-1.0)
+
+
+def _slot_order_trace(lazy, ops):
+    """Walk ``ops`` at t=0 and return the labelled firing order.
+
+    An ``("arrival", _, delay)`` op makes a timeout eagerly, or (when
+    ``lazy``) reserves its slot for a process that pushes slots one at
+    a time.  A ``("noise", at, delay)`` op makes a timeout now
+    (``at == 0``) or from a process at ``at``, so same-time events are
+    created before, between and after the reservations."""
+    kernel = Kernel()
+    fired = []
+
+    def record(label):
+        return lambda event: fired.append((label, kernel.now))
+
+    def later(k, label, at, delay):
+        yield k.timeout(at)
+        k.timeout(delay).callbacks.append(record(label))
+
+    slots = []
+    for index, (kind, at, delay) in enumerate(ops):
+        label = (kind, index)
+        if kind == "arrival" and lazy:
+            slots.append((kernel.reserve(delay), label))
+        elif kind == "arrival" or at == 0:
+            kernel.timeout(delay).callbacks.append(record(label))
+        else:
+            kernel.process(later(kernel, label, at, delay))
+
+    def pusher(k):
+        for slot, label in sorted(slots):
+            timeout = k.timeout_at(slot)
+            timeout.callbacks.append(record(label))
+            yield timeout
+
+    if lazy:
+        kernel.process(pusher(kernel))
+    kernel.run()
+    return fired
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["arrival", "noise"]),
+            st.integers(min_value=0, max_value=8).map(float),
+            st.integers(min_value=0, max_value=12).map(float),
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_reserved_slots_fire_in_eager_timeout_order(ops):
+    """A reserved slot pushed late fires exactly where a timeout created
+    at reserve time would, among same-time events created before and
+    after the reservation."""
+    eager = _slot_order_trace(False, ops)
+    assert _slot_order_trace(True, ops) == eager
+    assert len(eager) == len(ops)

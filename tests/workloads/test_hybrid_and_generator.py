@@ -189,3 +189,28 @@ class TestCampaignDriver:
             driver.launch_all(
                 [vqe_like(1, 10.0, Circuit(4, 5))], submit_times=[1.0, 2.0]
             )
+
+    def test_empty_submit_times_rejected_not_launched_now(self):
+        from repro.quantum.circuit import Circuit
+        from repro.strategies.application import vqe_like
+
+        env = build(ScenarioSpec())
+        driver = CampaignDriver(env, CoScheduleStrategy())
+        apps = [vqe_like(1, 10.0, Circuit(4, 5)) for _ in range(2)]
+        with pytest.raises(ValueError):
+            driver.launch_all(apps, submit_times=[])
+        assert driver.collect() == []
+
+    def test_array_submit_times_accepted(self):
+        from repro.quantum.circuit import Circuit
+        from repro.strategies.application import vqe_like
+
+        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
+        driver = CampaignDriver(env, CoScheduleStrategy())
+        apps = [
+            vqe_like(1, 50.0, Circuit(5, 10), classical_nodes=2)
+            for _ in range(2)
+        ]
+        driver.launch_all(apps, submit_times=np.array([100.0, 200.0]))
+        records = driver.collect()
+        assert [record.submit_time for record in records] == [100.0, 200.0]
