@@ -14,19 +14,13 @@ runs such pipelines as declarative, journaled, resumable DAGs:
   step names (``scenario.sweep``, ``strategy.compare``, …) to code;
 - :mod:`~repro.campaigns.journal` — :class:`StageOutcome`, the
   terminal stage record the result store journals for resume;
-- :mod:`~repro.campaigns.backends` — serial and local-pool execution
-  with byte-identical values;
 - :mod:`~repro.campaigns.engine` — :class:`CampaignEngine`, tying the
-  above to per-stage retries, timeouts, cone-skipping and chaos.
+  above to per-stage retries, timeouts, cone-skipping and chaos; its
+  stages run in-process (``serial``) or in a process pool
+  (``process``) with byte-identical values, both through the sweep
+  engine's :class:`~repro.experiments.pool.PoolSupervisor`.
 """
 
-from repro.campaigns.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    LocalPoolBackend,
-    SerialBackend,
-    create_backend,
-)
 from repro.campaigns.dag import CampaignDAG
 from repro.campaigns.engine import (
     CampaignEngine,
@@ -54,21 +48,16 @@ from repro.campaigns.steps import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CampaignDAG",
     "CampaignEngine",
     "CampaignResult",
     "CampaignSpec",
-    "ExecutionBackend",
-    "LocalPoolBackend",
     "STATUS_SKIPPED",
     "STEPS",
-    "SerialBackend",
     "StageContext",
     "StageOutcome",
     "StageSpec",
     "StepRegistry",
-    "create_backend",
     "list_campaigns",
     "load_campaign",
     "register_step",

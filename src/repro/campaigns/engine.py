@@ -2,8 +2,8 @@
 
 :class:`CampaignEngine` walks a :class:`~repro.campaigns.spec.
 CampaignSpec`'s DAG in deterministic topological order, executing each
-stage through a pluggable :class:`~repro.campaigns.backends.
-ExecutionBackend` under the stage's own
+stage through a :class:`~repro.experiments.pool.PoolSupervisor` — the
+one sweeps use — under the stage's own
 :class:`~repro.experiments.resilience.FailurePolicy`:
 
 - a failing attempt retries with deterministic, per-stage-jittered
@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.campaigns.backends import ExecutionBackend, create_backend
 from repro.campaigns.journal import STATUS_SKIPPED, StageOutcome
 from repro.campaigns.spec import CampaignSpec, StageSpec, load_campaign
-from repro.campaigns.steps import StageContext
+from repro.campaigns.steps import StageContext, resolve_step
 from repro.errors import CampaignError, ConfigurationError
+from repro.experiments.pool import PoolSupervisor
 from repro.experiments.resilience import (
     STATUS_CRASHED,
     STATUS_FAILED,
@@ -57,6 +57,16 @@ from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:
     from repro.store.campaign import StoreCampaignJournal
+
+
+def _execute_stage(step_name: str, ctx: StageContext) -> Any:
+    """Run one stage's step (in-process or inside a pool worker).
+
+    Module-level so pool workers can resolve it by reference; the step
+    itself is re-resolved from the registry on the worker side, which
+    keeps :class:`StageContext` (plain data) the only thing pickled.
+    """
+    return resolve_step(step_name)(ctx)
 
 
 def stage_seed(campaign_seed: int, campaign: str, stage: str) -> int:
@@ -180,11 +190,13 @@ class CampaignEngine:
         stage journal and stage values, plus one store per sweep stage
         under ``sweeps/``.  Reuse the same directory to resume.
     backend:
-        A backend name from :data:`~repro.campaigns.backends.BACKENDS`
-        or a ready :class:`ExecutionBackend` instance.
+        ``"serial"``: stages run in this process, one at a time (a
+        stage with a timeout in a one-worker pool, since only a
+        process can be killed).  ``"process"``: independent branches
+        run concurrently in a pool of ``workers`` processes.
     workers:
-        Worker budget (pool backends size themselves from it; it is
-        also advertised to steps through ``StageContext.workers``).
+        Worker budget (the ``process`` pool's size; it is also
+        advertised to steps through ``StageContext.workers``).
     chaos:
         Optional stage-granular fault injection, applied at each stage
         boundary in the orchestrating process.
@@ -194,7 +206,7 @@ class CampaignEngine:
         self,
         spec: Any,
         state_dir: os.PathLike,
-        backend: Any = "serial",
+        backend: str = "serial",
         workers: Optional[int] = None,
         chaos: Optional[ChaosSpec] = None,
         code_version: Optional[str] = None,
@@ -204,10 +216,17 @@ class CampaignEngine:
         self.workers = max(1, workers or 1)
         self.chaos = chaos
         self.code_version = code_version or _default_code_version()
-        if isinstance(backend, ExecutionBackend):
-            self.backend = backend
-        else:
-            self.backend = create_backend(backend, workers=self.workers)
+        if backend not in ("serial", "process"):
+            raise ConfigurationError(
+                f"unknown execution backend {backend!r} "
+                "(known: ['process', 'serial'])"
+            )
+        self.backend = backend
+        self.supervisor = (
+            PoolSupervisor(1, in_process=True)
+            if backend == "serial"
+            else PoolSupervisor(self.workers)
+        )
         self.dag = self.spec.dag()
         # Imported here: sqlite3 and the store load with the first
         # engine, not with every ``import repro.campaigns``.
@@ -401,11 +420,11 @@ class CampaignEngine:
                         )
                     return
             inflight += 1
-            self.backend.submit(
+            self.supervisor.submit(
                 name,
-                state.spec.step,
-                self._make_context(state.spec, values),
-                timeout_seconds=state.policy.timeout_seconds,
+                _execute_stage,
+                (state.spec.step, self._make_context(state.spec, values)),
+                state.policy.timeout_seconds,
             )
 
         def settle(name: str, report: tuple) -> None:
@@ -463,7 +482,6 @@ class CampaignEngine:
                     )
                 )
 
-        self.backend.start()
         try:
             # Replay journaled history in topological order first, so
             # a replayed failure skips its cone before the scheduler
@@ -483,7 +501,7 @@ class CampaignEngine:
 
                 progressed = False
                 for name in order:
-                    if inflight >= self.backend.capacity():
+                    if inflight >= self.supervisor.capacity:
                         break
                     state = states[name]
                     if (
@@ -499,7 +517,7 @@ class CampaignEngine:
                     progressed = True
 
                 if inflight > 0:
-                    for name, report in self.backend.drain():
+                    for name, report in self.supervisor.drain():
                         settle(name, report)
                         progressed = True
                 if progressed or len(outcomes) >= len(order):
@@ -518,14 +536,14 @@ class CampaignEngine:
                     f"{len(order) - len(outcomes)} stages unrunnable"
                 )
         finally:
-            self.backend.stop()
+            self.supervisor.stop()
 
         return CampaignResult(
             spec=self.spec,
             outcomes=outcomes,
             values=values,
             order=list(order),
-            backend=self.backend.name,
+            backend=self.backend,
         )
 
     def _backoff_key(self, stage: str) -> str:

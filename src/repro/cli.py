@@ -961,7 +961,12 @@ def _store_command(parser, args) -> int:
             "store needs a subcommand: init, submit, run, status, "
             "results, gc or verify"
         )
-    store = ResultStore(args.directory)
+    # submit and run execute through the lease protocol, so they hold
+    # the store's shared lock, as service workers do.
+    store = ResultStore(
+        args.directory,
+        shared_writer=args.store_command in ("submit", "run"),
+    )
     try:
         if args.store_command == "init":
             store.open()
@@ -972,8 +977,7 @@ def _store_command(parser, args) -> int:
             return _store_submit(parser, args, store)
         if args.store_command == "run":
             workers = resolve_workers(args.workers)
-            record = _store_execute(parser, store, args.id, workers)
-            return 0 if record["state"] == "done" else 1
+            return _store_execute(args.directory, args.id, workers)
         if args.store_command == "status":
             rows = store.status()
             summary = store.queue_summary()
@@ -1102,27 +1106,31 @@ def _store_submit(parser, args, store) -> int:
     if args.defer:
         return 0
     workers = resolve_workers(args.workers)
-    record = _store_execute(parser, store, submission_id, workers)
-    return 0 if record["state"] == "done" else 1
+    return _store_execute(args.directory, submission_id, workers)
 
 
-def _store_execute(parser, store, submission_id: int, workers: int):
-    """Drive one submission through ``run_submission`` and report."""
-    from repro.errors import ReproError, StoreError
-    from repro.scenarios.sweeps import run_scenario_point
+def _store_execute(directory, submission_id: int, workers: int) -> int:
+    """Lease one submission and run it as a service worker would
+    (heartbeats, fenced release); report its state."""
+    from repro.service.workers import Worker
 
-    try:
-        store.run_submission(
-            submission_id, run_scenario_point, workers=workers
+    with Worker(directory, point_workers=workers) as worker:
+        record = worker.claim(submission_id)
+        if record is not None:
+            worker.execute(record)
+        record = worker.store.submission(submission_id)
+    if record["state"] == "running":
+        print(
+            f"error: submission {submission_id} is running under a live "
+            f"lease held by {record['claimed_by']}",
+            file=sys.stderr,
         )
-    except (StoreError, ReproError) as exc:
-        parser.error(str(exc))
-    record = store.submission(submission_id)
+        return 1
     print(
         f"[store] submission {submission_id}: {record['state']} "
         f"(ok={record['ok_points']}, failed={record['failed_points']})"
     )
-    return record
+    return 0 if record["state"] == "done" else 1
 
 
 def _serve_command(parser, args) -> int:

@@ -1,9 +1,13 @@
-"""One process-pool supervisor: every worker pool in the repo.
+"""One supervisor for every attempt the repo runs, pooled or not.
 
-Sweeps (:func:`repro.experiments.sweep.run_sweep`) and the campaign
-``process`` backend hand their attempts to a :class:`PoolSupervisor`
-and keep only their own retry policy.  The engine decides *what* runs;
-only the supervisor knows about processes.  Its rules:
+Sweeps (:func:`repro.experiments.sweep.run_sweep`) and campaigns
+(:class:`repro.campaigns.engine.CampaignEngine`) hand their attempts
+to a :class:`PoolSupervisor` and keep only their own retry policy.
+The engine decides *what* runs; only the supervisor knows *where*.
+In-process mode (``in_process=True``) runs each task without a
+deadline inside :meth:`PoolSupervisor.drain`, one per call, in
+submission order; a task with a deadline still goes to the pool,
+since only a process can be killed.  The pool's rules:
 
 - At most ``capacity`` tasks run at once; the rest queue in submission
   order.  A task's deadline starts when it is dispatched.
@@ -52,7 +56,7 @@ def timed_call(fn: Callable[..., Any], args: Sequence[Any]) -> Report:
     """Call ``fn(*args)`` once, timed; an exception becomes a report.
 
     The one "call, catch, time" step behind every attempt, in pool
-    workers and in the in-process serial paths alike.  Returns
+    workers and in the supervisor's in-process mode alike.  Returns
     ``("ok", value, elapsed)`` or ``("err", error_text,
     traceback_text, exception, elapsed)``; ``KeyboardInterrupt`` and
     ``SystemExit`` propagate.
@@ -155,11 +159,14 @@ class _Task:
 
 
 class PoolSupervisor:
-    """Runs keyed tasks in a process pool under the module's rules.
+    """Runs keyed tasks under the module's rules.
 
     ``submit`` tasks, ``drain`` their reports, ``stop`` in a
     ``finally``.  The pool is built on first use and rebuilt as
-    needed; a stopped supervisor may be used again.
+    needed; a stopped supervisor may be used again.  With
+    ``in_process=True`` tasks without a timeout never reach it: each
+    :meth:`drain` call runs the oldest of them here, via
+    :func:`timed_call` (``KeyboardInterrupt`` propagates).
 
     >>> supervisor = PoolSupervisor(2)
     >>> try:
@@ -168,11 +175,18 @@ class PoolSupervisor:
     ... finally:
     ...     supervisor.stop()
     ('ok', (3, 1))
+    >>> inline = PoolSupervisor(1, in_process=True)
+    >>> inline.submit("b", divmod, (9, 4))
+    >>> [(key, report[:2]) for key, report in inline.drain()]
+    [('b', ('ok', (2, 1)))]
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, in_process: bool = False) -> None:
         self.capacity = max(1, capacity)
+        self._in_process = in_process
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: In-process mode's tasks without a deadline, oldest first.
+        self._inline: Deque[_Task] = deque()
         self._queue: Deque[_Task] = deque()
         #: Tasks awaiting an exclusive run, for crash attribution.
         self._suspects: Deque[_Task] = deque()
@@ -185,16 +199,12 @@ class PoolSupervisor:
     def pending(self) -> int:
         """Submissions whose report has not been drained yet."""
         return (
-            len(self._queue)
+            len(self._inline)
+            + len(self._queue)
             + len(self._suspects)
             + len(self._inflight)
             + len(self._reports)
         )
-
-    def start(self) -> None:
-        """Build the pool now instead of at the first dispatch."""
-        if self._pool is None:
-            self._pool = _process_pool(self.capacity)
 
     def stop(self) -> None:
         """Release the workers and forget all unreported work.
@@ -208,6 +218,7 @@ class PoolSupervisor:
                 _terminate_pool(pool)
             else:
                 pool.shutdown(wait=True, cancel_futures=True)
+        self._inline.clear()
         self._queue.clear()
         self._suspects.clear()
         self._inflight.clear()
@@ -223,12 +234,15 @@ class PoolSupervisor:
     ) -> None:
         """Queue ``fn(*args)``; its report comes back under ``key``.
 
-        ``fn`` must be picklable by reference (module-level).
-        ``timeout`` is the wall-clock budget in seconds, counted from
-        dispatch.  Keys must be unique among pending submissions.
+        ``fn`` must be picklable by reference (module-level) unless it
+        runs in-process.  ``timeout`` is the wall-clock budget in
+        seconds, counted from dispatch.  Keys must be unique among
+        pending submissions.
         """
         task = _Task(key, fn, tuple(args), timeout)
-        if key in self._convicted:
+        if self._in_process and timeout is None:
+            self._inline.append(task)
+        elif key in self._convicted:
             self._convicted.discard(key)
             self._suspects.append(task)
         else:
@@ -242,10 +256,14 @@ class PoolSupervisor:
 
         Returns early, possibly empty, once ``timeout`` seconds pass
         (sleeping them out if nothing is running) or when nothing is
-        pending at all.
+        pending at all.  An in-process task runs to completion whatever
+        the ``timeout``.
         """
         until = None if timeout is None else time.monotonic() + timeout
         self._dispatch()
+        if not self._reports and self._inline:
+            task = self._inline.popleft()
+            self._reports.append((task.key, timed_call(task.fn, task.args)))
         while not self._reports and self._inflight:
             now = time.monotonic()
             if until is not None and now >= until:
@@ -286,7 +304,8 @@ class PoolSupervisor:
             else:
                 return
             task = queue[0]
-            self.start()
+            if self._pool is None:
+                self._pool = _process_pool(self.capacity)
             try:
                 future = self._pool.submit(timed_call, task.fn, task.args)
             except (BrokenProcessPool, RuntimeError):

@@ -9,9 +9,9 @@ simulation campaigns.  This module turns those grids into declarative
   replication)`` via :func:`repro.sim.rng.derive_seed`, so the point's
   result is a function of its coordinates alone, never of which worker
   ran it or in what order.
-- **Process-pool execution** — :func:`run_sweep` fans points across
-  ``workers`` processes of a :class:`~repro.experiments.pool.
-  PoolSupervisor` (serial in-process fallback when ``workers=1``)
+- **One executor** — :func:`run_sweep` hands every attempt to a
+  :class:`~repro.experiments.pool.PoolSupervisor`: ``workers``
+  processes, or its in-process mode when ``workers=1``,
   and always returns results in *point order*; streaming consumers see
   the same order regardless of completion order.
 - **Opt-in durable cache** — results are memoised in a
@@ -66,7 +66,7 @@ from repro.experiments.resilience import (
     FailurePolicy,
     PointOutcome,
 )
-from repro.experiments.pool import PoolSupervisor, timed_call
+from repro.experiments.pool import PoolSupervisor
 from repro.sim.rng import derive_seed
 
 #: Environment knobs: default worker count and cache directory for
@@ -470,7 +470,7 @@ def _run_point(
     point_index: int,
     attempt: int,
 ) -> Any:
-    """One attempt of one point (run through :func:`timed_call`).
+    """One attempt of one point, as the supervisor runs it.
 
     Chaos is injected before the runner runs, so injection can never
     perturb the runner's RNG draws.
@@ -572,9 +572,14 @@ def run_sweep(
     terminal outcomes as they happen; with ``resume=True`` a re-run
     skips journaled points (completed ones come back from the cache,
     permanent failures are replayed as outcomes).  ``chaos`` injects
-    deterministic faults for testing recovery paths.  A point needing process isolation (a timeout is
-    set, or chaos may hang/kill) executes through a worker pool even
-    at ``workers=1`` — results are byte-identical either way.
+    deterministic faults for testing recovery paths.
+
+    At ``workers=1`` (or with at most one point to run) attempts run
+    in this process, one after another in point order, retries
+    queued behind the points already submitted.  A point needing
+    process isolation (a timeout is set, or chaos may hang/kill)
+    executes through a worker pool even at ``workers=1`` — results
+    are byte-identical either way.
 
     >>> spec = SweepSpec("doc", axes={"x": [1, 2, 3]})
     >>> run_sweep(spec, lambda params, seed: params["x"] * 10,
@@ -693,21 +698,20 @@ def run_sweep(
         isolate = policy.timeout_seconds is not None or (
             chaos is not None and chaos.needs_isolation()
         )
-        if (workers == 1 or len(to_run) <= 1) and not isolate:
-            _run_serial(
-                to_run, runner, policy, chaos, finish, fail_terminal, flush
-            )
-        elif to_run:
-            _run_pool(
-                to_run,
-                runner,
-                workers,
-                policy,
-                chaos,
-                finish,
-                fail_terminal,
-                flush,
-            )
+        in_process = (workers == 1 or len(to_run) <= 1) and not isolate
+        _run_points(
+            to_run,
+            runner,
+            PoolSupervisor(
+                1 if in_process else min(workers, len(to_run)),
+                in_process=in_process,
+            ),
+            policy,
+            chaos,
+            finish,
+            fail_terminal,
+            flush,
+        )
         flush()
     finally:
         if journal is not None:
@@ -726,70 +730,22 @@ def run_sweep(
     )
 
 
-def _run_serial(
+def _run_points(
     to_run: List[SweepPoint],
     runner: PointRunner,
+    supervisor: PoolSupervisor,
     policy: FailurePolicy,
     chaos: Optional[ChaosSpec],
     finish: Callable[[SweepPoint, Any, PointOutcome], None],
     fail_terminal: Callable[..., None],
     flush: Callable[[], None],
 ) -> None:
-    """In-process execution with retries (no timeout/hang/die chaos)."""
-    for point in to_run:
-        state = _PointState(point)
-        while True:
-            # The runner gets a copy so an in-process mutation can
-            # never corrupt the point's identity (cache key, reports) —
-            # pool workers get a pickled copy for free.
-            result = timed_call(
-                _run_point,
-                (
-                    runner,
-                    dict(point.params),
-                    point.seed,
-                    chaos,
-                    point.index,
-                    state.next_attempt,
-                ),
-            )
-            if result[0] == "ok":
-                _, value, elapsed = result
-                state.attempt_seconds.append(elapsed)
-                finish(point, value, state.outcome(STATUS_OK))
-                break
-            _, text, trace, exception, elapsed = result
-            state.attempt_seconds.append(elapsed)
-            state.failures += 1
-            state.last_error = text
-            state.last_traceback = trace
-            if state.failures >= policy.max_attempts:
-                fail_terminal(
-                    point, state.outcome(STATUS_FAILED), exception
-                )
-                break
-            delay = policy.backoff_for(state.failures, key=point.key())
-            if delay > 0.0:
-                time.sleep(delay)
-        flush()
-
-
-def _run_pool(
-    to_run: List[SweepPoint],
-    runner: PointRunner,
-    workers: int,
-    policy: FailurePolicy,
-    chaos: Optional[ChaosSpec],
-    finish: Callable[[SweepPoint, Any, PointOutcome], None],
-    fail_terminal: Callable[..., None],
-    flush: Callable[[], None],
-) -> None:
-    """Pool execution: the sweep's retry budgets over a supervisor.
+    """The sweep's retry budgets over a supervisor.
 
     The :class:`~repro.experiments.pool.PoolSupervisor` runs the
-    attempts, enforces the per-point timeout and attributes worker
-    crashes (innocents re-run alone, uncharged); this loop only
-    charges outcomes.  A failure or timeout spends one of
+    attempts (in-process or in its pool), enforces the per-point
+    timeout and attributes worker crashes (innocents re-run alone,
+    uncharged); this loop only charges outcomes.  A failure or timeout spends one of
     ``policy.max_attempts`` and retries after its backoff.  A crash —
     reported only once a solo run convicted the point — spends one of
     ``policy.max_crashes`` and retries at once, alone, until the
@@ -801,7 +757,6 @@ def _run_pool(
     states = {point.index: _PointState(point) for point in to_run}
     #: (eligible_monotonic, index) pairs sleeping out a backoff.
     waiting: List[Tuple[float, int]] = []
-    supervisor = PoolSupervisor(min(workers, len(to_run)))
 
     def submit(index: int) -> None:
         state = states[index]
@@ -810,7 +765,9 @@ def _run_pool(
             _run_point,
             (
                 runner,
-                state.point.params,
+                # A copy, so an in-process runner mutating it can never
+                # corrupt the point's identity (cache key, reports).
+                dict(state.point.params),
                 state.point.seed,
                 chaos,
                 index,

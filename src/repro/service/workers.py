@@ -254,11 +254,7 @@ class Worker:
             except (AttributeError, OSError):
                 pass  # no FIFOs on this platform or filesystem: poll
         while not self._stop.is_set():
-            record = self.store.claim_next_submission(
-                self.worker_id,
-                lease_seconds=self.lease_seconds,
-                max_claims=self.max_claims,
-            )
+            record = self.claim()
             if record is not None:
                 if self.execute(record):
                     executed += 1
@@ -283,6 +279,18 @@ class Worker:
         return summary["pending"] == 0 and summary["running"] == 0
 
     # -- one submission ------------------------------------------------------
+
+    def claim(
+        self, submission_id: Optional[int] = None
+    ) -> Optional[Dict[str, Any]]:
+        """Lease the oldest claimable submission — or, given an id,
+        that one only; ``None`` if there is nothing to claim."""
+        return self.store.claim_next_submission(
+            self.worker_id,
+            lease_seconds=self.lease_seconds,
+            max_claims=self.max_claims,
+            submission_id=submission_id,
+        )
 
     def execute(self, record: Dict[str, Any]) -> bool:
         """Run one claimed submission; ``True`` if it reached a

@@ -8,8 +8,10 @@ submissions, columns, gc.
 - ``CampaignEngine`` talks to it through :class:`~repro.store.
   campaign.StoreCampaignJournal` (stage outcomes and values);
 - the CLI ``store submit|status|results|gc`` verbs call
-  :meth:`submit`, :meth:`run_submission`, :meth:`status`,
-  :meth:`results_rows` and :meth:`gc` directly.
+  :meth:`submit`, :meth:`status`, :meth:`results_rows` and :meth:`gc`
+  directly; ``store submit`` and ``store run`` execute a submission
+  the way a service worker does, through the lease protocol
+  (:meth:`claim_next_submission`, :meth:`run_claimed_submission`).
 
 Durability contract (proven by ``tests/store/test_crash.py``): every
 point value and outcome is committed in its own WAL transaction, so a
@@ -865,19 +867,6 @@ class ResultStore:
         wake.ring(self.directory)
         return submission_id
 
-    def _set_submission_state(
-        self, submission_id: int, state: str, **fields: Any
-    ) -> None:
-        assignments = ", ".join(
-            ["state = ?", "updated_at = ?"]
-            + [f"{name} = ?" for name in fields]
-        )
-        with self._write() as conn:
-            conn.execute(
-                f"UPDATE submissions SET {assignments} WHERE id = ?",
-                (state, self.db.now(), *fields.values(), submission_id),
-            )
-
     def submission(self, submission_id: int) -> Dict[str, Any]:
         row = self.db.connection().execute(
             """
@@ -923,8 +912,10 @@ class ResultStore:
 
         A *stale lease* is a ``running`` submission whose lease has
         expired — its worker died (or wedged past the lease window)
-        and the next claim will take it over.  A pure read: safe
-        while workers are live.
+        and the next claim will take it over — or that carries no
+        lease at all (a store written before ``store run`` took
+        leases can hold such a row).  A pure read: safe while workers
+        are live.
         """
         now = self.db.now() if now is None else now
         conn = self.db.connection()
@@ -936,8 +927,8 @@ class ResultStore:
         stale = conn.execute(
             """
             SELECT COUNT(*) FROM submissions
-            WHERE state = 'running' AND lease_expires_at IS NOT NULL
-              AND lease_expires_at < ?
+            WHERE state = 'running'
+              AND (lease_expires_at IS NULL OR lease_expires_at < ?)
             """,
             (now,),
         ).fetchone()[0]
@@ -953,12 +944,15 @@ class ResultStore:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         now: Optional[float] = None,
         max_claims: Optional[int] = DEFAULT_MAX_CLAIMS,
+        submission_id: Optional[int] = None,
     ) -> Optional[Dict[str, Any]]:
         """Atomically claim the oldest claimable submission, or None.
 
         Claimable: ``pending``, or ``running`` with an expired lease
         (its worker died — the per-point transactions mean the new
-        holder re-runs only the uncommitted remainder).  The claim is
+        holder re-runs only the uncommitted remainder) or with none
+        (see :meth:`queue_summary`).  ``submission_id`` narrows the
+        claim to that one submission (``store run``).  The claim is
         one ``BEGIN IMMEDIATE`` transaction, so two workers can never
         claim the same submission: the loser sees the winner's
         committed ``claimed_by``.  A submission already claimed
@@ -966,8 +960,8 @@ class ResultStore:
         protection); pass ``max_claims=None`` to retry forever.
 
         The claim re-stamps ``code_version`` with the executing
-        worker's, exactly as :meth:`run_submission` does for deferred
-        submissions.
+        worker's: a deferred submission run from a newer checkout
+        stores (and must later read) its points under that version.
         """
         if lease_seconds <= 0:
             raise ConfigurationError("lease_seconds must be > 0")
@@ -977,14 +971,16 @@ class ResultStore:
             rows = conn.execute(
                 """
                 SELECT id, attempts FROM submissions
-                WHERE state = 'pending'
-                   OR (state = 'running' AND lease_expires_at IS NOT NULL
-                       AND lease_expires_at < ?)
+                WHERE (state = 'pending'
+                       OR (state = 'running'
+                           AND (lease_expires_at IS NULL
+                                OR lease_expires_at < ?)))
+                  AND (? IS NULL OR id = ?)
                 ORDER BY id
                 """,
-                (now,),
+                (now, submission_id, submission_id),
             ).fetchall()
-            for submission_id, attempts in rows:
+            for candidate, attempts in rows:
                 if max_claims is not None and attempts >= max_claims:
                     conn.execute(
                         """
@@ -998,7 +994,7 @@ class ResultStore:
                             f"abandoned after {attempts} failed claims "
                             "(worker crash loop?)",
                             now,
-                            submission_id,
+                            candidate,
                         ),
                     )
                     continue
@@ -1015,10 +1011,10 @@ class ResultStore:
                         now + lease_seconds,
                         self.code_version,
                         now,
-                        submission_id,
+                        candidate,
                     ),
                 )
-                claimed_id = submission_id
+                claimed_id = candidate
                 break
             crash_point("lease-claim-pre-commit")
         crash_point("lease-claim-post-commit")
@@ -1110,8 +1106,7 @@ class ResultStore:
     ) -> Tuple[Any, bool]:
         """Execute a submission this worker has claimed.
 
-        The lease-protocol sibling of :meth:`run_submission`: the
-        claim already flipped the state to ``running`` and stamped
+        The claim already flipped the state to ``running`` and stamped
         the code version, so this only checks the fence, runs the
         store-backed sweep (resuming past committed points), finalizes
         the columns and releases the lease into ``done``/``failed``
@@ -1176,66 +1171,6 @@ class ResultStore:
             ),
         )
         return result, released
-
-    def run_submission(
-        self,
-        submission_id: int,
-        runner: Any,
-        workers: Optional[int] = None,
-        policy: Optional[Any] = None,
-        finalize: bool = True,
-    ) -> Any:
-        """Execute one submission through the store-backed sweep path.
-
-        The sweep runs with this store as cache *and* journal, so a
-        crash mid-run resumes from the committed points; afterwards
-        the sweep is finalized into columnar shards and the
-        submission flipped to ``done``/``failed``.
-        """
-        from repro.experiments.sweep import run_sweep, runner_name
-
-        record = self.submission(submission_id)
-        spec = SweepSpec.from_dict(json.loads(record["spec_json"]))
-        name = runner_name(runner)
-        if name != record["runner"]:
-            raise ConfigurationError(
-                f"submission {submission_id} was recorded for runner "
-                f"{record['runner']!r}, got {name!r}"
-            )
-        # Re-stamp the code version at execution time: a deferred
-        # submission run from a newer checkout stores (and must later
-        # read) its points under the executing version.
-        self._set_submission_state(
-            submission_id, "running", code_version=self.code_version
-        )
-        try:
-            result = run_sweep(
-                spec,
-                runner,
-                workers=workers,
-                cache=self.sweep_cache(),
-                policy=policy,
-                journal=self.run_journal(spec.experiment_id, name),
-                resume=True,
-            )
-        except BaseException as exc:
-            self._set_submission_state(
-                submission_id, "failed", error=f"{type(exc).__name__}: {exc}"
-            )
-            raise
-        if finalize and result.failure_count == 0:
-            self.finalize_sweep(spec, name)
-        self._set_submission_state(
-            submission_id,
-            "done" if result.failure_count == 0 else "failed",
-            ok_points=result.ok_count,
-            failed_points=result.failure_count,
-            error=(
-                None if result.failure_count == 0 else
-                result.failures()[0].describe()
-            ),
-        )
-        return result
 
     def results_rows(
         self,

@@ -1,20 +1,13 @@
 """Campaign engine tests: execution, retries, cone-skips, resume."""
 
-import multiprocessing
-import os
-import signal
 import sqlite3
-import time
 
 import pytest
 
 from repro.campaigns import (
     CampaignEngine,
     CampaignSpec,
-    LocalPoolBackend,
-    StageContext,
     StageSpec,
-    create_backend,
     stage_seed,
 )
 from repro.campaigns.journal import STATUS_SKIPPED
@@ -251,11 +244,6 @@ class TestBackends:
         assert second.resumed_stages() == ["a", "b", "c", "d"]
         assert second.canonical_digest() == first.canonical_digest()
 
-    def test_backend_instances_are_accepted(self, diamond, tmp_path):
-        backend = create_backend("serial")
-        result = run(diamond, tmp_path, backend=backend)
-        assert result.ok
-
     def test_crash_is_not_charged_to_an_innocent_sibling(self, tmp_path):
         spec = diamond_campaign(
             b={"step": "t.die_once", "after": ("a",),
@@ -273,25 +261,6 @@ class TestBackends:
         assert result.outcomes["b"].ok
         assert result.ok
         assert not (tmp_path / "b.die").exists()
-
-    def test_worker_that_died_idle_is_replaced(self, tmp_path):
-        backend = LocalPoolBackend(workers=2)
-        backend.start()
-        try:
-            backend.submit("a", "t.add", StageContext("a", {"x": 1},
-                                                      state_dir=tmp_path))
-            assert backend.drain()[0][1][:2] == ("ok", 1)
-            victim = multiprocessing.active_children()[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=5.0)
-            time.sleep(0.5)  # let the executor notice the dead worker
-            backend.submit("b", "t.add", StageContext("b", {"x": 2},
-                                                      state_dir=tmp_path))
-            [(stage, report)] = backend.drain()
-        finally:
-            backend.stop()
-        assert (stage, report[:2]) == ("b", ("ok", 2))
-        assert not multiprocessing.active_children()
 
 
 class TestJournalGuard:

@@ -3,6 +3,7 @@ refusals (sweeps and campaign stages test it end to end)."""
 
 import multiprocessing
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -57,3 +58,108 @@ def test_a_pool_that_keeps_refusing_work_raises(monkeypatch):
             supervisor.submit("a", time.sleep, (0.0,))
     finally:
         supervisor.stop()
+
+
+def test_worker_that_died_idle_is_replaced():
+    supervisor = PoolSupervisor(2)
+    try:
+        supervisor.submit("a", divmod, (7, 2))
+        assert supervisor.drain()[0][1][:2] == ("ok", (3, 1))
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        time.sleep(0.5)  # let the executor notice the dead worker
+        supervisor.submit("b", divmod, (9, 4))
+        [(key, report)] = supervisor.drain()
+    finally:
+        supervisor.stop()
+    assert (key, report[:2]) == ("b", ("ok", (2, 1)))
+    assert not multiprocessing.active_children()
+
+
+class TestInProcess:
+    def test_inline_tasks_run_in_submission_order_one_per_drain(self):
+        calls = []
+        supervisor = PoolSupervisor(1, in_process=True)
+        for key in "cab":
+            supervisor.submit(key, calls.append, (key,))
+        assert calls == []  # submit only queues
+        drained = []
+        while supervisor.pending:
+            reports = supervisor.drain()
+            assert len(reports) == 1
+            drained.append(reports[0][0])
+        assert drained == calls == ["c", "a", "b"]
+        assert not multiprocessing.active_children()
+
+    def test_inline_task_sees_the_callers_objects(self):
+        # No pickling: the task gets the very object submitted.
+        box = []
+        supervisor = PoolSupervisor(1, in_process=True)
+        supervisor.submit("a", box.append, (1,))
+        assert supervisor.drain()[0][1][:2] == ("ok", None)
+        assert box == [1]
+
+    def test_inline_error_report_carries_the_original_exception(self):
+        error = ValueError("boom")
+
+        def fail():
+            raise error
+
+        supervisor = PoolSupervisor(1, in_process=True)
+        supervisor.submit("a", fail)
+        [(key, report)] = supervisor.drain()
+        assert report[:2] == ("err", "ValueError: boom")
+        assert report[3] is error
+
+    def test_task_with_deadline_times_out_in_a_killed_pool(self):
+        supervisor = PoolSupervisor(1, in_process=True)
+        try:
+            supervisor.submit("hang", time.sleep, (30.0,), timeout=0.5)
+            supervisor.submit("inline", os.getpid)
+            start = time.monotonic()
+            reports = _drain_all(supervisor)
+        finally:
+            supervisor.stop()
+        assert time.monotonic() - start < 10.0
+        assert reports["hang"][0] == "timeout"
+        assert reports["inline"][:2] == ("ok", os.getpid())
+        assert not multiprocessing.active_children()
+
+    def test_task_with_deadline_that_finishes_runs_in_a_child(self):
+        supervisor = PoolSupervisor(1, in_process=True)
+        try:
+            supervisor.submit("pid", os.getpid, timeout=30.0)
+            [(key, report)] = supervisor.drain()
+        finally:
+            supervisor.stop()
+        assert report[0] == "ok" and report[1] != os.getpid()
+        assert not multiprocessing.active_children()
+
+    def test_stop_forgets_queued_inline_work(self):
+        calls = []
+        supervisor = PoolSupervisor(1, in_process=True)
+        supervisor.submit("a", calls.append, ("a",))
+        supervisor.submit("b", calls.append, ("b",))
+        supervisor.stop()
+        assert supervisor.pending == 0
+        assert supervisor.drain() == []
+        assert calls == []
+        # A stopped supervisor may be used again.
+        supervisor.submit("c", calls.append, ("c",))
+        assert [key for key, _ in supervisor.drain()] == ["c"]
+        assert calls == ["c"]
+
+    def test_keyboard_interrupt_propagates(self):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        supervisor = PoolSupervisor(1, in_process=True)
+        supervisor.submit("a", interrupt)
+        supervisor.submit("b", os.getpid)
+        with pytest.raises(KeyboardInterrupt):
+            supervisor.drain()
+        # The interrupted task is gone; the rest stays queued.
+        assert supervisor.pending == 1
+        supervisor.stop()
+        assert supervisor.pending == 0

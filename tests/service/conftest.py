@@ -191,7 +191,8 @@ with ResultStore(workdir / "store", code_version="pinned") as store:
 """
 
 #: The byte-identity baseline: the same submission run serially
-#: through ``run_submission`` (the `store run` path) in a clean store.
+#: down the `store run` path (claim it by id, one worker, in-process
+#: points) in a clean store.
 SERIAL_DRIVER = """
 import hashlib, json, os, sys
 from pathlib import Path
@@ -201,15 +202,15 @@ sys.path.insert(0, str(workdir))
 os.environ["SVC_MARKS"] = str(workdir / "serial-points")
 
 from repro.experiments.sweep import SweepSpec, canonical_bytes
-from repro.store import ResultStore
-
-import svc_runner
+from repro.service.workers import Worker
 
 spec = SweepSpec("svc-grid", axes={"x": list(range(6))})
-with ResultStore(workdir / "clean-store", code_version="pinned") as store:
-    sid = store.submit("svc", spec, "svc_runner:marker_runner")
-    store.run_submission(sid, svc_runner.marker_runner, workers=1)
-    headers, rows = store.results_rows(sid)
+with Worker(
+    workdir / "clean-store", code_version="pinned", point_workers=1
+) as worker:
+    sid = worker.store.submit("svc", spec, "svc_runner:marker_runner")
+    assert worker.execute(worker.claim(sid))
+    headers, rows = worker.store.results_rows(sid)
 (workdir / "serial.json").write_text(json.dumps({
     "digest": hashlib.sha256(
         canonical_bytes([headers, rows])

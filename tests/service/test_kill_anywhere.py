@@ -6,8 +6,8 @@ stand-in for SIGKILL) at *any* store commit boundary or lease-protocol
 boundary never loses the submission — after its lease expires a second
 worker claims the remainder, re-executes **zero** points whose values
 had committed before the kill, and finishes with a results table
-byte-identical to the same submission run serially through
-``run_submission`` (the ``store run`` path) in a clean store.
+byte-identical to the same submission run serially down the
+``store run`` path in a clean store.
 
 Layout per scenario (all in fresh interpreters via ``run_driver``):
 

@@ -75,6 +75,40 @@ class TestClaim:
         assert store.release_submission(sid, "w1", "done", now=1.0)
         assert store.claim_next_submission("w2", now=1000.0) is None
 
+    def test_claim_can_name_one_submission(self, store):
+        first = submit(store, name="a")
+        second = submit(store, name="b")
+        record = store.claim_next_submission(
+            "w1", now=0.0, submission_id=second
+        )
+        assert record["id"] == second
+        assert store.submission(first)["state"] == "pending"
+        # Held under a live lease, or unknown: nothing to claim.
+        assert store.claim_next_submission(
+            "w2", now=1.0, submission_id=second
+        ) is None
+        assert store.claim_next_submission(
+            "w2", now=1.0, submission_id=999
+        ) is None
+        assert store.claim_next_submission("w2", now=1.0)["id"] == first
+
+    def test_running_row_without_a_lease_is_claimable(self, store):
+        # Stores written before `store run` took leases can hold a
+        # `running` row with no holder and no lease.
+        sid = submit(store)
+        with store.db.transaction() as conn:
+            conn.execute(
+                "UPDATE submissions SET state = 'running' WHERE id = ?",
+                (sid,),
+            )
+        assert store.queue_summary(now=0.0)["stale_leases"] == 1
+        record = store.claim_next_submission(
+            "w1", lease_seconds=30.0, now=100.0, submission_id=sid
+        )
+        assert record["claimed_by"] == "w1"
+        assert record["lease_expires_at"] == 130.0
+        assert store.queue_summary(now=101.0)["stale_leases"] == 0
+
     def test_claim_rejects_nonpositive_lease(self, store):
         submit(store)
         with pytest.raises(ConfigurationError):

@@ -12,6 +12,19 @@ from repro.store import ResultStore
 from tests.store.conftest import grid_spec, mixed_runner, scalar_runner
 
 
+def run_submission(store, submission_id, runner):
+    """Lease one submission and run it, as ``store run`` does."""
+    record = store.claim_next_submission(
+        "test-worker", submission_id=submission_id
+    )
+    assert record is not None and record["id"] == submission_id
+    result, released = store.run_claimed_submission(
+        submission_id, runner, "test-worker"
+    )
+    assert released
+    return result
+
+
 def big_int_runner(params, seed):
     """An int metric that outgrows int64 at odd points, plus a string."""
     x = params["x"]
@@ -40,7 +53,7 @@ class TestSubmissions:
         submission_id = store.submit(
             "go", spec, runner_name(scalar_runner)
         )
-        result = store.run_submission(submission_id, scalar_runner)
+        result = run_submission(store, submission_id, scalar_runner)
         assert result.ok_count == 5
         record = store.submission(submission_id)
         assert record["state"] == "done"
@@ -55,7 +68,7 @@ class TestSubmissions:
         submission_id = store.submit(
             "m", spec, runner_name(mixed_runner)
         )
-        store.run_submission(submission_id, mixed_runner)
+        run_submission(store, submission_id, mixed_runner)
         headers, rows = store.results_rows(submission_id)
         # Scalar metrics only — strings/nested live in the residual.
         assert headers == ["index", "params", "count", "seed_mod", "y"]
@@ -66,7 +79,7 @@ class TestSubmissions:
         submission_id = store.submit(
             "r", spec, runner_name(big_int_runner)
         )
-        store.run_submission(submission_id, big_int_runner)
+        run_submission(store, submission_id, big_int_runner)
         decodes = (store.stats["unpickle"], store.stats["json_decode"])
         # Column-resident metrics decode nothing.
         headers, rows = store.results_rows(submission_id, metrics=["y"])
@@ -90,7 +103,7 @@ class TestSubmissions:
         spec = grid_spec(3, "sub-touch")
         name = runner_name(scalar_runner)
         submission_id = store.submit("t", spec, name)
-        store.run_submission(submission_id, scalar_runner)
+        run_submission(store, submission_id, scalar_runner)
         with store.db.transaction() as conn:
             conn.execute("UPDATE sweeps SET last_read_at = NULL")
         touches = store.stats["read_touch"]
@@ -114,7 +127,7 @@ class TestSubmissions:
             "w", spec, runner_name(scalar_runner)
         )
         with pytest.raises(ConfigurationError, match="recorded for runner"):
-            store.run_submission(submission_id, mixed_runner)
+            run_submission(store, submission_id, mixed_runner)
 
     def test_unknown_submission_raises(self, store):
         with pytest.raises(StoreError, match="no submission"):
@@ -193,6 +206,9 @@ class TestStoreCli:
 
         assert main(["store", "run", directory, "1"]) == 0
         assert "done (ok=2, failed=0)" in capsys.readouterr().out
+        # A finished submission is reported, not run again.
+        assert main(["store", "run", directory, "1"]) == 0
+        assert "done (ok=2, failed=0)" in capsys.readouterr().out
 
         assert main([
             "store", "results", directory, "1",
@@ -265,3 +281,91 @@ class TestStoreCli:
             "store.sqlite3", "store.sqlite3-wal", "store.sqlite3-shm",
             "store.sqlite3.lock",
         }
+
+
+RUN_DRIVER = """
+import sys
+from repro.cli import main
+sys.exit(main(["store", "run", sys.argv[1] + "/store", "1"]))
+"""
+
+
+class TestStoreRunLease:
+    """``store run`` executes under the lease protocol, like a worker."""
+
+    @pytest.fixture
+    def deferred(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_CODE_VERSION", "pinned")
+        directory = tmp_path / "store"
+        assert main([
+            "store", "submit", str(directory),
+            "--preset", "baseline-32",
+            "--axis", "seed=1,2,3",
+            "--horizon", "600",
+            "--defer",
+        ]) == 0
+        capsys.readouterr()
+        return directory
+
+    def test_killed_store_run_is_reclaimed_by_a_worker(
+        self, deferred, tmp_path, monkeypatch
+    ):
+        import functools
+        import time
+
+        import repro.scenarios.sweeps as sweeps
+        from repro.experiments.resilience import CHAOS_EXIT_CODE
+        from repro.service.workers import Worker
+
+        from tests.store.conftest import run_driver
+
+        killed = run_driver(
+            RUN_DRIVER, tmp_path,
+            env={"REPRO_STORE_FAULT": "point-post-commit:2"},
+        )
+        assert killed.returncode == CHAOS_EXIT_CODE, killed.stderr
+        later = time.time() + 1e6
+        with ResultStore(deferred, shared_writer=True) as store:
+            stranded = store.submission(1)
+            summary = store.queue_summary(now=later)
+        # The dead run left a lease behind, not an orphan.
+        assert stranded["state"] == "running"
+        assert stranded["claimed_by"] is not None
+        assert summary["stale_leases"] == 1
+
+        calls = []
+        original = sweeps.run_scenario_point
+
+        @functools.wraps(original)
+        def counting(params, seed):
+            calls.append(seed)
+            return original(params, seed)
+
+        # The worker resolves the recorded runner by name: this copy.
+        monkeypatch.setattr(sweeps, "run_scenario_point", counting)
+        with Worker(deferred) as worker:
+            record = worker.store.claim_next_submission(
+                worker.worker_id, now=later, submission_id=1
+            )
+            assert record is not None
+            assert worker.execute(record)
+            final = worker.store.submission(1)
+        assert final["state"] == "done"
+        assert (final["ok_points"], final["failed_points"]) == (3, 0)
+        assert final["claimed_by"] is None
+        # Two points committed before the kill; only the third ran.
+        assert len(calls) == 1
+
+    def test_store_run_under_a_live_lease_names_the_holder(
+        self, deferred, capsys
+    ):
+        with ResultStore(deferred, shared_writer=True) as store:
+            store.claim_next_submission("busy-worker", submission_id=1)
+        assert main(["store", "run", str(deferred), "1"]) == 1
+        captured = capsys.readouterr()
+        assert "busy-worker" in captured.err
+        with ResultStore(deferred, shared_writer=True) as store:
+            record = store.submission(1)
+        assert (record["state"], record["claimed_by"]) == (
+            "running", "busy-worker"
+        )
