@@ -12,26 +12,22 @@ runs such pipelines as declarative, journaled, resumable DAGs:
   downstream-cone computation;
 - :mod:`~repro.campaigns.steps` — the :data:`STEPS` registry mapping
   step names (``scenario.sweep``, ``strategy.compare``, …) to code;
-- :mod:`~repro.campaigns.journal` — :class:`StageOutcome`, the
-  terminal stage record the result store journals for resume;
 - :mod:`~repro.campaigns.engine` — :class:`CampaignEngine`, tying the
   above to per-stage retries, timeouts, cone-skipping and chaos; its
   stages run in-process (``serial``) or in a process pool
   (``process``) with byte-identical values, both through the sweep
-  engine's :class:`~repro.experiments.pool.PoolSupervisor`.
+  engine's :class:`~repro.experiments.pool.PoolSupervisor` and
+  :class:`~repro.experiments.pool.AttemptLedger`.  Each stage ends in
+  an :class:`~repro.experiments.resilience.Outcome`, the record sweep
+  points end in too, journaled in the result store for resume.
 """
 
 from repro.campaigns.dag import CampaignDAG
 from repro.campaigns.engine import (
     CampaignEngine,
     CampaignResult,
-    result_digest,
     run_campaign_spec,
     stage_seed,
-)
-from repro.campaigns.journal import (
-    STATUS_SKIPPED,
-    StageOutcome,
 )
 from repro.campaigns.spec import (
     CampaignSpec,
@@ -52,17 +48,14 @@ __all__ = [
     "CampaignEngine",
     "CampaignResult",
     "CampaignSpec",
-    "STATUS_SKIPPED",
     "STEPS",
     "StageContext",
-    "StageOutcome",
     "StageSpec",
     "StepRegistry",
     "list_campaigns",
     "load_campaign",
     "register_step",
     "resolve_step",
-    "result_digest",
     "run_campaign_spec",
     "stage_seed",
 ]

@@ -6,14 +6,17 @@ stage through a :class:`~repro.experiments.pool.PoolSupervisor` — the
 one sweeps use — under the stage's own
 :class:`~repro.experiments.resilience.FailurePolicy`:
 
-- a failing attempt retries with deterministic, per-stage-jittered
-  backoff;
+- the sweep engine's :class:`~repro.experiments.pool.AttemptLedger`
+  charges every report: a failing attempt retries with deterministic,
+  per-stage-jittered backoff, a convicted worker crash spends the
+  stage's crash budget;
 - an exhausted policy under ``on_error="raise"`` aborts the campaign
   with :class:`~repro.errors.CampaignError`;
 - under ``on_error="collect"`` the stage is marked failed and only its
   downstream cone is skipped — independent branches keep running;
 - every terminal outcome, and before it each completed stage's value,
-  is committed to the campaign's result store the moment it exists —
+  is committed to the campaign's result store the moment it exists
+  (a skipped stage is never journaled) —
   so :meth:`CampaignEngine.run` with ``resume=True`` after a SIGKILL
   replays completed stages from the store (zero re-execution, journal-
   asserted by the crash suite) and re-enters a half-done sweep stage
@@ -35,28 +38,23 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.campaigns.journal import STATUS_SKIPPED, StageOutcome
 from repro.campaigns.spec import CampaignSpec, StageSpec, load_campaign
 from repro.campaigns.steps import StageContext, resolve_step
 from repro.errors import CampaignError, ConfigurationError
-from repro.experiments.pool import PoolSupervisor
+from repro.experiments.pool import AttemptLedger, PoolSupervisor
 from repro.experiments.resilience import (
-    STATUS_CRASHED,
-    STATUS_FAILED,
     STATUS_OK,
-    STATUS_TIMED_OUT,
+    STATUS_SKIPPED,
     ChaosSpec,
-    FailurePolicy,
+    Outcome,
+    result_digest,
 )
 from repro.experiments.sweep import _default_code_version, canonical_bytes
 from repro.sim.rng import derive_seed
-
-if TYPE_CHECKING:
-    from repro.store.campaign import StoreCampaignJournal
 
 
 def _execute_stage(step_name: str, ctx: StageContext) -> Any:
@@ -85,18 +83,13 @@ def stage_seed(campaign_seed: int, campaign: str, stage: str) -> int:
     return derive_seed(campaign_seed, f"campaign:{campaign}:{stage}")
 
 
-def result_digest(value: Any) -> str:
-    """Digest binding a journaled stage to its persisted value."""
-    return hashlib.sha256(canonical_bytes(value)).hexdigest()[:16]
-
-
 @dataclass
 class CampaignResult:
     """Everything one campaign run produced."""
 
     spec: CampaignSpec
     #: Stage name -> terminal outcome, for every stage in the spec.
-    outcomes: Dict[str, StageOutcome]
+    outcomes: Dict[str, Outcome]
     #: Stage name -> value, for stages that completed ok.
     values: Dict[str, Any]
     #: Deterministic topological order the stages were considered in.
@@ -148,32 +141,6 @@ class CampaignResult:
         return hashlib.sha256(
             canonical_bytes(self.canonical())
         ).hexdigest()
-
-
-@dataclass
-class _StageState:
-    spec: StageSpec
-    policy: FailurePolicy
-    attempts: int = 0
-    failures: int = 0
-    last_error: Optional[str] = None
-    last_traceback: Optional[str] = None
-    last_status: str = STATUS_FAILED
-    attempt_seconds: List[float] = field(default_factory=list)
-    inflight: bool = False
-
-    def outcome(self, status: str, **extra: Any) -> StageOutcome:
-        return StageOutcome(
-            stage=self.spec.name,
-            status=status,
-            attempts=self.attempts,
-            error=self.last_error if status != STATUS_OK else None,
-            traceback=(
-                self.last_traceback if status != STATUS_OK else None
-            ),
-            attempt_seconds=list(self.attempt_seconds),
-            **extra,
-        )
 
 
 class CampaignEngine:
@@ -236,11 +203,6 @@ class CampaignEngine:
             self.state_dir, code_version=self.code_version
         )
 
-    # -- durable state -------------------------------------------------------
-
-    def journal(self) -> StoreCampaignJournal:
-        return self.store.campaign_journal(self.spec.name, self.spec.seed)
-
     # -- status (read-only) --------------------------------------------------
 
     def status(self) -> Dict[str, Any]:
@@ -250,7 +212,15 @@ class CampaignEngine:
         never take the writer lock).
         """
         try:
-            journaled = self.journal().load()
+            # A pure read: a campaign that never ran gets no row.
+            campaign = self.store.find_campaign_id(
+                self.spec.name, self.spec.seed
+            )
+            journaled = (
+                {}
+                if campaign is None
+                else self.store.load_stage_outcomes(campaign)
+            )
         finally:
             self.store.close()
         stages = {}
@@ -283,13 +253,17 @@ class CampaignEngine:
         and executes only what is missing.
         """
         started = time.perf_counter()
-        journal = self.journal()
-        journal.acquire()
+        # Lock first: a second live orchestrator fails fast with
+        # StoreLockedError instead of interleaving its journal rows.
+        self.store.acquire()
         try:
-            if not resume:
-                journal.reset()
-            journaled = journal.load() if resume else {}
-            result = self._execute(journal, journaled)
+            campaign = self.store.campaign_id(self.spec.name, self.spec.seed)
+            if resume:
+                journaled = self.store.load_stage_outcomes(campaign)
+            else:
+                self.store.clear_stages(campaign)
+                journaled = {}
+            result = self._execute(campaign, journaled)
         finally:
             self.store.close()
         result.wall_seconds = time.perf_counter() - started
@@ -309,234 +283,128 @@ class CampaignEngine:
         )
 
     def _execute(
-        self,
-        journal: StoreCampaignJournal,
-        journaled: Dict[str, StageOutcome],
+        self, campaign: int, journaled: Dict[str, Outcome]
     ) -> CampaignResult:
         order = self.dag.order
-        states = {
-            name: _StageState(
-                spec=self.dag.stages[name],
-                policy=self.dag.stages[name].policy(),
-            )
-            for name in order
-        }
-        outcomes: Dict[str, StageOutcome] = {}
+        stages = self.dag.stages
+        store = self.store
+        supervisor = self.supervisor
+        ledger = AttemptLedger(
+            "stage", backoff_prefix=f"campaign:{self.spec.name}:"
+        )
+        for name in order:
+            ledger.open(name, stages[name].policy(), label=name)
+        outcomes: Dict[str, Outcome] = {}
         values: Dict[str, Any] = {}
         #: Unmet-dependency counts (only ok dependencies unblock).
-        blocked = {
-            name: len(self.dag.stages[name].after) for name in order
-        }
-        skipped: set = set()
-        #: (eligible_monotonic, stage) pairs sleeping out a backoff.
-        waiting: List = []
-        inflight = 0
+        blocked = {name: len(stages[name].after) for name in order}
+        #: Stages with an attempt in flight or sleeping out a backoff.
+        busy: set = set()
 
-        def finish_ok(
-            name: str, outcome: StageOutcome, value: Any
-        ) -> None:
+        def finish_ok(name: str, outcome: Outcome, value: Any) -> None:
             outcomes[name] = outcome
             values[name] = value
             for child in self.dag.successors(name):
                 blocked[child] -= 1
 
-        def finish_failed(name: str, outcome: StageOutcome) -> None:
-            state = states[name]
+        def finish_failed(name: str, outcome: Outcome) -> None:
             outcomes[name] = outcome
-            if not state.policy.collects:
+            if not stages[name].policy().collects:
                 raise CampaignError(
                     f"campaign {self.spec.name!r} aborted: "
                     + outcome.describe(),
                     outcome=outcome,
                 )
             for descendant in self.dag.downstream_cone(name):
-                if descendant in skipped or descendant in outcomes:
-                    continue
-                skipped.add(descendant)
-                outcomes[descendant] = StageOutcome(
-                    stage=descendant,
-                    status=STATUS_SKIPPED,
-                    attempts=0,
-                    error=f"upstream stage {name!r} failed",
+                outcomes.setdefault(
+                    descendant,
+                    Outcome(
+                        key=descendant,
+                        status=STATUS_SKIPPED,
+                        attempts=0,
+                        error=f"upstream stage {name!r} failed",
+                    ),
                 )
-
-        def replay(name: str) -> bool:
-            """Serve one stage from the journal; False → execute it."""
-            outcome = journaled.get(name)
-            if outcome is None:
-                return False
-            if outcome.ok:
-                found, value = journal.load_value(
-                    name, outcome.result_digest
-                )
-                if not found:
-                    # The journal promised a value the store no longer
-                    # has (or has wrong) — re-execute; the fresh
-                    # terminal outcome replaces this one.
-                    return False
-                outcome.resumed = True
-                finish_ok(name, outcome, value)
-                return True
-            outcome.resumed = True
-            finish_failed(name, outcome)
-            return True
-
-        def terminal_failure(name: str, status: str) -> None:
-            state = states[name]
-            outcome = state.outcome(status)
-            journal.record(outcome)
-            finish_failed(name, outcome)
-
-        def dispatch(name: str) -> None:
-            nonlocal inflight
-            state = states[name]
-            state.attempts += 1
-            state.inflight = True
-            if self.chaos is not None:
-                # Orchestrator-side: a planned "die" hard-exits right
-                # here, between stages — the SIGKILL the resume path
-                # exists for.  A "raise"/"hang" counts as a failed
-                # attempt of this stage without dispatching it.
-                try:
-                    self.chaos.inject_stage(name, state.attempts)
-                except Exception as exc:
-                    state.inflight = False
-                    state.failures += 1
-                    state.last_error = f"{type(exc).__name__}: {exc}"
-                    state.last_traceback = None
-                    state.attempt_seconds.append(0.0)
-                    if state.failures >= state.policy.max_attempts:
-                        terminal_failure(name, STATUS_FAILED)
-                    else:
-                        waiting.append(
-                            (
-                                time.monotonic()
-                                + state.policy.backoff_for(
-                                    state.failures,
-                                    key=self._backoff_key(name),
-                                ),
-                                name,
-                            )
-                        )
-                    return
-            inflight += 1
-            self.supervisor.submit(
-                name,
-                _execute_stage,
-                (state.spec.step, self._make_context(state.spec, values)),
-                state.policy.timeout_seconds,
-            )
 
         def settle(name: str, report: tuple) -> None:
-            nonlocal inflight
-            inflight -= 1
-            state = states[name]
-            state.inflight = False
-            kind = report[0]
-            if kind == "ok":
-                _, value, elapsed = report
-                state.attempt_seconds.append(elapsed)
-                state.last_error = state.last_traceback = None
-                outcome = state.outcome(
-                    STATUS_OK, result_digest=result_digest(value)
-                )
-                journal.save_value(name, outcome.result_digest, value)
+            verdict = ledger.settle(name, report)
+            if verdict.kind != "wait":
+                busy.discard(name)
+            outcome = verdict.outcome
+            if verdict.kind == "ok":
+                outcome.result_digest = result_digest(verdict.value)
                 # Value first, then the outcome row that promises it:
                 # a crash between the two re-executes the stage, never
                 # trusts a phantom value.
-                journal.record(outcome)
-                finish_ok(name, outcome, value)
-                return
-            if kind == "err":
-                _, error, trace, _exception, elapsed = report
-                state.last_error = error
-                state.last_traceback = trace
-                state.last_status = STATUS_FAILED
-            elif kind == "timeout":
-                elapsed = report[1]
-                state.last_error = (
-                    f"stage exceeded its "
-                    f"{state.policy.timeout_seconds}s timeout"
+                store.save_stage_value(
+                    campaign, name, outcome.result_digest, verdict.value
                 )
-                state.last_traceback = None
-                state.last_status = STATUS_TIMED_OUT
-            else:  # crashed
-                elapsed = report[1]
-                state.last_error = (
-                    "worker process died while executing this stage"
-                )
-                state.last_traceback = None
-                state.last_status = STATUS_CRASHED
-            state.attempt_seconds.append(elapsed)
-            state.failures += 1
-            if state.failures >= state.policy.max_attempts:
-                terminal_failure(name, state.last_status)
-            else:
-                waiting.append(
-                    (
-                        time.monotonic()
-                        + state.policy.backoff_for(
-                            state.failures, key=self._backoff_key(name)
-                        ),
-                        name,
-                    )
-                )
+                store.record_stage_outcome(campaign, outcome)
+                finish_ok(name, outcome, verdict.value)
+            elif verdict.kind == "terminal":
+                store.record_stage_outcome(campaign, outcome)
+                finish_failed(name, outcome)
+
+        def start(name: str) -> None:
+            stage = stages[name]
+            busy.add(name)
+            if self.chaos is not None:
+                # Orchestrator-side: a planned "die" hard-exits right
+                # here, between stages — the SIGKILL the resume path
+                # exists for.  A "raise"/"hang" is a failed attempt of
+                # this stage that never reached a worker.
+                try:
+                    self.chaos.inject_stage(name, ledger.attempt(name))
+                except Exception as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                    settle(name, ("err", text, None, exc, 0.0))
+                    return
+            supervisor.submit(
+                name,
+                _execute_stage,
+                (stage.step, self._make_context(stage, values)),
+                stage.timeout_seconds,
+            )
 
         try:
             # Replay journaled history in topological order first, so
             # a replayed failure skips its cone before the scheduler
             # considers the cone runnable.
             for name in order:
-                if name not in outcomes:
-                    replay(name)
-
-            dispatched: set = set()
-            while len(outcomes) < len(order):
-                # Release stages whose backoff has elapsed.
-                now = time.monotonic()
-                due = [item for item in waiting if item[0] <= now]
-                for item in due:
-                    waiting.remove(item)
-                    dispatched.discard(item[1])
-
-                progressed = False
-                for name in order:
-                    if inflight >= self.supervisor.capacity:
-                        break
-                    state = states[name]
-                    if (
-                        name in outcomes
-                        or name in dispatched
-                        or state.inflight
-                        or blocked[name] > 0
-                        or any(item[1] == name for item in waiting)
-                    ):
-                        continue
-                    dispatched.add(name)
-                    dispatch(name)
-                    progressed = True
-
-                if inflight > 0:
-                    for name, report in self.supervisor.drain():
-                        settle(name, report)
-                        progressed = True
-                if progressed or len(outcomes) >= len(order):
+                outcome = journaled.get(name)
+                if outcome is None or name in outcomes:
                     continue
-                if waiting:
-                    time.sleep(
-                        max(
-                            0.0,
-                            min(item[0] for item in waiting)
-                            - time.monotonic(),
-                        )
-                    )
+                if not outcome.ok:
+                    outcome.resumed = True
+                    finish_failed(name, outcome)
                     continue
-                raise CampaignError(  # pragma: no cover - invariant
-                    f"campaign {self.spec.name!r} deadlocked with "
-                    f"{len(order) - len(outcomes)} stages unrunnable"
+                found, value = store.load_stage_value(
+                    campaign, name, outcome.result_digest
                 )
+                # Not found: the journal promised a value the store no
+                # longer has (or has wrong), so the stage re-executes
+                # and its fresh outcome replaces this one.
+                if found:
+                    outcome.resumed = True
+                    finish_ok(name, outcome, value)
+
+            while len(outcomes) < len(order):
+                busy.difference_update(ledger.due())
+                for name in order:
+                    if supervisor.pending >= supervisor.capacity:
+                        break
+                    if name in outcomes or name in busy or blocked[name]:
+                        continue
+                    start(name)
+                # Wake for the first backoff deadline, not only for a
+                # report: a due retry must not wait on a slow sibling.
+                next_due = ledger.next_due
+                for name, report in supervisor.drain(
+                    None if next_due is None else next_due - time.monotonic()
+                ):
+                    settle(name, report)
         finally:
-            self.supervisor.stop()
+            supervisor.stop()
 
         return CampaignResult(
             spec=self.spec,
@@ -545,9 +413,6 @@ class CampaignEngine:
             order=list(order),
             backend=self.backend,
         )
-
-    def _backoff_key(self, stage: str) -> str:
-        return f"campaign:{self.spec.name}:{stage}"
 
 
 def run_campaign_spec(

@@ -174,7 +174,7 @@ def _scenario_sweep(ctx: StageContext) -> Dict[str, Any]:
     "failed": n}`` — plain data, safe to digest and pickle.
     """
     from repro.experiments.resilience import FailurePolicy
-    from repro.experiments.sweep import sweep_journal
+    from repro.experiments.sweep import runner_name
     from repro.scenarios.sweeps import (
         run_scenario_point,
         run_scenario_sweep,
@@ -196,13 +196,16 @@ def _scenario_sweep(ctx: StageContext) -> Dict[str, Any]:
         replications=int(ctx.param("replications", 1)),
         run_horizon=ctx.param("run_horizon"),
     )
-    store = cache = None
+    store = cache = journal = None
     if ctx.state_dir is not None:
         store = ResultStore(
             Path(ctx.state_dir) / "sweeps" / ctx.stage,
             code_version=ctx.code_version,
         )
         cache = store.sweep_cache()
+        journal = store.run_journal(
+            spec.experiment_id, runner_name(run_scenario_point)
+        )
     policy = FailurePolicy(
         max_attempts=int(ctx.param("retries", 0)) + 1,
         timeout_seconds=ctx.param("point_timeout_seconds"),
@@ -214,7 +217,7 @@ def _scenario_sweep(ctx: StageContext) -> Dict[str, Any]:
             workers=ctx.workers,
             cache=cache,
             policy=policy,
-            journal=sweep_journal(cache, spec, run_scenario_point),
+            journal=journal,
             resume=True,
         )
     finally:

@@ -55,9 +55,10 @@ class SweepError(ReproError):
 class PointFailedError(SweepError):
     """A sweep point exhausted its failure policy (``on_error="raise"``).
 
-    Carries the point's terminal :class:`PointOutcome` (when available)
-    as :attr:`outcome`, so callers can inspect status, attempt count
-    and the recorded error text without parsing the message.
+    Carries the point's terminal :class:`~repro.experiments.resilience.
+    Outcome` (when available) as :attr:`outcome`, so callers can
+    inspect status, attempt count and the recorded error text without
+    parsing the message.
     """
 
     def __init__(self, message: str, outcome=None) -> None:
@@ -156,7 +157,7 @@ class CampaignError(ReproError):
     Raised when a stage exhausts its failure policy under
     ``on_error="raise"``, or when the campaign engine itself hits an
     unrecoverable condition.  Carries the terminal
-    :class:`~repro.campaigns.journal.StageOutcome` (when available) as
+    :class:`~repro.experiments.resilience.Outcome` (when available) as
     :attr:`outcome`.
     """
 

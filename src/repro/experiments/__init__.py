@@ -20,7 +20,7 @@ from repro.experiments.harness import (
 from repro.experiments.resilience import (
     ChaosSpec,
     FailurePolicy,
-    PointOutcome,
+    Outcome,
 )
 from repro.experiments.sweep import (
     SweepPoint,
@@ -58,7 +58,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "FailurePolicy",
-    "PointOutcome",
+    "Outcome",
     "ResultTable",
     "SWEEP_EXPERIMENTS",
     "SweepPoint",

@@ -1,9 +1,13 @@
-"""One supervisor for every attempt the repo runs, pooled or not.
+"""One supervisor for every attempt the repo runs, pooled or not, and
+one ledger that charges what it reports.
 
 Sweeps (:func:`repro.experiments.sweep.run_sweep`) and campaigns
 (:class:`repro.campaigns.engine.CampaignEngine`) hand their attempts
-to a :class:`PoolSupervisor` and keep only their own retry policy.
-The engine decides *what* runs; only the supervisor knows *where*.
+to a :class:`PoolSupervisor` and its reports to an
+:class:`AttemptLedger`, which turns each report into a verdict under
+the key's :class:`~repro.experiments.resilience.FailurePolicy`.
+The engine decides *what* runs; only the supervisor knows *where*,
+and only the ledger decides whether a failure is final.
 In-process mode (``in_process=True``) runs each task without a
 deadline inside :meth:`PoolSupervisor.drain`, one per call, in
 submission order; a task with a deadline still goes to the pool,
@@ -45,8 +49,27 @@ import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.experiments.resilience import (
+    STATUS_CRASHED,
+    STATUS_FAILED,
+    STATUS_OK,
+    STATUS_TIMED_OUT,
+    FailurePolicy,
+    Outcome,
+)
 
 #: One task's terminal report (see the module docstring).
 Report = Tuple[Any, ...]
@@ -387,3 +410,143 @@ class PoolSupervisor:
         if self._pool is not None:
             _terminate_pool(self._pool)
             self._pool = None
+
+
+@dataclass
+class _Charges:
+    """What one key's attempts have cost so far."""
+
+    policy: FailurePolicy
+    label: str
+    index: Optional[int]
+    seconds: List[float] = field(default_factory=list)
+    failures: int = 0
+    crashes: int = 0
+    error: Optional[str] = None
+    traceback: Optional[str] = None
+
+    def outcome(self, status: str) -> Outcome:
+        return Outcome(
+            key=self.label,
+            status=status,
+            index=self.index,
+            attempts=len(self.seconds),
+            error=self.error,
+            traceback=self.traceback,
+            attempt_seconds=list(self.seconds),
+        )
+
+
+class Verdict(NamedTuple):
+    """What :meth:`AttemptLedger.settle` made of one report."""
+
+    #: ``"ok"``, ``"retry"`` (resubmit now), ``"wait"`` (resubmit once
+    #: :meth:`AttemptLedger.due` returns the key) or ``"terminal"``.
+    kind: str
+    #: The key's record, for ``ok`` and ``terminal``.
+    outcome: Optional[Outcome] = None
+    #: The attempt's return value, for ``ok``.
+    value: Any = None
+    #: The exception a terminal ``err`` report carried.
+    exception: Optional[BaseException] = None
+
+
+class AttemptLedger:
+    """Charges each key's reports against its failure policy.
+
+    The one place a report becomes a verdict, for sweep points and
+    campaign stages alike.  A raising attempt or a timeout spends one
+    of ``policy.max_attempts`` and retries after its backoff (jittered
+    by ``backoff_prefix`` + the key's label).  A crash — reported only
+    once a solo run convicted the key — spends one of
+    ``policy.max_crashes`` and retries at once.  A spent budget is
+    terminal: ``failed``, ``timed_out`` or ``crashed``, after the
+    failure that spent it.  ``noun`` ("point", "stage") names the
+    work in error texts.
+
+    >>> ledger = AttemptLedger("point")
+    >>> ledger.open(0, FailurePolicy(max_attempts=2), label="x=1")
+    >>> ledger.settle(0, ("err", "ValueError: no", "tb", None, 0.1)).kind
+    'retry'
+    >>> verdict = ledger.settle(0, ("timeout", 0.5))
+    >>> verdict.kind, verdict.outcome.status, verdict.outcome.attempts
+    ('terminal', 'timed_out', 2)
+    """
+
+    def __init__(self, noun: str, backoff_prefix: str = "") -> None:
+        self.noun = noun
+        self.backoff_prefix = backoff_prefix
+        self._charges: Dict[Any, _Charges] = {}
+        #: (due_monotonic, key) pairs sleeping out a backoff, oldest first.
+        self._waiting: List[Tuple[float, Any]] = []
+
+    def open(
+        self,
+        key: Any,
+        policy: FailurePolicy,
+        label: str,
+        index: Optional[int] = None,
+    ) -> None:
+        """Start charging ``key`` under ``policy``; its outcome will
+        carry ``label`` as key and ``index``."""
+        self._charges[key] = _Charges(policy, label, index)
+
+    def attempt(self, key: Any) -> int:
+        """The 1-based number of ``key``'s next attempt."""
+        return len(self._charges[key].seconds) + 1
+
+    @property
+    def next_due(self) -> Optional[float]:
+        """The earliest backoff deadline (monotonic), if any."""
+        return min((due for due, _ in self._waiting), default=None)
+
+    def due(self) -> List[Any]:
+        """Keys whose backoff has elapsed, in the order they began it."""
+        now = time.monotonic()
+        keys = [key for due, key in self._waiting if due <= now]
+        self._waiting = [item for item in self._waiting if item[0] > now]
+        return keys
+
+    def settle(self, key: Any, report: Report) -> Verdict:
+        """Charge one report to ``key`` and say what happens next."""
+        charges = self._charges[key]
+        policy = charges.policy
+        kind = report[0]
+        if kind == "ok":
+            charges.seconds.append(report[2])
+            charges.error = charges.traceback = None
+            return Verdict("ok", charges.outcome(STATUS_OK), report[1])
+        exception = charges.traceback = None
+        if kind == "crashed":
+            charges.seconds.append(report[1])
+            charges.crashes += 1
+            charges.error = (
+                f"worker process died while executing this {self.noun} "
+                f"(crash {charges.crashes}/{policy.max_crashes})"
+            )
+            if charges.crashes >= policy.max_crashes:
+                return Verdict("terminal", charges.outcome(STATUS_CRASHED))
+            return Verdict("retry")
+        if kind == "timeout":
+            status = STATUS_TIMED_OUT
+            charges.seconds.append(float(policy.timeout_seconds or 0.0))
+            charges.error = (
+                f"{self.noun} exceeded its "
+                f"{policy.timeout_seconds}s wall-clock timeout"
+            )
+        else:
+            status = STATUS_FAILED
+            _, charges.error, charges.traceback, exception, elapsed = report
+            charges.seconds.append(elapsed)
+        charges.failures += 1
+        if charges.failures >= policy.max_attempts:
+            return Verdict(
+                "terminal", charges.outcome(status), exception=exception
+            )
+        delay = policy.backoff_for(
+            charges.failures, key=self.backoff_prefix + charges.label
+        )
+        if delay <= 0.0:
+            return Verdict("retry")
+        self._waiting.append((time.monotonic() + delay, key))
+        return Verdict("wait")

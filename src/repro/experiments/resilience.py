@@ -6,13 +6,14 @@ processes; this module holds the fault-tolerance vocabulary it speaks:
 - :class:`FailurePolicy` — per-point retry budget with bounded
   backoff, per-point wall-clock timeout, and graceful degradation
   (``on_error="collect"``) instead of aborting the whole campaign.
-- :class:`PointOutcome` — the structured record every point ends with
-  (ok / failed / timed_out / crashed, attempt count, error text,
-  traceback, per-attempt seconds), collected in
-  :class:`~repro.experiments.sweep.SweepResult.outcomes` and journaled
-  by the result store (:meth:`repro.store.ResultStore.run_journal`),
-  so a SIGKILL'd campaign resumes skipping both completed *and*
-  permanently-failed points.
+- :class:`Outcome` — the structured record every sweep point and
+  campaign stage ends with (ok / failed / timed_out / crashed, or
+  ``skipped`` for a stage below a failed one; attempt count, error
+  text, traceback, per-attempt seconds), collected in
+  :class:`~repro.experiments.sweep.SweepResult.outcomes` and
+  :class:`~repro.campaigns.engine.CampaignResult.outcomes` and
+  journaled by the result store, so a SIGKILL'd sweep or campaign
+  resumes skipping both completed *and* permanently-failed work.
 - :class:`ChaosSpec` — a deterministic, seedable fault injector
   (raise / hang / die at chosen points and attempts) that exercises
   every recovery path in tests without flaky timing.
@@ -25,6 +26,7 @@ byte-identical to a serial, chaos-free run.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -33,13 +35,17 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ChaosError, ConfigurationError
 from repro.sim.rng import derive_seed
 
-#: Terminal point statuses (the only values ``PointOutcome.status``
-#: takes).
+#: Terminal statuses of an executed point or stage (the only ones the
+#: store journals).
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_TIMED_OUT = "timed_out"
 STATUS_CRASHED = "crashed"
 STATUSES = (STATUS_OK, STATUS_FAILED, STATUS_TIMED_OUT, STATUS_CRASHED)
+#: Stage-only status: an upstream stage failed, so this one never ran.
+#: It appears in campaign results but is never journaled: a resume
+#: that recovers the failed ancestor must be free to run the stage.
+STATUS_SKIPPED = "skipped"
 
 #: Chaos actions an attempt can be assigned.
 CHAOS_OK = "ok"
@@ -67,9 +73,9 @@ class FailurePolicy:
         it, and either retries the point or records ``timed_out``.
     on_error:
         ``"raise"`` (default) aborts the sweep on the first terminal
-        failure — the historical behaviour.  ``"collect"`` records a
-        :class:`PointOutcome` for the failed point (its value is
-        ``None``) and keeps going.
+        failure — the historical behaviour.  ``"collect"`` records an
+        :class:`Outcome` for the failed point (its value is ``None``)
+        and keeps going.
     backoff_seconds:
         Delay before the second attempt; doubles each retry
         (``backoff_multiplier``) up to ``max_backoff_seconds``.
@@ -160,27 +166,49 @@ class FailurePolicy:
         return delay * (1.0 - self.backoff_jitter * u)
 
 
-@dataclass
-class PointOutcome:
-    """The terminal record of one sweep point's execution.
+def result_digest(value: Any) -> str:
+    """Digest binding a journaled stage to its persisted value.
 
-    ``attempts`` counts every execution that *started* (including ones
-    that crashed their worker); ``attempt_seconds`` is index-aligned
-    with them.  ``error``/``traceback`` describe the last failure (both
-    ``None`` when ``status == "ok"``).  ``cached`` marks a value served
-    from the sweep cache without executing; ``resumed`` marks an
-    outcome replayed from the run journal instead of re-executed.
+    >>> result_digest({"a": 1}) == result_digest({"a": 1})
+    True
+    """
+    from repro.experiments.sweep import canonical_bytes
+
+    return hashlib.sha256(canonical_bytes(value)).hexdigest()[:16]
+
+
+@dataclass
+class Outcome:
+    """The terminal record of one sweep point or campaign stage.
+
+    ``key`` is the point's canonical key or the stage's name;
+    ``index`` is the point's position in its sweep (``None`` for a
+    stage).  ``attempts`` counts every execution that *started*
+    (including ones that crashed their worker); ``attempt_seconds`` is
+    index-aligned with them.  ``error``/``traceback`` describe the
+    last failure (both ``None`` when ``status == "ok"``).  ``cached``
+    marks a point value served from the sweep cache without executing;
+    ``resumed`` marks an outcome replayed from the store's journal
+    instead of re-executed.  ``result_digest`` is a completed stage's
+    :func:`result_digest`: on resume the campaign engine checks the
+    stored stage value against it.
+
+    >>> Outcome(key="grid", status="skipped", attempts=0).describe()
+    "stage 'grid': skipped after 0 attempt(s)"
+    >>> Outcome(key="a", status="failed", index=3, error="boom").describe()
+    'point 3 [a]: failed after 1 attempt(s) — boom'
     """
 
-    index: int
     key: str
     status: str
+    index: Optional[int] = None
     attempts: int = 1
     error: Optional[str] = None
     traceback: Optional[str] = None
     attempt_seconds: List[float] = field(default_factory=list)
     cached: bool = False
     resumed: bool = False
+    result_digest: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -188,8 +216,11 @@ class PointOutcome:
 
     def describe(self) -> str:
         """One-line human summary (used by failure tables and errors)."""
-        text = f"point {self.index} [{self.key}]: {self.status} " \
-               f"after {self.attempts} attempt(s)"
+        if self.index is None:
+            text = f"stage {self.key!r}"
+        else:
+            text = f"point {self.index} [{self.key}]"
+        text += f": {self.status} after {self.attempts} attempt(s)"
         if self.error:
             text += f" — {self.error}"
         return text
@@ -198,7 +229,7 @@ class PointOutcome:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "PointOutcome":
+    def from_json_dict(cls, data: Mapping[str, Any]) -> "Outcome":
         fields = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in fields})
 
@@ -407,7 +438,7 @@ class ChaosSpec:
 FAILURE_HEADERS = ("point", "key", "status", "attempts", "error")
 
 
-def failure_rows(outcomes: Sequence[PointOutcome]) -> List[List[Any]]:
+def failure_rows(outcomes: Sequence[Outcome]) -> List[List[Any]]:
     """Table rows (one per non-ok outcome) for failure summaries."""
     rows = []
     for outcome in outcomes:

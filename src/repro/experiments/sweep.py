@@ -52,21 +52,17 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro._version import __version__
 from repro.errors import ConfigurationError, PointFailedError
 from repro.experiments.resilience import (
-    STATUS_CRASHED,
-    STATUS_FAILED,
     STATUS_OK,
-    STATUS_TIMED_OUT,
     ChaosSpec,
     FailurePolicy,
-    PointOutcome,
+    Outcome,
 )
-from repro.experiments.pool import PoolSupervisor
+from repro.experiments.pool import AttemptLedger, PoolSupervisor
 from repro.sim.rng import derive_seed
 
 #: Environment knobs: default worker count and cache directory for
@@ -428,7 +424,7 @@ class SweepResult:
     #: Per-point simulation seconds (0.0 for cache hits).
     point_seconds: List[float] = field(default_factory=list)
     #: Per-point terminal outcomes, index-aligned with ``points``.
-    outcomes: List[PointOutcome] = field(default_factory=list)
+    outcomes: List[Outcome] = field(default_factory=list)
 
     @property
     def ok_count(self) -> int:
@@ -441,7 +437,7 @@ class SweepResult:
     def failure_count(self) -> int:
         return len(self.points) - self.ok_count
 
-    def failures(self) -> List[PointOutcome]:
+    def failures(self) -> List[Outcome]:
         """Terminal non-ok outcomes, in point order."""
         return [o for o in self.outcomes if not o.ok]
 
@@ -480,42 +476,6 @@ def _run_point(
     return runner(params, seed)
 
 
-class _PointState:
-    """Mutable per-point bookkeeping while a point is being executed."""
-
-    __slots__ = (
-        "point",
-        "attempt_seconds",
-        "failures",
-        "crashes",
-        "last_error",
-        "last_traceback",
-    )
-
-    def __init__(self, point: SweepPoint) -> None:
-        self.point = point
-        self.attempt_seconds: List[float] = []
-        self.failures = 0
-        self.crashes = 0
-        self.last_error: Optional[str] = None
-        self.last_traceback: Optional[str] = None
-
-    @property
-    def next_attempt(self) -> int:
-        return len(self.attempt_seconds) + 1
-
-    def outcome(self, status: str) -> PointOutcome:
-        return PointOutcome(
-            index=self.point.index,
-            key=self.point.key(),
-            status=status,
-            attempts=len(self.attempt_seconds),
-            error=None if status == STATUS_OK else self.last_error,
-            traceback=None if status == STATUS_OK else self.last_traceback,
-            attempt_seconds=list(self.attempt_seconds),
-        )
-
-
 def resolve_workers(workers: Optional[Any]) -> int:
     """Explicit worker count, else ``$REPRO_SWEEP_WORKERS``, else 1.
 
@@ -552,7 +512,7 @@ def run_sweep(
     chaos: Optional[ChaosSpec] = None,
     journal: Optional[Any] = None,
     resume: bool = True,
-    on_outcome: Optional[Callable[[SweepPoint, PointOutcome], None]] = None,
+    on_outcome: Optional[Callable[[SweepPoint, Outcome], None]] = None,
 ) -> SweepResult:
     """Execute every point of ``spec`` through ``runner``.
 
@@ -602,7 +562,7 @@ def run_sweep(
     values: List[Any] = [None] * len(points)
     seconds: List[float] = [0.0] * len(points)
     completed = [False] * len(points)
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
+    outcomes: List[Optional[Outcome]] = [None] * len(points)
     delivered = 0
     hits = 0
 
@@ -618,7 +578,7 @@ def run_sweep(
             delivered += 1
 
     def finish(
-        point: SweepPoint, value: Any, outcome: PointOutcome
+        point: SweepPoint, value: Any, outcome: Outcome
     ) -> None:
         values[point.index] = value
         if outcome.attempt_seconds:
@@ -632,7 +592,7 @@ def run_sweep(
 
     def fail_terminal(
         point: SweepPoint,
-        outcome: PointOutcome,
+        outcome: Outcome,
         exception: Optional[BaseException] = None,
     ) -> None:
         """Record a permanent failure; collect it or abort the sweep."""
@@ -647,7 +607,7 @@ def run_sweep(
             raise exception
         raise PointFailedError(outcome.describe(), outcome=outcome)
 
-    journaled: Dict[str, PointOutcome] = {}
+    journaled: Dict[str, Outcome] = {}
     if journal is not None:
         # Lock before consulting the journal: a second live writer
         # fails fast with StoreLockedError instead of interleaving
@@ -669,10 +629,10 @@ def run_sweep(
                     completed[point.index] = True
                     hits += 1
                     prior = journaled.get(point.key())
-                    outcomes[point.index] = PointOutcome(
-                        index=point.index,
+                    outcomes[point.index] = Outcome(
                         key=point.key(),
                         status=STATUS_OK,
+                        index=point.index,
                         attempts=prior.attempts if prior else 0,
                         attempt_seconds=(
                             list(prior.attempt_seconds) if prior else []
@@ -736,30 +696,27 @@ def _run_points(
     supervisor: PoolSupervisor,
     policy: FailurePolicy,
     chaos: Optional[ChaosSpec],
-    finish: Callable[[SweepPoint, Any, PointOutcome], None],
+    finish: Callable[[SweepPoint, Any, Outcome], None],
     fail_terminal: Callable[..., None],
     flush: Callable[[], None],
 ) -> None:
-    """The sweep's retry budgets over a supervisor.
+    """Run ``to_run`` to terminal outcomes over a supervisor.
 
     The :class:`~repro.experiments.pool.PoolSupervisor` runs the
     attempts (in-process or in its pool), enforces the per-point
     timeout and attributes worker crashes (innocents re-run alone,
-    uncharged); this loop only charges outcomes.  A failure or timeout spends one of
-    ``policy.max_attempts`` and retries after its backoff.  A crash —
-    reported only once a solo run convicted the point — spends one of
-    ``policy.max_crashes`` and retries at once, alone, until the
-    budget makes the point terminally ``crashed``.  On *any* abort —
-    ``KeyboardInterrupt``, a raising ``on_result`` callback, a
-    terminal failure under ``on_error="raise"`` — the supervisor kills
-    its workers, never orphaning them.
+    uncharged); an :class:`~repro.experiments.pool.AttemptLedger`
+    charges each report under ``policy`` and says whether to retry,
+    back off or give up.  On *any* abort — ``KeyboardInterrupt``, a
+    raising ``on_result`` callback, a terminal failure under
+    ``on_error="raise"`` — the supervisor kills its workers, never
+    orphaning them.
     """
-    states = {point.index: _PointState(point) for point in to_run}
-    #: (eligible_monotonic, index) pairs sleeping out a backoff.
-    waiting: List[Tuple[float, int]] = []
+    points = {point.index: point for point in to_run}
+    ledger = AttemptLedger("point")
 
     def submit(index: int) -> None:
-        state = states[index]
+        point = points[index]
         supervisor.submit(
             index,
             _run_point,
@@ -767,73 +724,35 @@ def _run_points(
                 runner,
                 # A copy, so an in-process runner mutating it can never
                 # corrupt the point's identity (cache key, reports).
-                dict(state.point.params),
-                state.point.seed,
+                dict(point.params),
+                point.seed,
                 chaos,
                 index,
-                state.next_attempt,
+                ledger.attempt(index),
             ),
             policy.timeout_seconds,
         )
 
-    def settle(index: int, report: Tuple[Any, ...]) -> None:
-        state = states[index]
-        kind = report[0]
-        if kind == "ok":
-            _, value, elapsed = report
-            state.attempt_seconds.append(elapsed)
-            finish(state.point, value, state.outcome(STATUS_OK))
-            return
-        if kind == "crashed":
-            state.attempt_seconds.append(report[1])
-            state.crashes += 1
-            state.last_error = (
-                "worker process died while executing this point "
-                f"(crash {state.crashes}/{policy.max_crashes})"
-            )
-            state.last_traceback = None
-            if state.crashes >= policy.max_crashes:
-                fail_terminal(state.point, state.outcome(STATUS_CRASHED))
-            else:
-                submit(index)
-            return
-        if kind == "timeout":
-            status = STATUS_TIMED_OUT
-            text = (
-                "point exceeded its "
-                f"{policy.timeout_seconds}s wall-clock timeout"
-            )
-            trace = exception = None
-            elapsed = float(policy.timeout_seconds or 0.0)
-        else:
-            status = STATUS_FAILED
-            _, text, trace, exception, elapsed = report
-        state.attempt_seconds.append(elapsed)
-        state.failures += 1
-        state.last_error = text
-        state.last_traceback = trace
-        if state.failures >= policy.max_attempts:
-            fail_terminal(state.point, state.outcome(status), exception)
-            return
-        delay = policy.backoff_for(state.failures, key=state.point.key())
-        if delay > 0.0:
-            waiting.append((time.monotonic() + delay, index))
-        else:
-            submit(index)
-
     try:
         for point in to_run:
+            ledger.open(point.index, policy, point.key(), point.index)
             submit(point.index)
-        while supervisor.pending or waiting:
-            now = time.monotonic()
-            for item in [item for item in waiting if item[0] <= now]:
-                waiting.remove(item)
-                submit(item[1])
-            next_due = min((item[0] for item in waiting), default=None)
+        while supervisor.pending or ledger.next_due is not None:
+            for index in ledger.due():
+                submit(index)
+            next_due = ledger.next_due
             for index, report in supervisor.drain(
-                None if next_due is None else next_due - now
+                None if next_due is None else next_due - time.monotonic()
             ):
-                settle(index, report)
+                verdict = ledger.settle(index, report)
+                if verdict.kind == "retry":
+                    submit(index)
+                elif verdict.kind == "ok":
+                    finish(points[index], verdict.value, verdict.outcome)
+                elif verdict.kind == "terminal":
+                    fail_terminal(
+                        points[index], verdict.outcome, verdict.exception
+                    )
             flush()
     finally:
         supervisor.stop()
@@ -854,21 +773,6 @@ def sweep_cache(cache_dir: Optional[os.PathLike]) -> Optional[Any]:
     return ResultStore(cache_dir).sweep_cache()
 
 
-def sweep_journal(
-    cache: Optional[Any], spec: SweepSpec, runner: PointRunner
-) -> Optional[Any]:
-    """The run journal in ``cache``'s store (``None`` without a cache).
-
-    Journal and cache share one store handle: a second handle on the
-    same directory would trip the store's writer lock.
-    """
-    if cache is None:
-        return None
-    return cache.result_store.run_journal(
-        spec.experiment_id, runner_name(runner)
-    )
-
-
 def run_cached_sweep(
     spec: SweepSpec,
     runner: PointRunner,
@@ -878,17 +782,19 @@ def run_cached_sweep(
     """:func:`run_sweep` with the store of :func:`sweep_cache` as cache
     and run journal; that store is closed again before returning."""
     cache = sweep_cache(cache_dir)
+    if cache is None:
+        return run_sweep(spec, runner, **kwargs)
+    store = cache.result_store
     try:
         return run_sweep(
             spec,
             runner,
             cache=cache,
-            journal=sweep_journal(cache, spec, runner),
+            journal=store.run_journal(spec.experiment_id, runner_name(runner)),
             **kwargs,
         )
     finally:
-        if cache is not None:
-            cache.result_store.close()
+        store.close()
 
 
 def sweep_values(

@@ -120,7 +120,7 @@ def run_scenario_sweep(
     The fault-tolerance layer rides along: give the sweep a
     :class:`~repro.experiments.resilience.FailurePolicy` and a raising
     or crashing scenario point degrades into a structured
-    :class:`~repro.experiments.resilience.PointOutcome` in
+    :class:`~repro.experiments.resilience.Outcome` in
     ``result.outcomes`` instead of aborting the campaign; a store's
     ``cache`` and ``journal`` (see :func:`~repro.experiments.sweep.
     run_sweep`) make the campaign resumable after a hard kill.

@@ -31,7 +31,6 @@ from repro.store.api import (
     spec_digest,
 )
 from repro.store.cache import StoreRunJournal, StoreSweepCache
-from repro.store.campaign import StoreCampaignJournal
 from repro.store.columns import MetricColumn
 from repro.store.db import FAULT_ENV, STORE_DB_FILENAME, StoreDB
 from repro.store.schema import SCHEMA_VERSION
@@ -43,7 +42,6 @@ __all__ = [
     "ResultStore",
     "SCHEMA_VERSION",
     "STORE_DB_FILENAME",
-    "StoreCampaignJournal",
     "StoreDB",
     "StoreRunJournal",
     "StoreSweepCache",

@@ -5,8 +5,9 @@ submissions, columns, gc.
 
 - ``run_sweep`` talks to it through :class:`~repro.store.cache.
   StoreSweepCache` / :class:`~repro.store.cache.StoreRunJournal`;
-- ``CampaignEngine`` talks to it through :class:`~repro.store.
-  campaign.StoreCampaignJournal` (stage outcomes and values);
+- ``CampaignEngine`` calls its stage methods directly
+  (:meth:`campaign_id`, :meth:`record_stage_outcome`,
+  :meth:`save_stage_value`, ...): stage outcomes and values;
 - the CLI ``store submit|status|results|gc`` verbs call
   :meth:`submit`, :meth:`status`, :meth:`results_rows` and :meth:`gc`
   directly; ``store submit`` and ``store run`` execute a submission
@@ -44,7 +45,7 @@ from repro.errors import (
     StoreError,
     UnknownSubmissionError,
 )
-from repro.experiments.resilience import PointOutcome, STATUSES
+from repro.experiments.resilience import STATUSES, Outcome
 from repro.experiments.sweep import (
     SweepPoint,
     SweepSpec,
@@ -146,15 +147,6 @@ class ResultStore:
         from repro.store.cache import StoreRunJournal
 
         return StoreRunJournal(self, experiment_id, runner_name)
-
-    def campaign_journal(
-        self, name: str, seed: int, code_version: Optional[str] = None
-    ) -> "Any":
-        from repro.store.campaign import StoreCampaignJournal
-
-        return StoreCampaignJournal(
-            self, name, seed, code_version or self.code_version
-        )
 
     # -- helpers -------------------------------------------------------------
 
@@ -267,7 +259,7 @@ class ResultStore:
     # -- outcomes (the run journal) ------------------------------------------
 
     def record_outcome(
-        self, experiment_id: str, runner_name: str, outcome: PointOutcome
+        self, experiment_id: str, runner_name: str, outcome: Outcome
     ) -> None:
         with self._write() as conn:
             conn.execute(
@@ -306,7 +298,7 @@ class ResultStore:
 
     def load_outcomes(
         self, experiment_id: str, runner_name: str
-    ) -> Dict[str, PointOutcome]:
+    ) -> Dict[str, Outcome]:
         """Point key -> journaled terminal outcome (reads are lock-free)."""
         rows = self.db.connection().execute(
             """
@@ -317,16 +309,16 @@ class ResultStore:
             """,
             self._identity(experiment_id, runner_name),
         ).fetchall()
-        outcomes: Dict[str, PointOutcome] = {}
+        outcomes: Dict[str, Outcome] = {}
         for row in rows:
             (key, index, status, attempts, error, trace, seconds,
              cached, resumed) = row
             if status not in STATUSES:
                 continue
-            outcomes[key] = PointOutcome(
-                index=index,
+            outcomes[key] = Outcome(
                 key=key,
                 status=status,
+                index=index,
                 attempts=attempts,
                 error=error,
                 traceback=trace,
@@ -376,7 +368,9 @@ class ResultStore:
             )
         return self.campaign_id(name, seed, version)
 
-    def record_stage_outcome(self, campaign_id: int, outcome: Any) -> None:
+    def record_stage_outcome(
+        self, campaign_id: int, outcome: Outcome
+    ) -> None:
         with self._write() as conn:
             conn.execute(
                 """
@@ -396,7 +390,7 @@ class ResultStore:
                 """,
                 (
                     campaign_id,
-                    outcome.stage,
+                    outcome.key,
                     outcome.status,
                     outcome.attempts,
                     outcome.error,
@@ -410,10 +404,8 @@ class ResultStore:
             crash_point("stage-pre-commit")
         crash_point("stage-post-commit")
 
-    def load_stage_outcomes(self, campaign_id: int) -> Dict[str, Any]:
-        from repro.campaigns.journal import STAGE_STATUSES, StageOutcome
-        from repro.campaigns.journal import STATUS_SKIPPED
-
+    def load_stage_outcomes(self, campaign_id: int) -> Dict[str, Outcome]:
+        """Stage name -> journaled terminal outcome (a lock-free read)."""
         rows = self.db.connection().execute(
             """
             SELECT name, status, attempts, error, traceback,
@@ -422,13 +414,13 @@ class ResultStore:
             """,
             (campaign_id,),
         ).fetchall()
-        outcomes: Dict[str, Any] = {}
+        outcomes: Dict[str, Outcome] = {}
         for row in rows:
             name, status, attempts, error, trace, seconds, digest, res = row
-            if status not in STAGE_STATUSES or status == STATUS_SKIPPED:
+            if status not in STATUSES:
                 continue
-            outcomes[name] = StageOutcome(
-                stage=name,
+            outcomes[name] = Outcome(
+                key=name,
                 status=status,
                 attempts=attempts,
                 error=error,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.experiments.resilience import PointOutcome
+from repro.experiments.resilience import Outcome
 from repro.store.api import ResultStore
 
 
@@ -62,13 +62,13 @@ class StoreRunJournal:
     def acquire(self) -> None:
         self.result_store.acquire()
 
-    def load(self) -> Dict[str, PointOutcome]:
+    def load(self) -> Dict[str, Outcome]:
         """Point key -> journaled outcome (a read; takes no lock)."""
         return self.result_store.load_outcomes(
             self.experiment_id, self.runner_name
         )
 
-    def record(self, record: PointOutcome) -> None:
+    def record(self, record: Outcome) -> None:
         self.result_store.record_outcome(
             self.experiment_id, self.runner_name, record
         )

@@ -30,10 +30,11 @@ Tables (v3):
     One row per npz metric shard: owning sweep, point range, member
     metrics.  Files live under ``shards/`` next to the database.
 ``outcomes``
-    Terminal :class:`~repro.experiments.resilience.PointOutcome`
+    Terminal point :class:`~repro.experiments.resilience.Outcome`
     records — the store-backed run journal.
 ``campaigns`` / ``stages`` / ``stage_values``
-    Campaign identity, stage-granular outcome journal, and pickled
+    Campaign identity, terminal stage
+    :class:`~repro.experiments.resilience.Outcome` records, and pickled
     stage values with digests — the store-backed campaign journal.
 ``submissions``
     Queue of submitted sweeps for the ``store submit|status|results``

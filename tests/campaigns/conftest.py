@@ -116,6 +116,18 @@ if "t.add" not in STEPS:
         _mark(ctx, "completed")
         return ctx.param("x", 0)
 
+    @STEPS.register("t.die_always")
+    def _t_die_always(ctx):
+        """Kills its pool worker on every attempt (a repeat killer).
+
+        In the orchestrating process (serial backend) it never dies.
+        """
+        _mark(ctx, "started")
+        if multiprocessing.parent_process():
+            os._exit(1)
+        _mark(ctx, "completed")
+        return ctx.param("x", 0)
+
 
 def diamond_campaign(name="diamond", seed=3, **stage_overrides):
     """a -> (b, c) -> d with every stage on the instrumented adder.

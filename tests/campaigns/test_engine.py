@@ -1,6 +1,7 @@
 """Campaign engine tests: execution, retries, cone-skips, resume."""
 
 import sqlite3
+import time
 
 import pytest
 
@@ -10,9 +11,12 @@ from repro.campaigns import (
     StageSpec,
     stage_seed,
 )
-from repro.campaigns.journal import STATUS_SKIPPED
 from repro.errors import CampaignError, ConfigurationError, StoreLockedError
-from repro.experiments.resilience import ChaosSpec
+from repro.experiments.resilience import (
+    STATUS_SKIPPED,
+    ChaosSpec,
+    FailurePolicy,
+)
 
 from tests.campaigns.conftest import diamond_campaign, marker_count
 
@@ -71,7 +75,7 @@ class TestRetries:
         spec = diamond_campaign(b={"step": "t.fail", "after": ("a",)})
         with pytest.raises(CampaignError) as info:
             run(spec, tmp_path)
-        assert info.value.outcome.stage == "b"
+        assert info.value.outcome.key == "b"
         assert "always fails" in (info.value.outcome.error or "")
 
     def test_collect_skips_only_the_downstream_cone(self, tmp_path):
@@ -140,6 +144,30 @@ class TestChaos:
         chaos = ChaosSpec(stage_plan={"b": ("raise", "raise", "ok")})
         chaotic = run(spec, tmp_path / "chaotic", chaos=chaos)
         assert clean.canonical_digest() == chaotic.canonical_digest()
+
+
+class TestBackoff:
+    def test_due_retry_does_not_wait_for_a_running_sibling(self, tmp_path):
+        # flaky's first attempt fails at the boundary while long keeps
+        # a worker busy for 3 s; its retry is due after ~0.2 s and must
+        # start then, not when long reports.
+        spec = CampaignSpec(
+            name="stall",
+            stages=(
+                StageSpec(name="long", step="t.sleep",
+                          params={"seconds": 3.0}),
+                StageSpec(name="flaky", step="t.add", params={"x": 1},
+                          retries=1, backoff_seconds=0.2),
+            ),
+        )
+        chaos = ChaosSpec(stage_plan={"flaky": ("raise", "ok")})
+        began = time.time()
+        result = run(spec, tmp_path, backend="process", workers=2,
+                     chaos=chaos)
+        assert result.ok
+        assert result.outcomes["flaky"].attempts == 2
+        marker = tmp_path / "counts" / "flaky.started"
+        assert marker.stat().st_mtime - began < 2.0
 
 
 class TestResume:
@@ -263,11 +291,25 @@ class TestBackends:
         assert not (tmp_path / "b.die").exists()
 
 
+    def test_solo_crash_spends_the_crash_budget(self, tmp_path):
+        spec = diamond_campaign(
+            b={"step": "t.die_always", "after": ("a",), "retries": 0,
+               "on_error": "collect"},
+        )
+        result = run(spec, tmp_path, backend="process", workers=2)
+        # Each convicted solo crash spends one of max_crashes, not one
+        # of retries + 1, exactly as for sweep points.
+        assert result.outcomes["b"].status == "crashed"
+        assert result.outcomes["b"].attempts == FailurePolicy().max_crashes
+        assert "crash 3/3" in result.outcomes["b"].error
+        assert result.outcomes["d"].status == STATUS_SKIPPED
+        assert result.outcomes["c"].ok
+
+
 class TestJournalGuard:
     def test_second_writer_is_locked_out(self, diamond, tmp_path):
         engine = CampaignEngine(diamond, tmp_path, code_version="pinned")
-        journal = engine.journal()
-        journal.acquire()
+        engine.store.acquire()
         try:
             rival = CampaignEngine(
                 diamond, tmp_path, code_version="pinned"
@@ -275,7 +317,7 @@ class TestJournalGuard:
             with pytest.raises(StoreLockedError):
                 rival.run()
         finally:
-            journal.close()
+            engine.store.close()
 
     def test_status_reads_without_locking(self, diamond, tmp_path):
         engine = CampaignEngine(diamond, tmp_path, code_version="pinned")

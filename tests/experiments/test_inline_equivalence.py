@@ -23,15 +23,39 @@ from repro.experiments.resilience import (
     STATUS_OK,
     ChaosSpec,
     FailurePolicy,
+    Outcome,
 )
-from repro.experiments.sweep import (
-    SweepSpec,
-    _PointState,
-    _run_point,
-    run_sweep,
-)
+from repro.experiments.sweep import SweepSpec, _run_point, run_sweep
 
 # -- reference (port of the serial loop) -------------------------------------
+
+
+class _PointState:
+    """Per-point bookkeeping of the reference loop (kept here, apart
+    from the engine's own ledger, so the reference stays independent
+    of the code it checks)."""
+
+    def __init__(self, point):
+        self.point = point
+        self.attempt_seconds = []
+        self.failures = 0
+        self.last_error = None
+        self.last_traceback = None
+
+    @property
+    def next_attempt(self):
+        return len(self.attempt_seconds) + 1
+
+    def outcome(self, status):
+        return Outcome(
+            key=self.point.key(),
+            status=status,
+            index=self.point.index,
+            attempts=len(self.attempt_seconds),
+            error=None if status == STATUS_OK else self.last_error,
+            traceback=None if status == STATUS_OK else self.last_traceback,
+            attempt_seconds=list(self.attempt_seconds),
+        )
 
 
 def reference_run_serial(

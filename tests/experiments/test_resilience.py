@@ -6,7 +6,7 @@ deterministic chaos harness:
 - every point that *completes* is byte-identical to a serial,
   chaos-free run — retries, worker deaths and timeouts never perturb
   per-point seed derivation;
-- every point that *fails* ends in a structured ``PointOutcome`` with
+- every point that *fails* ends in a structured ``Outcome`` with
   the real error and traceback, and under ``on_error="collect"`` the
   rest of the campaign still completes;
 - the run journal survives a SIGKILL mid-campaign and a resumed run
@@ -36,7 +36,7 @@ from repro.experiments.resilience import (
     CHAOS_EXIT_CODE,
     ChaosSpec,
     FailurePolicy,
-    PointOutcome,
+    Outcome,
     failure_rows,
 )
 from repro.experiments.sweep import (
@@ -194,7 +194,7 @@ class TestFailurePolicy:
 
 class TestPointOutcome:
     def test_json_round_trip(self):
-        outcome = PointOutcome(
+        outcome = Outcome(
             index=3,
             key='{"i":3}:rep0',
             status="failed",
@@ -203,18 +203,18 @@ class TestPointOutcome:
             traceback="Traceback...\nValueError: nope",
             attempt_seconds=[0.1, 0.2],
         )
-        back = PointOutcome.from_json_dict(outcome.to_json_dict())
+        back = Outcome.from_json_dict(outcome.to_json_dict())
         assert back == outcome
 
     def test_from_json_ignores_unknown_fields(self):
-        back = PointOutcome.from_json_dict(
+        back = Outcome.from_json_dict(
             {"index": 0, "key": "k", "status": "ok", "future_field": 1}
         )
         assert back.ok and back.attempts == 1
 
     def test_describe_and_failure_rows(self):
-        ok = PointOutcome(index=0, key="a", status="ok")
-        bad = PointOutcome(
+        ok = Outcome(index=0, key="a", status="ok")
+        bad = Outcome(
             index=1, key="b", status="crashed", attempts=3, error="boom"
         )
         assert "crashed" in bad.describe() and "boom" in bad.describe()
@@ -294,8 +294,8 @@ class TestRunJournal:
 
     def test_record_load_round_trip(self, tmp_path):
         journal = self._journal(tmp_path)
-        first = PointOutcome(index=0, key="a", status="ok", attempts=1)
-        second = PointOutcome(
+        first = Outcome(index=0, key="a", status="ok", attempts=1)
+        second = Outcome(
             index=1, key="b", status="failed", attempts=2, error="boom"
         )
         journal.record(first)
@@ -306,8 +306,8 @@ class TestRunJournal:
 
     def test_last_record_for_a_key_wins(self, tmp_path):
         journal = self._journal(tmp_path)
-        journal.record(PointOutcome(index=0, key="a", status="failed"))
-        journal.record(PointOutcome(index=0, key="a", status="ok"))
+        journal.record(Outcome(index=0, key="a", status="failed"))
+        journal.record(Outcome(index=0, key="a", status="ok"))
         journal.close()
         assert journal.load()["a"].status == "ok"
 
@@ -316,14 +316,14 @@ class TestRunJournal:
 
     def test_reset_truncates(self, tmp_path):
         journal = self._journal(tmp_path)
-        journal.record(PointOutcome(index=0, key="a", status="ok"))
+        journal.record(Outcome(index=0, key="a", status="ok"))
         journal.reset()
         assert journal.load() == {}
         journal.result_store.close()
 
     def test_for_sweep_binds_code_version(self, tmp_path):
         one = self._journal(tmp_path, code_version="v1")
-        one.record(PointOutcome(index=0, key="a", status="ok"))
+        one.record(Outcome(index=0, key="a", status="ok"))
         one.result_store.close()
         assert self._journal(tmp_path, code_version="v2").load() == {}
         assert set(self._journal(tmp_path, code_version="v1").load()) == {
@@ -334,12 +334,12 @@ class TestRunJournal:
         journal = self._journal(tmp_path)
         for attempt in range(4):
             journal.record(
-                PointOutcome(
+                Outcome(
                     index=0, key="a", status="failed", attempts=attempt + 1
                 )
             )
-        journal.record(PointOutcome(index=0, key="a", status="ok"))
-        journal.record(PointOutcome(index=1, key="b", status="ok"))
+        journal.record(Outcome(index=0, key="a", status="ok"))
+        journal.record(Outcome(index=1, key="b", status="ok"))
         journal.result_store.close()
         conn = sqlite3.connect(tmp_path / "store" / "store.sqlite3")
         try:
@@ -359,7 +359,7 @@ class TestRunJournal:
         other_runner = store.run_journal("E1", "mod:other")
         other_experiment = store.run_journal("E2", "mod:run")
         for journal in (mine, other_runner, other_experiment):
-            journal.record(PointOutcome(index=0, key="a", status="ok"))
+            journal.record(Outcome(index=0, key="a", status="ok"))
         mine.reset()
         assert mine.load() == {}
         assert set(other_runner.load()) == {"a"}
@@ -370,18 +370,18 @@ class TestRunJournal:
         """Reads take no lock: a status reader never blocks (or is
         blocked by) the run that holds the writer lock."""
         writer = self._journal(tmp_path)
-        writer.record(PointOutcome(index=0, key="a", status="ok"))
+        writer.record(Outcome(index=0, key="a", status="ok"))
         reader = self._journal(tmp_path)
         assert set(reader.load()) == {"a"}
-        writer.record(PointOutcome(index=1, key="b", status="ok"))
+        writer.record(Outcome(index=1, key="b", status="ok"))
         assert set(reader.load()) == {"a", "b"}
         reader.result_store.close()
-        writer.record(PointOutcome(index=2, key="c", status="ok"))
+        writer.record(Outcome(index=2, key="c", status="ok"))
         writer.result_store.close()
 
     def test_second_writer_raises_journal_locked(self, tmp_path):
         journal = self._journal(tmp_path)
-        journal.record(PointOutcome(index=0, key="a", status="ok"))
+        journal.record(Outcome(index=0, key="a", status="ok"))
         rival = self._journal(tmp_path)
         with pytest.raises(StoreLockedError) as info:
             rival.acquire()
@@ -389,7 +389,7 @@ class TestRunJournal:
         # Closing the holder releases the lock for the next writer.
         journal.close()
         rival.acquire()
-        rival.record(PointOutcome(index=1, key="b", status="ok"))
+        rival.record(Outcome(index=1, key="b", status="ok"))
         rival.close()
         assert set(rival.load()) == {"a", "b"}
         rival.result_store.close()
@@ -400,11 +400,11 @@ class TestRunJournal:
         and the outcome it committed survives the kill."""
         script = (
             "import sys, time\n"
-            "from repro.experiments.resilience import PointOutcome\n"
+            "from repro.experiments.resilience import Outcome\n"
             "from repro.store import ResultStore\n"
             "store = ResultStore(sys.argv[1], code_version='pinned')\n"
             "journal = store.run_journal('E1', 'mod:run')\n"
-            "journal.record(PointOutcome(index=0, key='a', status='ok'))\n"
+            "journal.record(Outcome(index=0, key='a', status='ok'))\n"
             "print('locked', flush=True)\n"
             "time.sleep(60)\n"
         )
@@ -435,12 +435,12 @@ class TestRunJournal:
         whole: the journal reopens clean with the earlier records."""
         script = (
             "import sys\n"
-            "from repro.experiments.resilience import PointOutcome\n"
+            "from repro.experiments.resilience import Outcome\n"
             "from repro.store import ResultStore\n"
             "store = ResultStore(sys.argv[1], code_version='pinned')\n"
             "journal = store.run_journal('E1', 'mod:run')\n"
-            "journal.record(PointOutcome(index=0, key='a', status='ok'))\n"
-            "journal.record(PointOutcome(index=1, key='b', status='ok'))\n"
+            "journal.record(Outcome(index=0, key='a', status='ok'))\n"
+            "journal.record(Outcome(index=1, key='b', status='ok'))\n"
         )
         env = _subprocess_env()
         env[FAULT_ENV] = "outcome-pre-commit:2"
@@ -454,7 +454,7 @@ class TestRunJournal:
         assert killed.returncode == CHAOS_EXIT_CODE, killed.stderr
         journal = self._journal(tmp_path)
         assert set(journal.load()) == {"a"}
-        journal.record(PointOutcome(index=1, key="b", status="ok"))
+        journal.record(Outcome(index=1, key="b", status="ok"))
         assert set(journal.load()) == {"a", "b"}
         journal.result_store.close()
 
