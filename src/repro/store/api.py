@@ -36,7 +36,9 @@ import sqlite3
 import zipfile
 from collections import Counter
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.errors import (
     ConfigurationError,
@@ -72,6 +74,24 @@ DEFAULT_LEASE_SECONDS = 60.0
 #: dies this many times is marked ``failed`` instead of crash-looping
 #: the pool forever.
 DEFAULT_MAX_CLAIMS = 5
+
+#: Point keys per ``IN (...)`` query, well under SQLite's smallest
+#: bound-variable limit (999).
+_KEYS_PER_QUERY = 500
+
+#: A ``shards`` row's columns as the reads select them.
+_SHARD_COLUMNS = "s.id, s.created_at, s.filename, s.metrics"
+
+
+class _Shard(NamedTuple):
+    """One ``shards`` row, read in the query that finds it;
+    ``(id, created_at)`` is its :class:`~repro.store.columns.
+    ShardCache` key."""
+
+    id: int
+    created_at: float
+    filename: str
+    metrics: str  # JSON list of metric names
 
 
 def spec_digest(spec: SweepSpec) -> str:
@@ -109,7 +129,7 @@ class ResultStore:
         self.db = StoreDB(self.directory, shared_lock=shared_writer)
         self.code_version = code_version or _default_code_version()
         self.stats: Counter = Counter()
-        self._shard_arrays: Dict[int, Dict[str, Any]] = {}
+        self._shard_cache = col.ShardCache()
         self._versions_seen: set = set()
 
     # -- lifecycle -----------------------------------------------------------
@@ -127,7 +147,7 @@ class ResultStore:
         self.db.release_writer()
 
     def close(self) -> None:
-        self._shard_arrays.clear()
+        self._shard_cache.clear()
         self.db.close()
 
     def __enter__(self) -> "ResultStore":
@@ -212,10 +232,11 @@ class ResultStore:
     ) -> Tuple[bool, Any]:
         """``(hit, value)`` — a corrupt entry is dropped and misses."""
         row = self.db.connection().execute(
-            """
-            SELECT id, kind, payload, shard_id, shard_pos FROM points
-            WHERE experiment_id = ? AND runner = ? AND code_version = ?
-              AND point_key = ?
+            f"""
+            SELECT p.id, p.kind, p.payload, p.shard_pos, {_SHARD_COLUMNS}
+            FROM points AS p LEFT JOIN shards AS s ON s.id = p.shard_id
+            WHERE p.experiment_id = ? AND p.runner = ?
+              AND p.code_version = ? AND p.point_key = ?
             """,
             (
                 *self._identity(spec.experiment_id, runner_name),
@@ -224,10 +245,12 @@ class ResultStore:
         ).fetchone()
         if row is None:
             return False, None
-        row_id, kind, payload, shard_id, shard_pos = row
+        row_id, kind, payload, shard_pos = row[:4]
         if kind in col.COLUMN_KINDS:
+            if row[4] is None:
+                return False, None  # its shard is gone; re-execute
             try:
-                arrays = self._shard_point_arrays(shard_id)
+                arrays = self._shard_arrays(_Shard(*row[4:]))
             except StoreCorruptError:
                 return False, None  # shard quarantined; re-execute
             self.stats["column_point"] += 1
@@ -544,21 +567,15 @@ class ResultStore:
         if shard_points < 1:
             raise ConfigurationError("shard_points must be >= 1")
         self.acquire()
-        sweep_id = self.register_sweep(spec, runner_name)
         row = self._sweep_row(spec, runner_name)
         if row is not None and row[1] == "columnar":
             return 0
+        sweep_id = (
+            row[0] if row is not None
+            else self.register_sweep(spec, runner_name)
+        )
         points = spec.points()
-        conn = self.db.connection()
-        stored: Dict[str, Tuple[int, str, Optional[bytes]]] = {}
-        for key, row_id, kind, payload in conn.execute(
-            """
-            SELECT point_key, id, kind, payload FROM points
-            WHERE experiment_id = ? AND runner = ? AND code_version = ?
-            """,
-            self._identity(spec.experiment_id, runner_name),
-        ):
-            stored[key] = (row_id, kind, payload)
+        stored = self._stored_points(spec, runner_name, points)
         missing = [
             point for point in points
             if _point_store_key(point) not in stored
@@ -587,17 +604,17 @@ class ResultStore:
                     values.append(None)
                     rows_in_block.append(None)
                     continue
-                row_id, kind, payload = entry
+                row_id, kind, payload, pos, shard = entry
                 if kind in col.COLUMN_KINDS:
                     # Re-finalize after new points joined: recover the
                     # value from its current shard (+ residual).
-                    shard_id, pos = conn.execute(
-                        "SELECT shard_id, shard_pos FROM points"
-                        " WHERE id = ?",
-                        (row_id,),
-                    ).fetchone()
+                    if shard is None:
+                        raise StoreError(
+                            f"point {row_id} names a shard that is not "
+                            "in the store"
+                        )
                     value = col.point_from_arrays(
-                        self._shard_point_arrays(shard_id), pos
+                        self._shard_arrays(shard), pos
                     )
                     if kind != col.PAYLOAD_COLUMN:
                         value.update(self._decode_inline(kind, payload))
@@ -669,56 +686,93 @@ class ResultStore:
             )
             crash_point("finalize-pre-commit")
         crash_point("finalize-post-commit")
-        self._shard_arrays.clear()
         return len(shard_rows)
+
+    def _stored_points(
+        self, spec: SweepSpec, runner_name: str, points: Sequence[SweepPoint]
+    ) -> Dict[str, Tuple[int, str, Optional[bytes], Any, Optional[_Shard]]]:
+        """``point_key -> (row id, kind, payload, shard_pos, shard)`` for
+        the stored ones of ``points`` — only those rows, never the rest
+        of the experiment's history."""
+        conn = self.db.connection()
+        identity = self._identity(spec.experiment_id, runner_name)
+        keys = [_point_store_key(point) for point in points]
+        stored = {}
+        for begin in range(0, len(keys), _KEYS_PER_QUERY):
+            chunk = keys[begin:begin + _KEYS_PER_QUERY]
+            for row in conn.execute(
+                f"""
+                SELECT p.point_key, p.id, p.kind, p.payload, p.shard_pos,
+                       {_SHARD_COLUMNS}
+                FROM points AS p LEFT JOIN shards AS s ON s.id = p.shard_id
+                WHERE p.experiment_id = ? AND p.runner = ?
+                  AND p.code_version = ?
+                  AND p.point_key IN ({",".join("?" * len(chunk))})
+                """,
+                (*identity, *chunk),
+            ):
+                shard = None if row[5] is None else _Shard(*row[5:])
+                stored[row[0]] = (*row[1:5], shard)
+        return stored
 
     # -- shard reading -------------------------------------------------------
 
-    def _shard_record(self, shard_id: int) -> Tuple[Path, int, int, List[str]]:
-        row = self.db.connection().execute(
-            "SELECT filename, start_index, count, metrics FROM shards"
-            " WHERE id = ?",
-            (shard_id,),
-        ).fetchone()
-        if row is None:
-            raise StoreError(f"shard {shard_id} is not in the store")
-        filename, start, count, metrics = row
-        return (
-            self.db.shards_dir / filename, start, count, json.loads(metrics)
+    def _shard_arrays(
+        self, shard: _Shard, metrics: Optional[Sequence[str]] = None
+    ) -> Dict[str, col.MetricArrays]:
+        """One shard's arrays for those of ``metrics`` (default: all)
+        it holds, through the handle's cache: a miss opens the shard
+        once and decodes only the members not cached yet.  The whole
+        shard comes back as the cache's own dict: read it, never change
+        it.  A shard that does not decode is quarantined and raises
+        :class:`StoreCorruptError`."""
+        key = (shard.id, shard.created_at)
+        entry = self._shard_cache.get(key)
+        held = entry.metrics if entry is not None else json.loads(
+            shard.metrics
         )
-
-    def _shard_point_arrays(self, shard_id: int) -> Dict[str, Any]:
-        """All metric arrays of one shard (cached; quarantines on
-        corruption and raises :class:`StoreCorruptError`)."""
-        cached = self._shard_arrays.get(shard_id)
-        if cached is not None:
-            return cached
-        path, _start, _count, metrics = self._shard_record(shard_id)
-        try:
-            with col.open_shard(path) as npz:
-                arrays = {
-                    metric: col.shard_metric_arrays(npz, metric)
-                    for metric in metrics
-                }
-            arrays = {
-                metric: block for metric, block in arrays.items()
-                if block is not None
-            }
-        except (OSError, EOFError, ValueError, KeyError,
-                zipfile.BadZipFile) as exc:
-            quarantined = self.quarantine_shard(shard_id)
-            raise StoreCorruptError(
-                f"metric shard {path.name} is unreadable ({exc}); "
-                f"quarantined to {quarantined.name} — its points will "
-                "re-execute on the next run"
-            ) from exc
-        self._shard_arrays[shard_id] = arrays
-        return arrays
+        wanted = held if metrics is None else [m for m in metrics if m in held]
+        missing = wanted if entry is None else [
+            metric for metric in wanted if metric in entry.undecoded
+        ]
+        if missing:
+            path = self.db.shards_dir / shard.filename
+            try:
+                with col.open_shard(path) as npz:
+                    decoded = {
+                        metric: col.shard_metric_arrays(npz, metric)
+                        for metric in missing
+                    }
+            except (OSError, EOFError, ValueError, KeyError,
+                    zipfile.BadZipFile) as exc:
+                self._shard_cache.discard(key)
+                quarantined = self.quarantine_shard(shard.id)
+                raise StoreCorruptError(
+                    f"metric shard {path.name} is unreadable ({exc}); "
+                    f"quarantined to {quarantined.name} — its points "
+                    "re-execute on the next run of the sweep, which can "
+                    "then be finalized again"
+                ) from exc
+            entry = self._shard_cache.add(key, held, decoded)
+        elif entry is None:
+            return {}
+        if metrics is None:
+            return entry.arrays
+        return {
+            metric: entry.arrays[metric] for metric in wanted
+            if metric in entry.arrays
+        }
 
     def quarantine_shard(self, shard_id: int) -> Path:
         """Rename a bad shard aside and unlink its rows so every point
         it held becomes a clean cache miss."""
-        path, _start, _count, _metrics = self._shard_record(shard_id)
+        row = self.db.connection().execute(
+            "SELECT filename, sweep_id FROM shards WHERE id = ?", (shard_id,)
+        ).fetchone()
+        if row is None:
+            raise StoreError(f"shard {shard_id} is not in the store")
+        filename, sweep_id = row
+        path = self.db.shards_dir / filename
         quarantined = path.with_name(path.name + ".corrupt")
         with contextlib.suppress(OSError):
             os.replace(path, quarantined)
@@ -726,17 +780,12 @@ class ResultStore:
             conn.execute(
                 "DELETE FROM points WHERE shard_id = ?", (shard_id,)
             )
-            sweep = conn.execute(
-                "SELECT sweep_id FROM shards WHERE id = ?", (shard_id,)
-            ).fetchone()
             conn.execute("DELETE FROM shards WHERE id = ?", (shard_id,))
-            if sweep is not None:
-                conn.execute(
-                    "UPDATE sweeps SET state = 'open', updated_at = ?"
-                    " WHERE id = ?",
-                    (self.db.now(), sweep[0]),
-                )
-        self._shard_arrays.pop(shard_id, None)
+            conn.execute(
+                "UPDATE sweeps SET state = 'open', updated_at = ?"
+                " WHERE id = ?",
+                (self.db.now(), sweep_id),
+            )
         return quarantined
 
     def read_column(
@@ -750,7 +799,7 @@ class ResultStore:
         Stamps the sweep's ``last_read_at`` (what :meth:`gc` keeps by).
         """
         sweep_id, n_points = self._finalized_sweep(spec, runner_name)
-        column = self._read_column(sweep_id, n_points, metric)
+        [column] = self._read_columns(sweep_id, n_points, [metric])
         self._touch_read(sweep_id)
         return column
 
@@ -767,35 +816,28 @@ class ResultStore:
             )
         return row[0], row[2]
 
-    def _read_column(
-        self, sweep_id: int, n_points: int, metric: str
-    ) -> col.MetricColumn:
-        """:meth:`read_column` without the ``last_read_at`` write."""
-        conn = self.db.connection()
-        blocks = []
-        for shard_id, start, count, metrics_json in conn.execute(
-            "SELECT id, start_index, count, metrics FROM shards"
-            " WHERE sweep_id = ? ORDER BY seq",
+    def _read_columns(
+        self, sweep_id: int, n_points: int, metrics: Sequence[str]
+    ) -> List[col.MetricColumn]:
+        """:meth:`read_column` for several metrics at once, without the
+        ``last_read_at`` write; each shard is opened at most once."""
+        blocks: Dict[str, List[Any]] = {metric: [] for metric in metrics}
+        for row in self.db.connection().execute(
+            f"""
+            SELECT s.start_index, s.count, {_SHARD_COLUMNS} FROM shards AS s
+            WHERE s.sweep_id = ? ORDER BY s.seq
+            """,
             (sweep_id,),
         ).fetchall():
-            if metric not in json.loads(metrics_json):
-                blocks.append((start, count, None))
-                continue
-            path, _s, _c, _m = self._shard_record(shard_id)
-            try:
-                with col.open_shard(path) as npz:
-                    arrays = col.shard_metric_arrays(npz, metric)
-            except (OSError, EOFError, ValueError, KeyError,
-                zipfile.BadZipFile) as exc:
-                quarantined = self.quarantine_shard(shard_id)
-                raise StoreCorruptError(
-                    f"metric shard {path.name} is unreadable ({exc}); "
-                    f"quarantined to {quarantined.name} — re-run the "
-                    "sweep to restore its points, then finalize again"
-                ) from exc
-            blocks.append((start, count, arrays))
-        self.stats["column_read"] += 1
-        return col.assemble_column(metric, blocks, n_points)
+            start, count = row[:2]
+            arrays = self._shard_arrays(_Shard(*row[2:]), metrics)
+            for metric in blocks:
+                blocks[metric].append((start, count, arrays.get(metric)))
+        self.stats["column_read"] += len(metrics)
+        return [
+            col.assemble_column(metric, blocks[metric], n_points)
+            for metric in metrics
+        ]
 
     def _touch_read(self, sweep_id: int) -> None:
         """Stamp ``last_read_at`` (one best-effort write transaction)."""
@@ -1185,7 +1227,7 @@ class ResultStore:
         )
         scoped.db = self.db
         scoped.stats = self.stats
-        scoped._shard_arrays = self._shard_arrays
+        scoped._shard_cache = self._shard_cache
         names = list(
             metrics if metrics is not None
             else scoped.sweep_metrics(spec, runner)
@@ -1194,10 +1236,7 @@ class ResultStore:
         if names:
             # One last_read_at write for the whole table, not per column.
             sweep_id, n_points = scoped._finalized_sweep(spec, runner)
-            columns = [
-                scoped._read_column(sweep_id, n_points, name)
-                for name in names
-            ]
+            columns = scoped._read_columns(sweep_id, n_points, names)
             scoped._touch_read(sweep_id)
         values = [column.tolist() for column in columns]
         residuals: Dict[int, Any] = {}
@@ -1350,5 +1389,4 @@ class ResultStore:
                     report["sweeps_removed"] += 1
         elif stale_sweeps:
             report["sweeps_removed"] = len(stale_sweeps)
-        self._shard_arrays.clear()
         return report

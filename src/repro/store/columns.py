@@ -33,6 +33,10 @@ Shard files are written atomically (temp file + fsync +
 ``os.replace``) with :func:`~repro.store.db.crash_point` sites before,
 inside and after the write, so the crash suite can prove a killed
 writer never publishes a torn shard.
+
+Decoded arrays are kept per store handle in a :class:`ShardCache`,
+so a replay that reads every point and then a few columns of one
+sweep parses each shard's zip directory once.
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -268,6 +275,109 @@ def shard_metric_arrays(
     if key not in npz.files:
         return None
     return npz[key], npz[f"f8:{metric}"], npz[f"i8:{metric}"]
+
+
+#: Byte bound of one store handle's :class:`ShardCache`; past it the
+#: least recently used shards are dropped.  64 MiB holds about 70 full
+#: shards (2048 points x 25 metrics x 17 bytes a point), more than one
+#: sweep replay or results table reads.
+SHARD_CACHE_BYTES = 64 * 2**20
+
+#: Bytes charged per cached array on top of its data (the ndarray
+#: object and the buffer it was read into), and per metric name of a
+#: cached shard (the name and its slots in the entry's dict and set).
+#: They keep the bound honest for a store of many tiny shards, where
+#: this bookkeeping outweighs the data.
+ARRAY_OVERHEAD_BYTES = 256
+METRIC_OVERHEAD_BYTES = 256
+
+MetricArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass
+class CachedShard:
+    """One shard's decoded arrays: ``metrics`` names every metric the
+    shard holds, ``arrays`` those decoded so far (a metric the file has
+    no members for is left out), ``undecoded`` those not read yet."""
+
+    metrics: Tuple[str, ...]
+    arrays: Dict[str, MetricArrays] = field(default_factory=dict)
+    undecoded: Set[str] = field(default_factory=set)
+    nbytes: int = 0
+
+
+class ShardCache:
+    """Decoded shard arrays of one store handle, LRU-bounded in bytes.
+
+    A key names one shard *row*: ``(shards.id, shards.created_at)``.
+    Shard ids, sweep ids and shard filenames are all reused once their
+    rows are deleted, but a row's key names one file content for as
+    long as the row lives.  So an entry never goes stale, nothing has
+    to invalidate entries, and a deleted shard's entry just ages out.
+
+    >>> cache = ShardCache()
+    >>> cache.max_bytes = 2000
+    >>> block = tuple(np.zeros(4, dtype=t) for t in ("u1", "f8", "i8"))
+    >>> entry = cache.add((1, 0.5), ("y", "z"), {"y": block})
+    >>> entry.nbytes, sorted(entry.arrays), entry.undecoded
+    (1348, ['y'], {'z'})
+    >>> _ = cache.add((2, 0.7), ("y",), {"y": block})  # past 2000 bytes
+    >>> cache.get((1, 0.5)) is None, len(cache)
+    (True, 1)
+    """
+
+    def __init__(self) -> None:
+        self.max_bytes = SHARD_CACHE_BYTES
+        self.nbytes = 0
+        self._entries: "OrderedDict[Hashable, CachedShard]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Optional[CachedShard]:
+        """``key``'s entry, now the most recently used, or ``None``."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def add(
+        self,
+        key: Hashable,
+        metrics: Sequence[str],
+        arrays: Mapping[str, Optional[MetricArrays]],
+    ) -> CachedShard:
+        """Merge freshly decoded ``arrays`` into ``key``'s entry, then
+        drop least recently used entries while over the bound.  Returns
+        the entry, which the caller may use even if it was dropped."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            entry = CachedShard(tuple(metrics), undecoded=set(metrics))
+        else:
+            self.nbytes -= entry.nbytes
+        for metric, block in arrays.items():
+            entry.undecoded.discard(metric)
+            if block is not None:
+                entry.arrays[metric] = block
+        entry.nbytes = METRIC_OVERHEAD_BYTES * len(entry.metrics) + sum(
+            ARRAY_OVERHEAD_BYTES + array.nbytes
+            for block in entry.arrays.values() for array in block
+        )
+        self._entries[key] = entry
+        self.nbytes += entry.nbytes
+        while self.nbytes > self.max_bytes:
+            _key, evicted = self._entries.popitem(last=False)
+            self.nbytes -= evicted.nbytes
+        return entry
+
+    def discard(self, key: Hashable) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.nbytes -= entry.nbytes
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
 
 
 def point_from_arrays(

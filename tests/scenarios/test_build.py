@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 from repro.cluster.node import NodeState
+from repro.scheduler.job import JobState
 from repro.experiments.sweep import canonical_bytes
 from repro.errors import ConfigurationError
 from repro.scenarios import (
@@ -431,6 +432,30 @@ class TestTraceReplay:
         assert metrics["trace_completed"] == 2
         assert metrics["utilisation_quantum"] > 0.0
         assert metrics["utilisation_classical"] == 0.0
+
+    @pytest.mark.parametrize(
+        "runtime, state, end",
+        [
+            (99.0, JobState.COMPLETED, 99.0),
+            # The boundary rule: a job that runs exactly its requested
+            # walltime is killed at the limit, not completed.
+            (100.0, JobState.TIMEOUT, 100.0),
+            (101.0, JobState.TIMEOUT, 100.0),
+        ],
+    )
+    def test_walltime_boundary(self, runtime, state, end):
+        workload = WorkloadSpec(
+            horizon=3600.0,
+            trace=TraceSpec(
+                jobs=(TraceJobSpec(1, 0.0, runtime, 1, 100.0),)
+            ),
+        )
+        env = build(ScenarioSpec(workload=workload), seed=1)
+        jobs = install_trace(env, workload, 3600.0)  # filled as submitted
+        env.kernel.run(until=3600.0)
+        [job] = jobs
+        assert job.state == state
+        assert (job.start_time, job.end_time) == (0.0, end)
 
     def test_qpu_routing_is_seed_independent(self):
         trace = _inline_trace(qpu_fraction=0.5)
