@@ -16,7 +16,7 @@ The package provides:
   malleability) driving a common hybrid-application model;
 - :mod:`repro.workloads` — synthetic hybrid workload and trace
   generation;
-- :mod:`repro.metrics` — utilisation/wait/slowdown bookkeeping;
+- :mod:`repro.metrics` — summary statistics and plain-text tables;
 - :mod:`repro.experiments` — one regenerable experiment per paper
   figure/claim.
 """

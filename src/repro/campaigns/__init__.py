@@ -26,7 +26,6 @@ from repro.campaigns.dag import CampaignDAG
 from repro.campaigns.engine import (
     CampaignEngine,
     CampaignResult,
-    run_campaign_spec,
     stage_seed,
 )
 from repro.campaigns.spec import (
@@ -56,6 +55,5 @@ __all__ = [
     "load_campaign",
     "register_step",
     "resolve_step",
-    "run_campaign_spec",
     "stage_seed",
 ]

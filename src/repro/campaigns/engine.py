@@ -414,23 +414,3 @@ class CampaignEngine:
             backend=self.backend,
         )
 
-
-def run_campaign_spec(
-    spec: Any,
-    state_dir: os.PathLike,
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    resume: bool = False,
-    chaos: Optional[ChaosSpec] = None,
-    code_version: Optional[str] = None,
-) -> CampaignResult:
-    """One-call convenience wrapper around :class:`CampaignEngine`."""
-    engine = CampaignEngine(
-        spec,
-        state_dir,
-        backend=backend,
-        workers=workers,
-        chaos=chaos,
-        code_version=code_version,
-    )
-    return engine.run(resume=resume)

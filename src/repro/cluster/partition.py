@@ -31,7 +31,6 @@ class Partition:
         name: str,
         nodes: List[Node],
         max_walltime: Optional[float] = None,
-        priority_weight: float = 0.0,
     ) -> None:
         if not name:
             raise ConfigurationError("partition name must be non-empty")
@@ -62,8 +61,6 @@ class Partition:
                 self._free.append(rank)
         #: Upper bound on job walltime in this partition (None = unlimited).
         self.max_walltime = max_walltime
-        #: Additive priority contribution for jobs in this partition.
-        self.priority_weight = priority_weight
 
     # -- capacity queries -----------------------------------------------------
 

@@ -110,6 +110,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     # the executor's management thread (and interpreter exit) blocked
     # forever.
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - shutdown of a broken pool
@@ -119,6 +120,12 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             process.kill()
         except Exception:  # pragma: no cover - already dead
             pass
+    # The executor's manager thread joins the killed workers too.  When
+    # its waitpid wins, our join returns before the exit status is
+    # recorded and the worker still looks alive; once the manager
+    # thread ends, every worker has been reaped and recorded.
+    if manager is not None:
+        manager.join(timeout=5.0)
     for process in processes:
         try:
             process.join(timeout=5.0)

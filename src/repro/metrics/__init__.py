@@ -1,47 +1,27 @@
 """Metrics, statistics and plain-text report rendering."""
 
-from repro.metrics.collector import (
-    FacilitySnapshot,
-    StrategySummary,
-    facility_snapshot,
-    summarise,
-)
 from repro.metrics.report import (
     format_cell,
     format_duration,
-    render_bars,
     render_markdown_table,
     render_series,
     render_table,
-    summarise_records,
 )
 from repro.metrics.stats import (
     RunningStats,
     bootstrap_ci,
-    bounded_slowdowns,
-    geometric_mean,
     mean,
     median,
-    ratio,
 )
 
 __all__ = [
-    "FacilitySnapshot",
     "RunningStats",
-    "StrategySummary",
     "bootstrap_ci",
-    "bounded_slowdowns",
-    "facility_snapshot",
     "format_cell",
     "format_duration",
-    "geometric_mean",
     "mean",
     "median",
-    "ratio",
-    "render_bars",
     "render_markdown_table",
     "render_series",
     "render_table",
-    "summarise",
-    "summarise_records",
 ]

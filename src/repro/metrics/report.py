@@ -6,7 +6,7 @@ these helpers keep the formatting consistent and dependency-free.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -85,30 +85,6 @@ def render_markdown_table(
     return "\n".join(lines)
 
 
-def render_bars(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    title: Optional[str] = None,
-    unit: str = "",
-) -> str:
-    """Horizontal ASCII bar chart (the text stand-in for a figure)."""
-    if len(labels) != len(values):
-        raise ConfigurationError("labels and values must align")
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    peak = max((abs(v) for v in values), default=0.0)
-    label_width = max((len(label) for label in labels), default=0)
-    for label, value in zip(labels, values):
-        length = 0 if peak == 0 else int(round(abs(value) / peak * width))
-        bar = "#" * length
-        lines.append(
-            f"{label.ljust(label_width)} | {bar} {format_cell(value)}{unit}"
-        )
-    return "\n".join(lines)
-
-
 def render_series(
     x_label: str,
     y_labels: Sequence[str],
@@ -129,11 +105,3 @@ def render_series(
     ]
     return render_table(headers, rows, title=title)
 
-
-def summarise_records(records: List[Dict[str, Any]]) -> str:
-    """Table from a list of uniform dicts (e.g. RunRecord.summary())."""
-    if not records:
-        return "(no records)"
-    headers = list(records[0].keys())
-    rows = [[record.get(h) for h in headers] for record in records]
-    return render_table(headers, rows)

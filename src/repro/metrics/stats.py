@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -17,11 +17,8 @@ from repro.sim.monitor import RunningStats
 __all__ = [
     "RunningStats",
     "bootstrap_ci",
-    "bounded_slowdowns",
-    "geometric_mean",
     "mean",
     "median",
-    "ratio",
 ]
 
 
@@ -42,29 +39,6 @@ def median(values: Sequence[float]) -> float:
     if n % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; requires strictly positive values."""
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        raise ConfigurationError("geometric mean needs positive values")
-    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
-
-
-def bounded_slowdowns(
-    turnarounds: Sequence[float],
-    runtimes: Sequence[float],
-    floor: float = 10.0,
-) -> List[float]:
-    """Bounded slowdown per job: ``max(1, T / max(r, floor))``."""
-    if len(turnarounds) != len(runtimes):
-        raise ConfigurationError("sequences must have equal length")
-    return [
-        max(1.0, t / max(r, floor))
-        for t, r in zip(turnarounds, runtimes)
-    ]
 
 
 def bootstrap_ci(
@@ -88,9 +62,3 @@ def bootstrap_ci(
     low, high = np.quantile(means, [alpha, 1.0 - alpha])
     return (float(low), float(high))
 
-
-def ratio(numerator: float, denominator: float) -> float:
-    """Safe ratio: 0 when the denominator vanishes."""
-    if denominator == 0:
-        return 0.0
-    return numerator / denominator

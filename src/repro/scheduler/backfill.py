@@ -477,10 +477,6 @@ class PartitionTimeline:
 
     # -- queries ------------------------------------------------------------
 
-    def breakpoints(self) -> List[float]:
-        self._flush()
-        return list(self._times)
-
     def profile(self) -> List[Tuple[float, int, Dict[str, int]]]:
         """Piecewise-constant (time, free_nodes, free_gres) segments."""
         self.compile()

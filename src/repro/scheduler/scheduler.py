@@ -12,7 +12,7 @@ Responsibilities:
   walltime, release resources at the end, charge accounting;
 - support *malleability*: live jobs may shrink (release nodes
   immediately) or request growth, which the scheduler grants ahead of
-  starting new jobs (grow-first default, configurable);
+  starting new jobs;
 - requeue jobs evicted by node failures when their spec asks for it.
 """
 
@@ -89,9 +89,6 @@ class BatchScheduler:
         Multifactor priority engine; defaults to FIFO-like (age only).
     ledger:
         Accounting ledger charged on job completion.
-    grow_before_new_jobs:
-        When True (default), pending malleable grow requests are
-        satisfied before new jobs are started in a scheduling pass.
     cycle_time:
         Scheduling latency: seconds between a state change and the
         scheduling pass that reacts to it (SLURM's sched/backfill
@@ -119,7 +116,6 @@ class BatchScheduler:
         policy: Optional[SchedulingPolicy] = None,
         priority: Optional[MultifactorPriority] = None,
         ledger: Optional[AccountingLedger] = None,
-        grow_before_new_jobs: bool = True,
         cycle_time: float = 0.0,
         incremental_timelines: bool = True,
         timeline_debug: Optional[bool] = None,
@@ -131,7 +127,6 @@ class BatchScheduler:
         self.priority = priority or MultifactorPriority(
             total_nodes=max(cluster.total_nodes(), 1), ledger=self.ledger
         )
-        self.grow_before_new_jobs = grow_before_new_jobs
         if cycle_time < 0:
             raise SchedulingError("cycle_time must be >= 0")
         self.cycle_time = cycle_time
@@ -243,8 +238,8 @@ class BatchScheduler:
     def request_grow(self, job: Job, partition: str, count: int) -> Event:
         """Ask for ``count`` extra nodes; the event fires when granted.
 
-        Grants happen during scheduling passes, competing with queued
-        jobs under the ``grow_before_new_jobs`` policy.
+        Grants happen at the start of each scheduling pass, ahead of
+        queued jobs.
         """
         if job.state != JobState.RUNNING:
             raise MalleabilityError(
@@ -263,8 +258,8 @@ class BatchScheduler:
         """Attach ``component`` to a running job; fires with the
         :class:`~repro.cluster.allocation.Allocation` once granted.
 
-        The request competes in scheduling passes alongside malleable
-        grows (and ahead of new jobs under ``grow_before_new_jobs``).
+        The request is served in scheduling passes right after malleable
+        grows, ahead of new jobs.
         """
         if job.state != JobState.RUNNING:
             raise MalleabilityError(
@@ -393,9 +388,9 @@ class BatchScheduler:
             self._pass()
 
     def _pass(self) -> None:
-        if self.grow_before_new_jobs:
-            self._serve_grow_requests()
-            self._serve_component_requests()
+        # Running jobs' grow and attach requests go ahead of new jobs.
+        self._serve_grow_requests()
+        self._serve_component_requests()
         self._cancel_unsatisfiable_dependents()
         eligible = [
             job for job in self.pending if self._dependencies_met(job)
@@ -411,9 +406,6 @@ class BatchScheduler:
             to_start = self.policy.select(ordered, self.cluster, now)
             for job in to_start:
                 self._try_start(job)
-        if not self.grow_before_new_jobs:
-            self._serve_grow_requests()
-            self._serve_component_requests()
 
     # -- dependency handling -------------------------------------------------
 

@@ -185,7 +185,6 @@ class Worker:
         point_workers: Optional[int] = 1,
         shard_points: int = DEFAULT_SHARD_POINTS,
         code_version: Optional[str] = None,
-        heartbeats: bool = True,
     ) -> None:
         self.directory = Path(directory)
         self.worker_id = worker_id or default_worker_id()
@@ -194,7 +193,6 @@ class Worker:
         self.max_claims = max_claims
         self.point_workers = point_workers
         self.shard_points = shard_points
-        self.heartbeats = heartbeats
         self.store = ResultStore(
             self.directory, code_version=code_version, shared_writer=True
         )
@@ -209,10 +207,6 @@ class Worker:
         doorbell = self._doorbell
         if doorbell is not None:
             doorbell.ring()
-
-    @property
-    def stopping(self) -> bool:
-        return self._stop.is_set()
 
     def close(self) -> None:
         doorbell, self._doorbell = self._doorbell, None
@@ -304,20 +298,18 @@ class Worker:
                 submission_id, self.worker_id, "failed", error=str(exc)
             )
             return True
-        heartbeat = None
-        if self.heartbeats:
-            heartbeat = _Heartbeat(
-                self.directory,
-                submission_id,
-                self.worker_id,
-                self.lease_seconds,
-                self.store.code_version,
-            ).start()
+        heartbeat = _Heartbeat(
+            self.directory,
+            submission_id,
+            self.worker_id,
+            self.lease_seconds,
+            self.store.code_version,
+        ).start()
 
         def on_outcome(point: Any, outcome: Any) -> None:
             # Runs after the point's value and outcome committed —
             # aborting here never loses work.
-            if heartbeat is not None and heartbeat.lost.is_set():
+            if heartbeat.lost.is_set():
                 raise LeaseLostError(
                     f"lease on submission {submission_id} was lost by "
                     f"{self.worker_id}; another worker owns it now"
@@ -345,8 +337,7 @@ class Worker:
             # 'failed' with the error text; the pool stays alive.
             return True
         finally:
-            if heartbeat is not None:
-                heartbeat.stop()
+            heartbeat.stop()
 
 
 class WorkerSupervisor:

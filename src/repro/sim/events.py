@@ -104,11 +104,6 @@ class Event:
             raise SimulationError("event value is not yet available")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """Whether a failure was consumed by some process."""
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel will not re-raise."""
         self._defused = True

@@ -554,7 +554,6 @@ class ResultStore:
         spec: SweepSpec,
         runner_name: str,
         shard_points: int = DEFAULT_SHARD_POINTS,
-        require_complete: bool = True,
     ) -> int:
         """Move a completed sweep's scalar metrics into columnar shards.
 
@@ -580,12 +579,11 @@ class ResultStore:
             point for point in points
             if _point_store_key(point) not in stored
         ]
-        if missing and require_complete:
+        if missing:
             raise StoreError(
                 f"cannot finalize sweep {spec.experiment_id!r}: "
                 f"{len(missing)} of {len(points)} points are not stored "
-                "(run the sweep to completion first, or pass "
-                "require_complete=False)"
+                "(run the sweep to completion first)"
             )
         shard_rows: List[Tuple[int, str, int, int, List[str]]] = []
         # (row_id, shard_seq, pos, kind, residual_payload)
@@ -599,12 +597,9 @@ class ResultStore:
                 Optional[Tuple[int, Dict[str, Any]]]
             ] = []
             for point in block:
-                entry = stored.get(_point_store_key(point))
-                if entry is None:
-                    values.append(None)
-                    rows_in_block.append(None)
-                    continue
-                row_id, kind, payload, pos, shard = entry
+                row_id, kind, payload, pos, shard = stored[
+                    _point_store_key(point)
+                ]
                 if kind in col.COLUMN_KINDS:
                     # Re-finalize after new points joined: recover the
                     # value from its current shard (+ residual).
@@ -873,7 +868,6 @@ class ResultStore:
         name: str,
         spec: SweepSpec,
         runner_name: str,
-        kind: str = "scenario-sweep",
     ) -> int:
         """Queue one sweep submission (state ``pending``); once it has
         committed, ring the idle workers' doorbells (:mod:`repro.store.
@@ -882,14 +876,13 @@ class ResultStore:
         with self._write() as conn:
             cursor = conn.execute(
                 """
-                INSERT INTO submissions (name, kind, spec_json,
+                INSERT INTO submissions (name, spec_json,
                     experiment_id, runner, code_version, state,
                     created_at, updated_at)
-                VALUES (?, ?, ?, ?, ?, ?, 'pending', ?, ?)
+                VALUES (?, ?, ?, ?, ?, 'pending', ?, ?)
                 """,
                 (
                     name,
-                    kind,
                     json.dumps(spec.to_dict(), sort_keys=True),
                     *self._identity(spec.experiment_id, runner_name),
                     now,
@@ -1134,7 +1127,6 @@ class ResultStore:
         worker_id: str,
         workers: Optional[int] = None,
         policy: Optional[Any] = None,
-        finalize: bool = True,
         shard_points: int = DEFAULT_SHARD_POINTS,
         on_outcome: Optional[Any] = None,
     ) -> Tuple[Any, bool]:
@@ -1191,7 +1183,7 @@ class ResultStore:
                     error=f"{type(exc).__name__}: {exc}",
                 )
             raise
-        if finalize and result.failure_count == 0:
+        if result.failure_count == 0:
             self.finalize_sweep(spec, name, shard_points=shard_points)
         released = self.release_submission(
             submission_id,

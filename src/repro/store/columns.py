@@ -91,19 +91,6 @@ def scalar_kind(value: Any) -> int:
     return KIND_ABSENT
 
 
-def is_scalar_dict(value: Any) -> bool:
-    """True when ``value`` is a dict of str -> float/int/bool/None."""
-    if type(value) is not dict:
-        return False
-    for key, item in value.items():
-        if not isinstance(key, str):
-            return False
-        if item is None or isinstance(item, (bool, float, int)):
-            continue
-        return False
-    return True
-
-
 def split_point(
     value: Any,
 ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:

@@ -282,10 +282,9 @@ def read_schema_version(conn: sqlite3.Connection) -> int:
 def migrate(
     conn: sqlite3.Connection,
     from_version: int,
-    to_version: int = SCHEMA_VERSION,
     on_step: Callable[[int], None] = lambda v: None,
 ) -> int:
-    """Lift the schema from ``from_version`` to ``to_version``.
+    """Lift the schema from ``from_version`` to :data:`SCHEMA_VERSION`.
 
     The whole chain runs in one transaction: a crash mid-migration
     rolls back to the old version, never a half-migrated hybrid.
@@ -295,7 +294,7 @@ def migrate(
 
     def lift() -> None:
         nonlocal applied
-        for step in range(from_version, to_version):
+        for step in range(from_version, SCHEMA_VERSION):
             for statement in MIGRATIONS[step]:
                 conn.execute(statement)
             applied += 1
@@ -303,7 +302,7 @@ def migrate(
         if applied:
             conn.execute(
                 "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                (str(to_version),),
+                (str(SCHEMA_VERSION),),
             )
 
     _atomic(conn, lift)

@@ -17,9 +17,7 @@ from repro.strategies.application import (
     Phase,
     PhaseKind,
     classical,
-    qaoa_like,
     quantum,
-    sampling_campaign,
     vqe_like,
 )
 from repro.strategies.base import (
@@ -40,15 +38,6 @@ from repro.strategies.workflow import (
     WorkflowStrategy,
 )
 
-#: Registry of strategy classes by report name.
-STRATEGIES = {
-    CoScheduleStrategy.name: CoScheduleStrategy,
-    WorkflowStrategy.name: WorkflowStrategy,
-    VQPUStrategy.name: VQPUStrategy,
-    MalleableStrategy.name: MalleableStrategy,
-    ElasticQPUStrategy.name: ElasticQPUStrategy,
-}
-
 __all__ = [
     "CoScheduleStrategy",
     "ElasticQPUStrategy",
@@ -61,7 +50,6 @@ __all__ = [
     "Phase",
     "PhaseKind",
     "RunRecord",
-    "STRATEGIES",
     "StrategyRun",
     "VQPUStrategy",
     "VirtualQPU",
@@ -71,8 +59,6 @@ __all__ = [
     "WorkflowStep",
     "WorkflowStrategy",
     "classical",
-    "qaoa_like",
     "quantum",
-    "sampling_campaign",
     "vqe_like",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.quantum.circuit import Circuit
@@ -232,56 +232,3 @@ def vqe_like(
         name=name or f"vqe-{iterations}it",
     )
 
-
-def qaoa_like(
-    layers: int,
-    sweep_points: int,
-    classical_work_per_point: float,
-    circuit: Circuit,
-    shots: int = 2000,
-    classical_nodes: int = 8,
-    name: Optional[str] = None,
-) -> HybridApplication:
-    """QAOA-style parameter sweep: per layer, a classical preparation
-    then a burst of ``sweep_points`` quantum evaluations."""
-    if layers <= 0 or sweep_points <= 0:
-        raise ConfigurationError("layers and sweep_points must be positive")
-    phases: List[Phase] = []
-    for _ in range(layers):
-        phases.append(classical(classical_work_per_point * sweep_points))
-        for _ in range(sweep_points):
-            phases.append(quantum(circuit, shots))
-    return HybridApplication(
-        phases=phases,
-        classical_nodes=classical_nodes,
-        name=name or f"qaoa-{layers}x{sweep_points}",
-    )
-
-
-def sampling_campaign(
-    batches: int,
-    circuit: Circuit,
-    shots_per_batch: int,
-    post_processing: float,
-    classical_nodes: int = 4,
-    name: Optional[str] = None,
-) -> HybridApplication:
-    """Quantum-dominated workload: sample batches with light classical
-    post-processing — the regime where classical nodes idle (neutral
-    atoms in the paper's Listing 1 discussion)."""
-    if batches <= 0:
-        raise ConfigurationError("batches must be positive")
-    phases: List[Phase] = []
-    for _ in range(batches):
-        phases.append(quantum(circuit, shots_per_batch))
-        phases.append(classical(post_processing))
-    return HybridApplication(
-        phases=phases,
-        classical_nodes=classical_nodes,
-        name=name or f"sampling-{batches}b",
-    )
-
-
-def interleave(apps: Iterable[HybridApplication]) -> List[HybridApplication]:
-    """Utility: materialise an iterable of applications (for campaigns)."""
-    return list(apps)

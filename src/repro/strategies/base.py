@@ -90,7 +90,7 @@ class Environment:
         too small for its circuits and fail at submission —
         capability-constrained gres placement is a roadmap item; until
         then size strategy-campaign circuits to the *smallest* fleet
-        register (``HybridAppGenerator(max_qubits=...)``).
+        register.
         """
         technologies = self.technologies()
         if len(technologies) == 1:

@@ -34,15 +34,15 @@ class CoScheduleStrategy(IntegrationStrategy):
     walltime:
         Explicit walltime for both components (Listing 1 uses one
         hour).  When ``None``, the ideal makespan times
-        ``walltime_safety`` is requested — mirroring users who size
+        :data:`WALLTIME_SAFETY` is requested — mirroring users who size
         walltime from an estimate.
     hold_full_walltime:
         If True, the job does not exit when the application finishes:
         it occupies its allocation until the walltime expires, the
         worst-case (but common, for interactive-style reservations)
         behaviour the paper's Listing 1 example describes.
-    quantum_nodes:
-        Front-end nodes requested in the quantum partition.
+
+    The quantum component is one front-end node holding the QPU gres.
     """
 
     name = "coschedule"
@@ -50,20 +50,16 @@ class CoScheduleStrategy(IntegrationStrategy):
     def __init__(
         self,
         walltime: Optional[float] = None,
-        walltime_safety: float = WALLTIME_SAFETY,
         hold_full_walltime: bool = False,
-        quantum_nodes: int = 1,
     ) -> None:
         self.walltime = walltime
-        self.walltime_safety = walltime_safety
         self.hold_full_walltime = hold_full_walltime
-        self.quantum_nodes = quantum_nodes
 
     def _walltime_for(self, env: Environment, app: HybridApplication) -> float:
         if self.walltime is not None:
             return self.walltime
         technology = env.planning_technology(app)
-        return app.ideal_makespan(technology) * self.walltime_safety
+        return app.ideal_makespan(technology) * WALLTIME_SAFETY
 
     def launch(self, env: Environment, app: HybridApplication) -> StrategyRun:
         record = self._new_record(env, app)
@@ -97,12 +93,7 @@ class CoScheduleStrategy(IntegrationStrategy):
                 JobComponent(
                     "classical", app.classical_nodes, walltime
                 ),
-                JobComponent(
-                    "quantum",
-                    self.quantum_nodes,
-                    walltime,
-                    gres={"qpu": 1},
-                ),
+                JobComponent("quantum", 1, walltime, gres={"qpu": 1}),
             ],
             user=app.name,
             work=work,

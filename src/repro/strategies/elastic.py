@@ -35,8 +35,8 @@ from repro.strategies.base import (
     StrategyRun,
 )
 
-#: Default walltime safety factor: attach waits make runtime less
-#: predictable than a rigid job's.
+#: Walltime safety factor when no walltime is given: attach waits
+#: make runtime less predictable than a rigid job's.
 WALLTIME_SAFETY = 3.0
 
 
@@ -48,8 +48,9 @@ class ElasticQPUStrategy(IntegrationStrategy):
     attach_overhead:
         Application-side cost per attach (context/program upload to
         the freshly granted device), seconds.
-    quantum_nodes:
-        Front-end nodes of the attached quantum component.
+
+    The attached quantum component is one front-end node holding the
+    QPU gres.
     """
 
     name = "elastic"
@@ -58,13 +59,9 @@ class ElasticQPUStrategy(IntegrationStrategy):
         self,
         attach_overhead: float = 1.0,
         walltime: Optional[float] = None,
-        walltime_safety: float = WALLTIME_SAFETY,
-        quantum_nodes: int = 1,
     ) -> None:
         self.attach_overhead = attach_overhead
         self.walltime = walltime
-        self.walltime_safety = walltime_safety
-        self.quantum_nodes = quantum_nodes
 
     def _walltime_for(self, env: Environment, app: HybridApplication) -> float:
         if self.walltime is not None:
@@ -73,7 +70,7 @@ class ElasticQPUStrategy(IntegrationStrategy):
         overheads = app.quantum_phase_count * self.attach_overhead
         return (
             app.ideal_makespan(technology) + overheads
-        ) * self.walltime_safety
+        ) * WALLTIME_SAFETY
 
     def launch(self, env: Environment, app: HybridApplication) -> StrategyRun:
         record = self._new_record(env, app)
@@ -102,10 +99,7 @@ class ElasticQPUStrategy(IntegrationStrategy):
                 requested_at = ctx.now
                 allocation: Allocation = yield ctx.attach_component(
                     JobComponent(
-                        "quantum",
-                        strategy.quantum_nodes,
-                        quantum_walltime,
-                        gres={"qpu": 1},
+                        "quantum", 1, quantum_walltime, gres={"qpu": 1}
                     )
                 )
                 attach_waits.append(ctx.now - requested_at)

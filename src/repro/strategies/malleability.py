@@ -30,8 +30,9 @@ from repro.strategies.base import (
 )
 from repro.strategies.phases import execute_phases
 
-#: Default walltime safety factor (regrow waits make malleable jobs'
-#: runtime less predictable than rigid ones, so be generous).
+#: Walltime safety factor when no walltime is given (regrow waits
+#: make malleable jobs' runtime less predictable than rigid ones, so
+#: be generous).
 WALLTIME_SAFETY = 3.0
 
 
@@ -58,7 +59,7 @@ class MalleableStrategy(IntegrationStrategy):
         :attr:`GrowMode.OPPORTUNISTIC`.
     walltime:
         Explicit job walltime; defaults to ideal makespan times
-        ``walltime_safety``.
+        :data:`WALLTIME_SAFETY`.
     """
 
     name = "malleable"
@@ -68,14 +69,10 @@ class MalleableStrategy(IntegrationStrategy):
         reconfiguration_cost: float = 5.0,
         grow_mode: GrowMode = GrowMode.BLOCK,
         walltime: Optional[float] = None,
-        walltime_safety: float = WALLTIME_SAFETY,
-        quantum_nodes: int = 1,
     ) -> None:
         self.reconfiguration_cost = reconfiguration_cost
         self.grow_mode = grow_mode
         self.walltime = walltime
-        self.walltime_safety = walltime_safety
-        self.quantum_nodes = quantum_nodes
 
     def _walltime_for(self, env: Environment, app: HybridApplication) -> float:
         if self.walltime is not None:
@@ -84,7 +81,7 @@ class MalleableStrategy(IntegrationStrategy):
         resizes = 2.0 * app.quantum_phase_count * self.reconfiguration_cost
         return (
             app.ideal_makespan(technology) + resizes
-        ) * self.walltime_safety
+        ) * WALLTIME_SAFETY
 
     def launch(self, env: Environment, app: HybridApplication) -> StrategyRun:
         record = self._new_record(env, app)
@@ -164,9 +161,7 @@ class MalleableStrategy(IntegrationStrategy):
             name=f"{app.name}:malleable",
             components=[
                 JobComponent("classical", app.classical_nodes, walltime),
-                JobComponent(
-                    "quantum", self.quantum_nodes, walltime, gres={"qpu": 1}
-                ),
+                JobComponent("quantum", 1, walltime, gres={"qpu": 1}),
             ],
             user=app.name,
             work=work,

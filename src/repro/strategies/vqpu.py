@@ -20,7 +20,7 @@ from repro.quantum.circuit import Circuit
 from repro.quantum.qpu import QPU
 from repro.sim.events import Event
 from repro.sim.monitor import SampleSeries
-from repro.strategies.coschedule import CoScheduleStrategy
+from repro.strategies.coschedule import WALLTIME_SAFETY, CoScheduleStrategy
 
 
 class VirtualQPU:
@@ -138,7 +138,7 @@ class VQPUStrategy(CoScheduleStrategy):
         if self.walltime is not None:
             return self.walltime
         technology = env.planning_technology(app)
-        base = app.ideal_makespan(technology) * self.walltime_safety
+        base = app.ideal_makespan(technology) * WALLTIME_SAFETY
         pool_size = max(
             (pool.size for pool in env.vqpu_pools), default=1
         )
@@ -155,4 +155,4 @@ class VQPUStrategy(CoScheduleStrategy):
         interleave_allowance = (
             app.quantum_phase_count * (pool_size - 1) * worst_kernel
         )
-        return base + interleave_allowance * self.walltime_safety
+        return base + interleave_allowance * WALLTIME_SAFETY

@@ -223,14 +223,8 @@ class WorkflowStrategy(IntegrationStrategy):
 
     def __init__(
         self,
-        step_walltime_safety: float = STEP_WALLTIME_SAFETY,
-        min_step_walltime: float = MIN_STEP_WALLTIME,
-        quantum_nodes: int = 1,
         use_scheduler_dependencies: bool = False,
     ) -> None:
-        self.step_walltime_safety = step_walltime_safety
-        self.min_step_walltime = min_step_walltime
-        self.quantum_nodes = quantum_nodes
         self.use_scheduler_dependencies = use_scheduler_dependencies
 
     # -- workflow construction ------------------------------------------------------
@@ -258,9 +252,7 @@ class WorkflowStrategy(IntegrationStrategy):
         return Workflow(app.name, steps)
 
     def _step_walltime(self, estimate: float) -> float:
-        return max(
-            estimate * self.step_walltime_safety, self.min_step_walltime
-        )
+        return max(estimate * STEP_WALLTIME_SAFETY, MIN_STEP_WALLTIME)
 
     def _classical_spec_factory(self, app, phase, name, record):
         duration = app.classical_time(phase, app.classical_nodes)
@@ -295,7 +287,6 @@ class WorkflowStrategy(IntegrationStrategy):
         if technology.calibration_interval != float("inf"):
             estimate += technology.calibration_duration
         walltime = self._step_walltime(estimate)
-        quantum_nodes = self.quantum_nodes
 
         def factory() -> JobSpec:
             def work(ctx: JobContext):
@@ -310,9 +301,7 @@ class WorkflowStrategy(IntegrationStrategy):
             return JobSpec(
                 name=name,
                 components=[
-                    JobComponent(
-                        "quantum", quantum_nodes, walltime, gres={"qpu": 1}
-                    )
+                    JobComponent("quantum", 1, walltime, gres={"qpu": 1})
                 ],
                 user=app.name,
                 work=work,

@@ -1,4 +1,4 @@
-"""Workload synthesis: distributions, arrivals, hybrid apps, traces."""
+"""Workload synthesis: distributions, arrivals, traces and their kernels."""
 
 from repro.workloads.arrivals import (
     DiurnalArrivals,
@@ -6,20 +6,12 @@ from repro.workloads.arrivals import (
     TraceArrivals,
 )
 from repro.workloads.distributions import (
-    BoundedPareto,
-    Constant,
     Distribution,
-    Exponential,
     LogUniform,
     PowerOfTwoNodes,
-    Uniform,
 )
 from repro.workloads.generator import CampaignDriver, submit_trace
-from repro.workloads.hybrid import (
-    HybridAppConfig,
-    HybridAppGenerator,
-    trace_kernel_payload,
-)
+from repro.workloads.hybrid import trace_kernel_payload
 from repro.workloads.swf import (
     TraceJob,
     clip_trace,
@@ -33,20 +25,14 @@ from repro.workloads.swf import (
 )
 
 __all__ = [
-    "BoundedPareto",
     "CampaignDriver",
-    "Constant",
     "DiurnalArrivals",
     "Distribution",
-    "Exponential",
-    "HybridAppConfig",
-    "HybridAppGenerator",
     "LogUniform",
     "PoissonArrivals",
     "PowerOfTwoNodes",
     "TraceArrivals",
     "TraceJob",
-    "Uniform",
     "clip_trace",
     "jitter_trace",
     "loop_trace",

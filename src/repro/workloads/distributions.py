@@ -33,41 +33,6 @@ class Distribution(Protocol):
         ...
 
 
-class Constant:
-    """Degenerate distribution: always ``value``."""
-
-    def __init__(self, value: float) -> None:
-        self.value = float(value)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
-
-    def mean(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Constant({self.value!r})"
-
-
-class Uniform:
-    """Uniform over [low, high]."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if high < low:
-            raise ConfigurationError("high must be >= low")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def __repr__(self) -> str:
-        return f"Uniform({self.low!r}, {self.high!r})"
-
-
 class LogUniform:
     """Log-uniform over [low, high] — the classic runtime model.
 
@@ -95,59 +60,6 @@ class LogUniform:
 
     def __repr__(self) -> str:
         return f"LogUniform({self.low!r}, {self.high!r})"
-
-
-class Exponential:
-    """Exponential with the given mean."""
-
-    def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise ConfigurationError("mean must be positive")
-        self._mean = float(mean)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self._mean))
-
-    def mean(self) -> float:
-        return self._mean
-
-    def __repr__(self) -> str:
-        return f"Exponential(mean={self._mean!r})"
-
-
-class BoundedPareto:
-    """Pareto truncated to [low, high]: heavy tails without outliers
-    that would dominate a finite simulation."""
-
-    def __init__(self, low: float, high: float, alpha: float = 1.5) -> None:
-        if low <= 0 or high <= low:
-            raise ConfigurationError("need 0 < low < high")
-        if alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
-        self.low = float(low)
-        self.high = float(high)
-        self.alpha = float(alpha)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        # Inverse-CDF sampling of the truncated Pareto.
-        u = float(rng.random())
-        la, ha, a = self.low**self.alpha, self.high**self.alpha, self.alpha
-        x = (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / a)
-        return float(min(max(x, self.low), self.high))
-
-    def mean(self) -> float:
-        a, low, high = self.alpha, self.low, self.high
-        if a == 1.0:
-            return (
-                math.log(high / low) * low * high / (high - low)
-            )
-        num = low**a / (1 - (low / high) ** a)
-        return num * a / (a - 1) * (low ** (1 - a) - high ** (1 - a))
-
-    def __repr__(self) -> str:
-        return (
-            f"BoundedPareto({self.low!r}, {self.high!r}, alpha={self.alpha!r})"
-        )
 
 
 class PowerOfTwoNodes:

@@ -1,140 +1,13 @@
-"""Random hybrid-application generation.
-
-Produces :class:`~repro.strategies.application.HybridApplication`
-instances with randomised phase structure — the simulated analogue of a
-user population submitting VQE/QAOA/sampling campaigns of varying
-shapes.  All randomness flows through named RNG streams for
-reproducibility.
-"""
+"""The representative quantum kernel a hybrid trace job dispatches."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.quantum.circuit import Circuit
 from repro.sim.rng import derive_seed
-from repro.strategies.application import (
-    HybridApplication,
-    Phase,
-    classical,
-    quantum,
-)
-from repro.workloads.distributions import (
-    Constant,
-    Distribution,
-    LogUniform,
-    PowerOfTwoNodes,
-    Uniform,
-)
-
-
-@dataclass
-class HybridAppConfig:
-    """Knobs of the random hybrid-application population.
-
-    Defaults model a mixed variational campaign: a handful of
-    iterations, classical phases of minutes, kilo-shot kernels on
-    mid-sized circuits, and a small pool of register geometries (so
-    neutral-atom geometry calibration is exercised but amortised).
-    """
-
-    iterations_low: int = 2
-    iterations_high: int = 8
-    classical_work: Distribution = field(
-        default_factory=lambda: LogUniform(60.0, 1800.0)
-    )
-    nodes: Distribution = field(
-        default_factory=lambda: PowerOfTwoNodes(2, 16)
-    )
-    qubits: Distribution = field(default_factory=lambda: Uniform(4, 24))
-    depth: Distribution = field(default_factory=lambda: LogUniform(20, 400))
-    shots: Distribution = field(default_factory=lambda: Constant(1000))
-    two_qubit_fraction: float = 0.3
-    geometry_pool: Sequence[str] = ("geomA", "geomB", "geomC")
-    min_nodes_fraction: float = 0.125
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.iterations_low <= self.iterations_high:
-            raise ConfigurationError(
-                "need 1 <= iterations_low <= iterations_high"
-            )
-        if not self.geometry_pool:
-            raise ConfigurationError("geometry_pool must be non-empty")
-        if not 0.0 < self.min_nodes_fraction <= 1.0:
-            raise ConfigurationError("min_nodes_fraction must be in (0, 1]")
-
-
-class HybridAppGenerator:
-    """Draws random applications from a :class:`HybridAppConfig`.
-
-    Circuit widths clamp to the execution target when it is known:
-    either a fixed device's register (``max_qubits``) or a
-    heterogeneous :class:`~repro.quantum.fleet.QPUFleet` (``fleet``),
-    where a kernel only needs to fit *some* device — the fleet router
-    picks which one at dispatch time — so the clamp is the fleet's
-    largest register.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        config: Optional[HybridAppConfig] = None,
-        max_qubits: Optional[int] = None,
-        fleet: Optional[Any] = None,
-    ) -> None:
-        self.rng = rng
-        self.config = config or HybridAppConfig()
-        if max_qubits is None and fleet is not None:
-            max_qubits = max(
-                qpu.technology.num_qubits for qpu in fleet.qpus
-            )
-        #: Clamp circuit widths to the execution target, when known.
-        self.max_qubits = max_qubits
-        self._counter = 0
-
-    def next_app(self) -> HybridApplication:
-        """Generate one application."""
-        config = self.config
-        rng = self.rng
-        self._counter += 1
-        iterations = int(
-            rng.integers(config.iterations_low, config.iterations_high + 1)
-        )
-        nodes = max(int(config.nodes.sample(rng)), 1)
-        min_nodes = max(int(round(nodes * config.min_nodes_fraction)), 1)
-        geometry = str(rng.choice(list(config.geometry_pool)))
-        qubits = max(int(config.qubits.sample(rng)), 1)
-        if self.max_qubits is not None:
-            qubits = min(qubits, self.max_qubits)
-        depth = max(int(config.depth.sample(rng)), 1)
-        shots = max(int(config.shots.sample(rng)), 1)
-        circuit = Circuit(
-            num_qubits=qubits,
-            depth=depth,
-            two_qubit_fraction=config.two_qubit_fraction,
-            geometry=geometry,
-            name=f"hyb-circ-{self._counter}",
-        )
-        phases: List[Phase] = []
-        for _ in range(iterations):
-            phases.append(classical(float(config.classical_work.sample(rng))))
-            phases.append(quantum(circuit, shots))
-        return HybridApplication(
-            phases=phases,
-            classical_nodes=nodes,
-            min_classical_nodes=min_nodes,
-            name=f"hybrid-{self._counter}",
-        )
-
-    def apps(self, count: int) -> List[HybridApplication]:
-        """Generate ``count`` applications."""
-        if count < 0:
-            raise ConfigurationError("count must be >= 0")
-        return [self.next_app() for _ in range(count)]
 
 
 #: Bounds of the representative trace-job kernel payloads (width is

@@ -6,11 +6,9 @@ from repro.errors import ConfigurationError
 from repro.metrics.report import (
     format_cell,
     format_duration,
-    render_bars,
     render_markdown_table,
     render_series,
     render_table,
-    summarise_records,
 )
 
 
@@ -79,22 +77,6 @@ class TestMarkdownTable:
         assert lines[2] == "| 1 | 2 |"
 
 
-class TestRenderBars:
-    def test_bars_scale_with_values(self):
-        text = render_bars(["x", "y"], [10.0, 5.0], width=10)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_zero_peak(self):
-        text = render_bars(["x"], [0.0])
-        assert "#" not in text
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            render_bars(["x"], [1.0, 2.0])
-
-
 class TestRenderSeries:
     def test_multi_series_table(self):
         text = render_series(
@@ -112,13 +94,3 @@ class TestRenderSeries:
         with pytest.raises(ConfigurationError):
             render_series("x", ["y", "z"], [1], [[1.0]])
 
-
-class TestSummariseRecords:
-    def test_empty(self):
-        assert summarise_records([]) == "(no records)"
-
-    def test_dict_rows(self):
-        text = summarise_records(
-            [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5}]
-        )
-        assert "4.5" in text

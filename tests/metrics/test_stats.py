@@ -6,11 +6,8 @@ from repro.errors import ConfigurationError
 from repro.metrics.stats import (
     RunningStats,
     bootstrap_ci,
-    bounded_slowdowns,
-    geometric_mean,
     mean,
     median,
-    ratio,
 )
 
 
@@ -76,32 +73,6 @@ class TestBasics:
 
     def test_median_empty(self):
         assert median([]) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
-        assert geometric_mean([]) == 0.0
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-
-    def test_ratio(self):
-        assert ratio(10.0, 2.0) == 5.0
-        assert ratio(10.0, 0.0) == 0.0
-
-
-class TestSlowdowns:
-    def test_bounded_floor(self):
-        slowdowns = bounded_slowdowns([100.0], [1.0], floor=10.0)
-        assert slowdowns == [pytest.approx(10.0)]
-
-    def test_never_below_one(self):
-        slowdowns = bounded_slowdowns([5.0], [100.0])
-        assert slowdowns == [1.0]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bounded_slowdowns([1.0], [1.0, 2.0])
 
 
 class TestBootstrap:

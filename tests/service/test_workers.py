@@ -200,15 +200,23 @@ def leaves_pending(store, sid):
     return lambda: store.submission(sid)["state"] != "pending"
 
 
+def finish_own_run(thread):
+    """Let a ``max_submissions=1`` run end by itself: stopping the
+    worker mid-submission would drain-requeue it to ``pending``."""
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
 class TestDoorbell:
     """Idle workers block on a FIFO under ``<store>/wake/`` that every
     submit and drain requeue rings; ``poll_seconds`` is only the
     fallback, so each test pins it at 30 s and expects < 1 s."""
 
     def test_submit_wakes_an_idle_worker(self, store_dir, store):
-        with idle_worker(store_dir, max_submissions=1):
+        with idle_worker(store_dir, max_submissions=1) as (_, thread):
             sid = submit(store)
             assert wait_until(leaves_pending(store, sid), 1.0) is not None
+            finish_own_run(thread)
         assert store.submission(sid)["state"] == "done"
 
     def test_stop_interrupts_an_idle_wait(self, store_dir, store):
@@ -224,10 +232,11 @@ class TestDoorbell:
         # A peer holds the lease, so the idle worker's claim finds
         # nothing; the peer's drain requeue must wake it.
         assert store.claim_next_submission("peer")["id"] == sid
-        with idle_worker(store_dir, max_submissions=1):
+        with idle_worker(store_dir, max_submissions=1) as (_, thread):
             assert store.submission(sid)["claimed_by"] == "peer"
             assert store.release_submission(sid, "peer", "pending")
             assert wait_until(leaves_pending(store, sid), 1.0) is not None
+            finish_own_run(thread)
         assert store.submission(sid)["state"] == "done"
 
     def test_fifo_of_a_killed_worker_is_unlinked_by_the_next_ring(

@@ -9,9 +9,7 @@ from repro.strategies.application import (
     HybridApplication,
     PhaseKind,
     classical,
-    qaoa_like,
     quantum,
-    sampling_campaign,
     vqe_like,
 )
 
@@ -134,17 +132,6 @@ class TestFactories:
     def test_vqe_validates_iterations(self):
         with pytest.raises(ConfigurationError):
             vqe_like(0, 10.0, Circuit(4, 10))
-
-    def test_qaoa_bursts(self):
-        app = qaoa_like(2, 3, 10.0, Circuit(4, 10))
-        quantum_count = sum(1 for p in app.phases if p.is_quantum)
-        assert quantum_count == 6  # 2 layers x 3 points
-        assert app.classical_phase_count == 2
-
-    def test_sampling_campaign_starts_quantum(self):
-        app = sampling_campaign(3, Circuit(4, 10), 100, 60.0)
-        assert app.phases[0].is_quantum
-        assert app.quantum_phase_count == 3
 
     def test_names_auto_generated_and_unique(self):
         a = simple_app()

@@ -117,14 +117,17 @@ class TestPlanningTechnology:
         """A co-schedule launch into a mixed fleet requests a walltime
         sized for the slowest capable technology, not whichever device
         happens to be first."""
-        from repro.strategies.coschedule import CoScheduleStrategy
+        from repro.strategies.coschedule import (
+            WALLTIME_SAFETY,
+            CoScheduleStrategy,
+        )
 
         env = self._hetero_env()
         app = self._app(10)
         run = CoScheduleStrategy()
         walltime = run._walltime_for(env, app)
         assert walltime == pytest.approx(
-            app.ideal_makespan(TRAPPED_ION) * run.walltime_safety
+            app.ideal_makespan(TRAPPED_ION) * WALLTIME_SAFETY
         )
         assert walltime > app.ideal_makespan(SUPERCONDUCTING)
 

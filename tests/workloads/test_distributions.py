@@ -2,44 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.workloads.distributions import (
-    BoundedPareto,
-    Constant,
-    Exponential,
-    LogUniform,
-    PowerOfTwoNodes,
-    Uniform,
-)
+from repro.workloads.distributions import LogUniform, PowerOfTwoNodes
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
-
-
-class TestConstant:
-    def test_always_same(self, rng):
-        dist = Constant(5.0)
-        assert all(dist.sample(rng) == 5.0 for _ in range(10))
-        assert dist.mean() == 5.0
-
-
-class TestUniform:
-    def test_in_range(self, rng):
-        dist = Uniform(2.0, 4.0)
-        samples = [dist.sample(rng) for _ in range(200)]
-        assert all(2.0 <= s <= 4.0 for s in samples)
-
-    def test_mean(self):
-        assert Uniform(0.0, 10.0).mean() == 5.0
-
-    def test_invalid_range(self):
-        with pytest.raises(ConfigurationError):
-            Uniform(4.0, 2.0)
 
 
 class TestLogUniform:
@@ -68,50 +38,6 @@ class TestLogUniform:
 
     def test_degenerate_mean(self):
         assert LogUniform(5.0, 5.0).mean() == 5.0
-
-
-class TestExponential:
-    def test_mean_matches(self, rng):
-        dist = Exponential(100.0)
-        samples = [dist.sample(rng) for _ in range(20000)]
-        assert np.mean(samples) == pytest.approx(100.0, rel=0.05)
-
-    def test_invalid_mean(self):
-        with pytest.raises(ConfigurationError):
-            Exponential(0.0)
-
-
-class TestBoundedPareto:
-    def test_in_range(self, rng):
-        dist = BoundedPareto(1.0, 100.0, alpha=1.5)
-        samples = [dist.sample(rng) for _ in range(1000)]
-        assert all(1.0 <= s <= 100.0 for s in samples)
-
-    def test_heavy_tail_shape(self, rng):
-        dist = BoundedPareto(1.0, 1000.0, alpha=1.0)
-        samples = [dist.sample(rng) for _ in range(5000)]
-        # Most mass near the low end, but the tail is populated.
-        assert np.median(samples) < 5.0
-        assert max(samples) > 100.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BoundedPareto(10.0, 5.0)
-        with pytest.raises(ConfigurationError):
-            BoundedPareto(1.0, 10.0, alpha=0.0)
-
-    @given(
-        low=st.floats(min_value=0.5, max_value=10.0),
-        span=st.floats(min_value=1.5, max_value=100.0),
-        alpha=st.floats(min_value=0.5, max_value=3.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_samples_always_within_bounds(self, low, span, alpha):
-        dist = BoundedPareto(low, low * span, alpha=alpha)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            sample = dist.sample(rng)
-            assert low <= sample <= low * span
 
 
 class TestPowerOfTwoNodes:

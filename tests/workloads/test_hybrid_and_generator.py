@@ -1,100 +1,18 @@
-"""Tests for the hybrid-app generator and submission drivers."""
+"""Tests for the trace kernel payload and the submission drivers."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.quantum.technology import SUPERCONDUCTING
 from repro.scenarios import ScenarioSpec, TopologySpec, build
 from repro.scheduler.job import JobState
-from repro.strategies.application import PhaseKind
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.workloads.generator import CampaignDriver, submit_trace
-from repro.workloads.hybrid import HybridAppConfig, HybridAppGenerator
 from repro.workloads.swf import TraceJob, synthesise_trace
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(9)
-
-
-class TestHybridAppGenerator:
-    def test_generates_valid_apps(self, rng):
-        generator = HybridAppGenerator(rng)
-        apps = generator.apps(10)
-        assert len(apps) == 10
-        for app in apps:
-            assert app.phases[0].kind == PhaseKind.CLASSICAL
-            assert app.quantum_phase_count >= 1
-            assert 1 <= app.min_classical_nodes <= app.classical_nodes
-
-    def test_iteration_bounds(self, rng):
-        config = HybridAppConfig(iterations_low=3, iterations_high=3)
-        generator = HybridAppGenerator(rng, config)
-        for app in generator.apps(5):
-            assert app.quantum_phase_count == 3
-
-    def test_geometries_from_pool(self, rng):
-        config = HybridAppConfig(geometry_pool=("only",))
-        generator = HybridAppGenerator(rng, config)
-        app = generator.next_app()
-        geometries = {
-            phase.circuit.geometry
-            for phase in app.phases
-            if phase.is_quantum
-        }
-        assert geometries == {"only"}
-
-    def test_qubits_clamped_to_device(self, rng):
-        generator = HybridAppGenerator(rng, max_qubits=5)
-        for app in generator.apps(10):
-            for phase in app.phases:
-                if phase.is_quantum:
-                    assert phase.circuit.num_qubits <= 5
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            HybridAppConfig(iterations_low=5, iterations_high=2)
-        with pytest.raises(ConfigurationError):
-            HybridAppConfig(geometry_pool=())
-        with pytest.raises(ConfigurationError):
-            HybridAppConfig(min_nodes_fraction=0.0)
-
-    def test_negative_count_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            HybridAppGenerator(rng).apps(-1)
-
-    def test_unique_names(self, rng):
-        generator = HybridAppGenerator(rng)
-        names = [app.name for app in generator.apps(20)]
-        assert len(set(names)) == 20
-
-    def test_fleet_clamps_to_largest_register(self, rng):
-        from repro.quantum.fleet import QPUFleet
-        from repro.quantum.qpu import QPU
-        from repro.quantum.technology import TRAPPED_ION
-        from repro.sim.kernel import Kernel
-
-        kernel = Kernel()
-        fleet = QPUFleet(
-            [
-                QPU(kernel, TRAPPED_ION, name="ti0"),  # 32 qubits
-                QPU(kernel, SUPERCONDUCTING, name="sc0"),  # 127
-            ]
-        )
-        generator = HybridAppGenerator(rng, fleet=fleet)
-        assert generator.max_qubits == 127
-
-    def test_explicit_max_qubits_beats_fleet(self, rng):
-        from repro.quantum.fleet import QPUFleet
-        from repro.quantum.qpu import QPU
-        from repro.sim.kernel import Kernel
-
-        kernel = Kernel()
-        fleet = QPUFleet([QPU(kernel, SUPERCONDUCTING, name="sc0")])
-        generator = HybridAppGenerator(rng, max_qubits=5, fleet=fleet)
-        assert generator.max_qubits == 5
 
 
 class TestTraceKernelPayload:
