@@ -6,6 +6,7 @@ import os
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -163,3 +164,33 @@ class TestInProcess:
         assert supervisor.pending == 1
         supervisor.stop()
         assert supervisor.pending == 0
+
+
+def _pool_in_state(state):
+    """A two-worker pool, both workers started, left ``idle``,
+    ``busy`` on long sleeps or ``broken`` by a worker's hard exit."""
+    pool = pool_module._process_pool(2)
+    warm = [pool.submit(time.sleep, 0.2) for _ in range(2)]
+    for future in warm:
+        future.result(timeout=30.0)
+    if state == "busy":
+        pool.submit(time.sleep, 30.0)
+        pool.submit(time.sleep, 30.0)
+        time.sleep(0.2)
+    elif state == "broken":
+        crash = pool.submit(os._exit, 1)
+        with pytest.raises(BrokenProcessPool):
+            crash.result(timeout=30.0)
+    return pool
+
+
+@pytest.mark.parametrize("state", ["idle", "busy", "broken"])
+def test_terminate_pool_returns_with_every_worker_reaped(state):
+    pool = _pool_in_state(state)
+    processes = list(pool._processes.values())
+    assert len(processes) == 2
+    start = time.monotonic()
+    pool_module._terminate_pool(pool)
+    assert time.monotonic() - start < 10.0
+    assert all(process.exitcode is not None for process in processes)
+    assert not multiprocessing.active_children()

@@ -28,6 +28,10 @@ class TestFormatDuration:
     def test_none(self):
         assert format_duration(None) == "-"
 
+    def test_negative_durations_scale_by_magnitude(self):
+        assert format_duration(-600.0) == "-10 min"
+        assert format_duration(-0.005) == "-5 ms"
+
 
 class TestFormatCell:
     def test_none(self):
@@ -44,6 +48,13 @@ class TestFormatCell:
 
     def test_string_passthrough(self):
         assert format_cell("abc") == "abc"
+
+    def test_large_float_scientific(self):
+        assert format_cell(123456.0) == "1.235e+05"
+        assert format_cell(-2.5e7) == "-2.500e+07"
+
+    def test_ints_are_never_rounded(self):
+        assert format_cell(1234567) == "1234567"
 
 
 class TestRenderTable:

@@ -74,6 +74,14 @@ class TestBasics:
     def test_median_empty(self):
         assert median([]) == 0.0
 
+    def test_median_leaves_its_input_in_order(self):
+        values = [3.0, 1.0, 2.0]
+        median(values)
+        assert values == [3.0, 1.0, 2.0]
+
+    def test_mean_is_exact_under_cancellation(self):
+        assert mean([1e16, 1.0, -1e16]) == pytest.approx(1.0 / 3.0)
+
 
 class TestBootstrap:
     def test_interval_contains_true_mean(self):

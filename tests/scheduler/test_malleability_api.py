@@ -218,3 +218,73 @@ class TestGrow:
         job = scheduler.submit(malleable_spec(lambda ctx: iter(())))
         with pytest.raises(MalleabilityError):
             scheduler.shrink_job(job, "classical", 1)
+
+
+class TestAttach:
+    def test_attach_has_priority_over_new_jobs(self, env):
+        """A pending attach and a pending job want the one QPU node
+        freeing at the same instant: the attach must win the pass."""
+        kernel, _, scheduler = env
+        attached_at = []
+        qpu = JobComponent("quantum", 1, 100.0, gres={"qpu": 1})
+
+        def work(ctx):
+            yield ctx.timeout(10.0)
+            yield ctx.attach_component(qpu)  # pends until blocker ends
+            attached_at.append(ctx.now)
+            yield ctx.timeout(20.0)
+            ctx.detach_component("quantum")
+            yield ctx.timeout(5.0)
+
+        elastic = scheduler.submit(malleable_spec(work, nodes=2))
+        scheduler.submit(
+            JobSpec(name="blocker", components=[qpu], duration=50.0)
+        )
+
+        def submit_competitor(k):
+            yield k.timeout(20.0)
+            scheduler.submit(
+                JobSpec(name="competitor", components=[qpu], duration=5.0)
+            )
+
+        kernel.process(submit_competitor(kernel))
+        kernel.run(until=500.0)
+        competitor = next(
+            j for j in scheduler.finished_jobs if j.spec.name == "competitor"
+        )
+        # Blocker ends at t=50; the attach is served in that pass and
+        # the competitor waits until the detach at t=70.
+        assert attached_at == [50.0]
+        assert competitor.start_time == 70.0
+        assert elastic.state == JobState.COMPLETED
+
+    def test_attach_on_pending_job_rejected(self, env):
+        kernel, _, scheduler = env
+        job = scheduler.submit(malleable_spec(lambda ctx: iter(())))
+        with pytest.raises(MalleabilityError):
+            scheduler.request_component(
+                job, JobComponent("quantum", 1, 10.0, gres={"qpu": 1})
+            )
+
+    def test_pending_attach_fails_when_job_ends(self, env):
+        kernel, _, scheduler = env
+        failures = []
+        qpu = JobComponent("quantum", 1, 100.0, gres={"qpu": 1})
+
+        def work(ctx):
+            yield ctx.timeout(1.0)
+            event = ctx.attach_component(qpu)
+            event.callbacks.append(
+                lambda ev: failures.append(type(ev.value).__name__)
+            )
+            event.defuse()
+            yield ctx.timeout(1.0)
+
+        scheduler.submit(
+            JobSpec(name="blocker", components=[qpu], duration=500.0)
+        )
+        job = scheduler.submit(malleable_spec(work, nodes=2))
+        kernel.run(until=600.0)
+        assert job.state == JobState.COMPLETED
+        assert failures == ["MalleabilityError"]
+        assert not scheduler.component_requests

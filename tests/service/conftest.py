@@ -17,6 +17,7 @@ workers.
 import json
 import os
 import sqlite3
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,22 @@ def stopping_runner(params, seed):
     return counting_runner(params, seed)
 
 
+#: ``(now, lease_expires_at)`` as seen by :func:`lease_probe_runner`.
+LEASES = []
+
+
+def lease_probe_runner(params, seed):
+    """Outlasts a short lease, then records the running submission's
+    lease expiry as the worker's own store handle sees it."""
+    time.sleep(0.4)
+    store = CURRENT_WORKER[0].store
+    [expires_at] = store.db.connection().execute(
+        "SELECT lease_expires_at FROM submissions WHERE state = 'running'"
+    ).fetchone()
+    LEASES.append((store.db.now(), expires_at))
+    return counting_runner(params, seed)
+
+
 @pytest.fixture(autouse=True)
 def _reset_runner_state():
     # Pytest loads this conftest under its own module name; the tests
@@ -74,6 +91,7 @@ def _reset_runner_state():
     module = importlib.import_module("tests.service.conftest")
     module.COUNTS.clear()
     module.CURRENT_WORKER.clear()
+    module.LEASES.clear()
     yield
     module.CURRENT_WORKER.clear()
 

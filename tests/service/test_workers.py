@@ -29,7 +29,9 @@ from repro.service import (
 from tests.service.conftest import (
     COUNTS,
     CURRENT_WORKER,
+    LEASES,
     counting_runner,
+    lease_probe_runner,
     stopping_runner,
     subprocess_pythonpath,
 )
@@ -126,6 +128,26 @@ class TestWorkerLoop:
         record = store.submission(sid)
         assert record["state"] == "failed"
         assert "cannot import runner module" in record["error"]
+
+    def test_heartbeats_hold_the_lease_past_its_length(
+        self, store_dir, store
+    ):
+        # Four 0.4 s points outlast the 1 s lease; the heartbeat
+        # keeps extending it, so it never lapses mid-run.
+        sid = submit(store, n=4, runner=lease_probe_runner)
+        with Worker(
+            store_dir,
+            lease_seconds=1.0,
+            poll_seconds=0.01,
+            code_version="pinned",
+        ) as worker:
+            CURRENT_WORKER.append(worker)
+            assert worker.run(until_drained=True, timeout=30) == 1
+        record = store.submission(sid)
+        assert record["state"] == "done"
+        assert record["attempts"] == 1
+        assert len(LEASES) == 4
+        assert all(expires_at > now for now, expires_at in LEASES)
 
     def test_stop_mid_submission_requeues_after_current_point(
         self, store_dir, store

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError, StoreError
+from repro.experiments.resilience import FailurePolicy
 from repro.experiments.sweep import runner_name
 from repro.store import ResultStore
 
@@ -23,6 +24,13 @@ def run_submission(store, submission_id, runner):
     )
     assert released
     return result
+
+
+def odd_failing_runner(params, seed):
+    """Fails at x == 1; every other point returns scalar metrics."""
+    if params["x"] == 1:
+        raise ValueError("odd point")
+    return {"y": params["x"] * 2.0}
 
 
 def big_int_runner(params, seed):
@@ -140,6 +148,58 @@ class TestSubmissions:
         first = store.submit("one", spec, "r")
         second = store.submit("two", spec, "r")
         assert [row["id"] for row in store.status()] == [second, first]
+
+    def test_submit_records_the_sweep_kind(self, store):
+        submission_id = store.submit("k", grid_spec(2, "sub-kind"), "r")
+        assert store.submission(submission_id)["kind"] == "scenario-sweep"
+        assert [row["kind"] for row in store.status()] == ["scenario-sweep"]
+
+
+class TestFinalize:
+    def test_failed_run_is_released_failed_and_left_unfinalized(self, store):
+        spec = grid_spec(4, "fin-failed")
+        name = runner_name(odd_failing_runner)
+        submission_id = store.submit("f", spec, name)
+        store.claim_next_submission("test-worker", submission_id=submission_id)
+        result, released = store.run_claimed_submission(
+            submission_id,
+            odd_failing_runner,
+            "test-worker",
+            policy=FailurePolicy(on_error="collect"),
+        )
+        assert released
+        assert (result.ok_count, result.failure_count) == (3, 1)
+        record = store.submission(submission_id)
+        assert record["state"] == "failed"
+        assert (record["ok_points"], record["failed_points"]) == (3, 1)
+        assert "odd point" in record["error"]
+        # The failed point was never stored, so the sweep stays in row
+        # form and an explicit finalize is refused.
+        with pytest.raises(StoreError, match="1 of 4 points"):
+            store.finalize_sweep(spec, name)
+
+    def test_sweep_never_run_cannot_be_finalized(self, store):
+        spec = grid_spec(3, "fin-empty")
+        with pytest.raises(StoreError, match="3 of 3 points"):
+            store.finalize_sweep(spec, runner_name(scalar_runner))
+
+    def test_finalize_is_idempotent(self, store):
+        spec = grid_spec(5, "fin-twice")
+        name = runner_name(scalar_runner)
+        submission_id = store.submit("t", spec, name)
+        run_submission(store, submission_id, scalar_runner)
+        # The run already finalized; a second call writes nothing.
+        assert store.finalize_sweep(spec, name, shard_points=2) == 0
+        headers, rows = store.results_rows(submission_id, metrics=["y"])
+        assert [row[2] for row in rows] == [x * 2.0 for x in range(5)]
+
+    def test_shard_points_must_be_positive(self, store):
+        with pytest.raises(ConfigurationError, match="shard_points"):
+            store.finalize_sweep(
+                grid_spec(2, "fin-bad"),
+                runner_name(scalar_runner),
+                shard_points=0,
+            )
 
 
 class TestSubmitCrash:

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import StoreCorruptError, StoreSchemaError
 from repro.store import ResultStore, SCHEMA_VERSION, StoreDB
 from repro.store.schema import (
+    OLDEST_SUPPORTED_VERSION,
     create_schema,
     migrate,
     read_schema_version,
@@ -77,6 +78,33 @@ class TestFreshAndMigration:
         with pytest.raises(ValueError):
             create_schema(conn, version=SCHEMA_VERSION + 1)
         conn.close()
+
+
+def _layout(conn):
+    return conn.execute(
+        "SELECT type, name, sql FROM sqlite_master ORDER BY type, name"
+    ).fetchall()
+
+
+@pytest.mark.parametrize(
+    "from_version", range(OLDEST_SUPPORTED_VERSION, SCHEMA_VERSION + 1)
+)
+def test_every_supported_version_migrates_to_the_fresh_layout(
+    tmp_path, from_version
+):
+    fresh = sqlite3.connect(tmp_path / "fresh.sqlite3")
+    create_schema(fresh)
+    old = sqlite3.connect(tmp_path / "old.sqlite3")
+    create_schema(old, version=from_version)
+    steps = []
+    assert migrate(old, from_version, on_step=steps.append) == (
+        SCHEMA_VERSION - from_version
+    )
+    assert steps == list(range(from_version + 1, SCHEMA_VERSION + 1))
+    assert read_schema_version(old) == SCHEMA_VERSION
+    assert _layout(old) == _layout(fresh)
+    fresh.close()
+    old.close()
 
 
 class TestFutureVersion:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.workloads.distributions import LogUniform, PowerOfTwoNodes
@@ -39,6 +41,24 @@ class TestLogUniform:
     def test_degenerate_mean(self):
         assert LogUniform(5.0, 5.0).mean() == 5.0
 
+    def test_inverted_bounds_rejected(self):
+        with pytest.raises(ConfigurationError):
+            LogUniform(10.0, 5.0)
+
+    @given(
+        low=st.floats(min_value=0.01, max_value=100.0),
+        span=st.floats(min_value=1.0, max_value=1e4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_samples_always_within_bounds(self, low, span, seed):
+        dist = LogUniform(low, low * span)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            sample = dist.sample(rng)
+            # exp(log(x)) may round one ulp past either bound.
+            assert low * (1 - 1e-12) <= sample <= low * span * (1 + 1e-12)
+
 
 class TestPowerOfTwoNodes:
     def test_only_powers_of_two(self, rng):
@@ -54,6 +74,14 @@ class TestPowerOfTwoNodes:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PowerOfTwoNodes(0, 4)
+        with pytest.raises(ConfigurationError):
+            PowerOfTwoNodes(8, 4)
+
+    def test_mean_weights_each_power_equally(self, rng):
+        dist = PowerOfTwoNodes(1, 16)
+        assert dist.mean() == (1 + 2 + 4 + 8 + 16) / 5
+        samples = [dist.sample(rng) for _ in range(20000)]
+        assert np.mean(samples) == pytest.approx(dist.mean(), rel=0.05)
 
     def test_narrow_range_fallback(self, rng):
         dist = PowerOfTwoNodes(5, 7)

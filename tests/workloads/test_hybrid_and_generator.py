@@ -40,6 +40,16 @@ class TestTraceKernelPayload:
             assert 1 <= circuit.num_qubits <= 6
             assert shots >= 1
 
+    def test_payload_shape_stays_in_its_bounds(self):
+        from repro.workloads.hybrid import trace_kernel_payload
+
+        for job_id in range(200):
+            circuit, shots = trace_kernel_payload(job_id, max_qubits=127)
+            assert 4 <= circuit.num_qubits <= 24
+            assert 20 <= circuit.depth <= 200
+            assert 500 <= shots <= 2000
+            assert circuit.name == f"trace-kernel-{job_id}"
+
 
 class TestSubmitTrace:
     def test_jobs_submitted_at_trace_times(self):
