@@ -621,27 +621,29 @@ def run_sweep(
     #: Points still to simulate after cache and journal consultation.
     to_run: List[SweepPoint] = []
     try:
-        for point in points:
-            if cache is not None:
-                hit, value = cache.load(spec, name, point)
-                if hit:
-                    values[point.index] = value
-                    completed[point.index] = True
-                    hits += 1
-                    prior = journaled.get(point.key())
-                    outcomes[point.index] = Outcome(
-                        key=point.key(),
-                        status=STATUS_OK,
-                        index=point.index,
-                        attempts=prior.attempts if prior else 0,
-                        attempt_seconds=(
-                            list(prior.attempt_seconds) if prior else []
-                        ),
-                        cached=True,
-                        resumed=prior is not None,
-                    )
-                    continue
-            prior = journaled.get(point.key())
+        loaded = (
+            cache.load_many(spec, name, points) if cache is not None
+            else [(False, None)] * len(points)
+        )
+        for point, (hit, value) in zip(points, loaded):
+            key = point.key()
+            prior = journaled.get(key)
+            if hit:
+                values[point.index] = value
+                completed[point.index] = True
+                hits += 1
+                outcomes[point.index] = Outcome(
+                    key=key,
+                    status=STATUS_OK,
+                    index=point.index,
+                    attempts=prior.attempts if prior else 0,
+                    attempt_seconds=(
+                        list(prior.attempt_seconds) if prior else []
+                    ),
+                    cached=True,
+                    resumed=prior is not None,
+                )
+                continue
             if prior is not None and prior.status != STATUS_OK:
                 # Journaled permanent failure: replay the outcome
                 # instead of burning attempts on a known-bad point.

@@ -37,7 +37,7 @@ import zipfile
 from collections import Counter
 from pathlib import Path
 from typing import (
-    Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import (
@@ -231,44 +231,75 @@ class ResultStore:
         self, spec: SweepSpec, runner_name: str, point: SweepPoint
     ) -> Tuple[bool, Any]:
         """``(hit, value)`` — a corrupt entry is dropped and misses."""
-        row = self.db.connection().execute(
-            f"""
-            SELECT p.id, p.kind, p.payload, p.shard_pos, {_SHARD_COLUMNS}
-            FROM points AS p LEFT JOIN shards AS s ON s.id = p.shard_id
-            WHERE p.experiment_id = ? AND p.runner = ?
-              AND p.code_version = ? AND p.point_key = ?
-            """,
-            (
-                *self._identity(spec.experiment_id, runner_name),
-                _point_store_key(point),
-            ),
-        ).fetchone()
-        if row is None:
-            return False, None
-        row_id, kind, payload, shard_pos = row[:4]
-        if kind in col.COLUMN_KINDS:
-            if row[4] is None:
-                return False, None  # its shard is gone; re-execute
+        return self.load_points(spec, runner_name, [point])[0]
+
+    def load_points(
+        self,
+        spec: SweepSpec,
+        runner_name: str,
+        points: Sequence[SweepPoint],
+    ) -> List[Tuple[bool, Any]]:
+        """``(hit, value)`` for each of ``points``, in order.
+
+        One ``IN`` query per 500 keys finds the rows.  Each shard they
+        name is turned into Python lists once per call, so rebuilding a
+        point indexes lists, not numpy scalars.  A corrupt entry is
+        dropped and misses: a shard that is gone misses, one that does
+        not decode is quarantined and all its points miss, and torn
+        inline payloads are deleted in one write transaction.
+        """
+        keys = [_point_store_key(point) for point in points]
+        stored = self._stored_points(spec, runner_name, keys)
+        columns: Dict[int, Optional[Dict[str, col.MetricLists]]] = {}
+        torn: Set[int] = set()
+        loaded: List[Tuple[bool, Any]] = []
+        for key in keys:
+            row = stored.get(key)
+            # A repeated key whose torn row this call already dropped
+            # misses as a second lookup would.
+            if row is None or row[0] in torn:
+                loaded.append((False, None))
+                continue
+            row_id, kind, payload, shard_pos, shard = row
+            if kind in col.COLUMN_KINDS:
+                if shard is None:
+                    loaded.append((False, None))  # its shard is gone
+                    continue
+                if shard.id not in columns:
+                    try:
+                        columns[shard.id] = col.shard_lists(
+                            self._shard_arrays(shard)
+                        )
+                    except StoreCorruptError:
+                        columns[shard.id] = None  # quarantined
+                shard_columns = columns[shard.id]
+                if shard_columns is None:
+                    loaded.append((False, None))
+                    continue
+                self.stats["column_point"] += 1
+                value = col.point_from_arrays(shard_columns, shard_pos)
+                if kind == col.PAYLOAD_COLUMN:
+                    loaded.append((True, value))
+                    continue
             try:
-                arrays = self._shard_arrays(_Shard(*row[4:]))
-            except StoreCorruptError:
-                return False, None  # shard quarantined; re-execute
-            self.stats["column_point"] += 1
-            value = col.point_from_arrays(arrays, shard_pos)
-            if kind == col.PAYLOAD_COLUMN:
-                return True, value
-        try:
-            inline = self._decode_inline(kind, payload)
-        except Exception:
-            # Torn/garbage inline payload: drop the row so the point
-            # re-executes instead of crashing every reader forever.
+                inline = self._decode_inline(kind, payload)
+            except Exception:
+                # Torn/garbage inline payload: drop the row so the point
+                # re-executes instead of crashing every reader forever.
+                torn.add(row_id)
+                loaded.append((False, None))
+                continue
+            if kind in col.COLUMN_KINDS:
+                value.update(inline)
+                inline = value
+            loaded.append((True, inline))
+        if torn:
             with self._write() as conn:
-                conn.execute("DELETE FROM points WHERE id = ?", (row_id,))
-            return False, None
-        if kind in col.COLUMN_KINDS:
-            value.update(inline)
-            return True, value
-        return True, inline
+                conn.executemany(
+                    "DELETE FROM points WHERE id = ?",
+                    [(row_id,) for row_id in torn],
+                )
+        return loaded
 
     def _decode_inline(self, kind: str, payload: bytes) -> Any:
         """A point's inline payload: its whole value, or the non-scalar
@@ -507,27 +538,24 @@ class ResultStore:
     # -- columnar finalization -----------------------------------------------
 
     def _sweep_row(
-        self, spec: SweepSpec, runner_name: str
+        self, spec: SweepSpec, runner_name: str, digest: str
     ) -> Optional[Tuple[int, str, int]]:
+        """``(id, state, n_points)`` of the sweep whose
+        :func:`spec_digest` is ``digest``, or ``None``."""
         row = self.db.connection().execute(
             """
             SELECT id, state, n_points FROM sweeps
             WHERE experiment_id = ? AND runner = ? AND code_version = ?
               AND spec_digest = ?
             """,
-            (
-                *self._identity(spec.experiment_id, runner_name),
-                spec_digest(spec),
-            ),
+            (*self._identity(spec.experiment_id, runner_name), digest),
         ).fetchone()
         return row
 
-    def register_sweep(
-        self, spec: SweepSpec, runner_name: str, state: str = "open"
+    def _register_sweep(
+        self, spec: SweepSpec, runner_name: str, digest: str
     ) -> int:
-        row = self._sweep_row(spec, runner_name)
-        if row is not None:
-            return row[0]
+        """The id of the spec's ``sweeps`` row, inserted ``open``."""
         now = self.db.now()
         with self._write() as conn:
             conn.execute(
@@ -535,19 +563,18 @@ class ResultStore:
                 INSERT OR IGNORE INTO sweeps (experiment_id, runner,
                     code_version, spec_digest, spec_json, n_points, state,
                     created_at, updated_at)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
+                VALUES (?, ?, ?, ?, ?, ?, 'open', ?, ?)
                 """,
                 (
                     *self._identity(spec.experiment_id, runner_name),
-                    spec_digest(spec),
+                    digest,
                     json.dumps(spec.to_dict(), sort_keys=True),
                     len(spec),
-                    state,
                     now,
                     now,
                 ),
             )
-        return self.register_sweep(spec, runner_name, state)
+        return self._sweep_row(spec, runner_name, digest)[0]
 
     def finalize_sweep(
         self,
@@ -566,23 +593,21 @@ class ResultStore:
         if shard_points < 1:
             raise ConfigurationError("shard_points must be >= 1")
         self.acquire()
-        row = self._sweep_row(spec, runner_name)
+        digest = spec_digest(spec)
+        row = self._sweep_row(spec, runner_name, digest)
         if row is not None and row[1] == "columnar":
             return 0
         sweep_id = (
             row[0] if row is not None
-            else self.register_sweep(spec, runner_name)
+            else self._register_sweep(spec, runner_name, digest)
         )
-        points = spec.points()
-        stored = self._stored_points(spec, runner_name, points)
-        missing = [
-            point for point in points
-            if _point_store_key(point) not in stored
-        ]
+        keys = [_point_store_key(point) for point in spec.points()]
+        stored = self._stored_points(spec, runner_name, keys)
+        missing = [key for key in keys if key not in stored]
         if missing:
             raise StoreError(
                 f"cannot finalize sweep {spec.experiment_id!r}: "
-                f"{len(missing)} of {len(points)} points are not stored "
+                f"{len(missing)} of {len(keys)} points are not stored "
                 "(run the sweep to completion first)"
             )
         shard_rows: List[Tuple[int, str, int, int, List[str]]] = []
@@ -590,16 +615,14 @@ class ResultStore:
         eligible_updates: List[
             Tuple[int, int, int, str, Optional[bytes]]
         ] = []
-        for seq, start in enumerate(range(0, len(points), shard_points)):
-            block = points[start:start + shard_points]
+        for seq, start in enumerate(range(0, len(keys), shard_points)):
+            block = keys[start:start + shard_points]
             values: List[Optional[Mapping[str, Any]]] = []
             rows_in_block: List[
                 Optional[Tuple[int, Dict[str, Any]]]
             ] = []
-            for point in block:
-                row_id, kind, payload, pos, shard = stored[
-                    _point_store_key(point)
-                ]
+            for key in block:
+                row_id, kind, payload, pos, shard = stored[key]
                 if kind in col.COLUMN_KINDS:
                     # Re-finalize after new points joined: recover the
                     # value from its current shard (+ residual).
@@ -677,21 +700,20 @@ class ResultStore:
             conn.execute(
                 "UPDATE sweeps SET state = 'columnar', n_points = ?,"
                 " updated_at = ? WHERE id = ?",
-                (len(points), now, sweep_id),
+                (len(keys), now, sweep_id),
             )
             crash_point("finalize-pre-commit")
         crash_point("finalize-post-commit")
         return len(shard_rows)
 
     def _stored_points(
-        self, spec: SweepSpec, runner_name: str, points: Sequence[SweepPoint]
+        self, spec: SweepSpec, runner_name: str, keys: Sequence[str]
     ) -> Dict[str, Tuple[int, str, Optional[bytes], Any, Optional[_Shard]]]:
         """``point_key -> (row id, kind, payload, shard_pos, shard)`` for
-        the stored ones of ``points`` — only those rows, never the rest
-        of the experiment's history."""
+        the stored ones of ``keys`` (:func:`_point_store_key`) — only
+        those rows, never the rest of the experiment's history."""
         conn = self.db.connection()
         identity = self._identity(spec.experiment_id, runner_name)
-        keys = [_point_store_key(point) for point in points]
         stored = {}
         for begin in range(0, len(keys), _KEYS_PER_QUERY):
             chunk = keys[begin:begin + _KEYS_PER_QUERY]
@@ -802,7 +824,7 @@ class ResultStore:
         self, spec: SweepSpec, runner_name: str
     ) -> Tuple[int, int]:
         """``(sweep_id, n_points)`` of a finalized sweep, or raise."""
-        row = self._sweep_row(spec, runner_name)
+        row = self._sweep_row(spec, runner_name, spec_digest(spec))
         if row is None or row[1] != "columnar":
             raise StoreError(
                 f"sweep {spec.experiment_id!r} is not finalized in this "
@@ -846,7 +868,7 @@ class ResultStore:
 
     def sweep_metrics(self, spec: SweepSpec, runner_name: str) -> List[str]:
         """Metric names a finalized sweep's shards carry."""
-        row = self._sweep_row(spec, runner_name)
+        row = self._sweep_row(spec, runner_name, spec_digest(spec))
         if row is None:
             return []
         metrics: List[str] = []

@@ -11,7 +11,7 @@ flock even inside one process.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.resilience import Outcome
 from repro.store.api import ResultStore
@@ -21,17 +21,19 @@ class StoreSweepCache:
     """Per-point memo of runner values in a result store.
 
     Each ``store()`` commits one WAL transaction — durable against
-    SIGKILL — and each ``load()`` reads committed state only; a corrupt
-    entry is quarantined and reads as a miss, so the point re-executes.
+    SIGKILL — and each ``load_many()`` reads committed state only, in
+    one batched lookup per sweep; a corrupt entry is quarantined and
+    reads as a miss, so the point re-executes.
     """
 
     def __init__(self, store: ResultStore) -> None:
         self.result_store = store
 
-    def load(
-        self, spec: Any, runner_name: str, point: Any
-    ) -> Tuple[bool, Any]:
-        return self.result_store.load_point(spec, runner_name, point)
+    def load_many(
+        self, spec: Any, runner_name: str, points: Sequence[Any]
+    ) -> List[Tuple[bool, Any]]:
+        """``(hit, value)`` for each of ``points``, in order."""
+        return self.result_store.load_points(spec, runner_name, points)
 
     def store(
         self, spec: Any, runner_name: str, point: Any, value: Any

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -279,6 +280,8 @@ ARRAY_OVERHEAD_BYTES = 256
 METRIC_OVERHEAD_BYTES = 256
 
 MetricArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One metric's ``(kinds, floats, ints)`` as Python lists.
+MetricLists = Tuple[List[int], List[float], List[int]]
 
 
 @dataclass
@@ -367,16 +370,27 @@ class ShardCache:
         self.nbytes = 0
 
 
+def shard_lists(
+    arrays_by_metric: Mapping[str, MetricArrays],
+) -> Dict[str, MetricLists]:
+    """A shard's arrays as Python lists, for rebuilding many of its
+    points: one ``tolist`` per array instead of a numpy scalar per
+    metric per point."""
+    return {
+        metric: (kinds.tolist(), floats.tolist(), ints.tolist())
+        for metric, (kinds, floats, ints) in arrays_by_metric.items()
+    }
+
+
 def point_from_arrays(
-    arrays_by_metric: Mapping[
-        str, Tuple[np.ndarray, np.ndarray, np.ndarray]
-    ],
+    arrays_by_metric: Mapping[str, Union[MetricArrays, MetricLists]],
     pos: int,
 ) -> Dict[str, Any]:
-    """Rebuild one point's metric dict from shard arrays (exact types)."""
+    """Rebuild one point's metric dict from shard arrays, or the lists
+    :func:`shard_lists` makes of them (exact types either way)."""
     value: Dict[str, Any] = {}
     for metric, (kinds, floats, ints) in arrays_by_metric.items():
-        kind = int(kinds[pos])
+        kind = kinds[pos]
         if kind == KIND_ABSENT:
             continue
         if kind == KIND_FLOAT:

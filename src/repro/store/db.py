@@ -180,14 +180,17 @@ class StoreDB:
         _register_fork_guard(self)
         self.directory.mkdir(parents=True, exist_ok=True)
         mode = fcntl.LOCK_SH if self.shared_lock else fcntl.LOCK_EX
-        handle = open(self.lock_path, "a+")
+        handle = open(self.lock_path, "a+b")
         try:
             fcntl.flock(handle.fileno(), mode | fcntl.LOCK_NB)
         except OSError:
             pid = "unknown"
             try:
                 handle.seek(0)
-                pid = handle.read(32).strip() or "unknown"
+                pid = (
+                    handle.read(32).decode(errors="replace").strip()
+                    or "unknown"
+                )
             except OSError:  # pragma: no cover - unreadable lock file
                 pass
             handle.close()
@@ -202,9 +205,15 @@ class StoreDB:
         if not self.shared_lock:
             # Shared holders skip the pid stamp: truncating under a
             # shared lock would race with (and clobber) their peers.
-            handle.truncate(0)
-            handle.write(f"{os.getpid()}\n")
-            handle.flush()
+            # A stamp already ours stays as it is: ext4 flushes a file
+            # truncated to 0 when it is closed, which costs ten times
+            # the flock on every re-acquire.
+            stamp = f"{os.getpid()}\n".encode()
+            handle.seek(0)
+            if handle.read(len(stamp) + 1) != stamp:
+                handle.truncate(0)
+                handle.write(stamp)
+                handle.flush()
         self._lock_handle = handle
 
     def release_writer(self) -> None:

@@ -95,6 +95,55 @@ class TestWriterExclusion:
         fresh.close()
 
 
+class TestLockStamp:
+    """An exclusive writer stamps its pid into the lock file only when
+    the file does not already hold exactly that stamp: rewriting it on
+    every re-acquire costs a flush per acquire on ext4."""
+
+    def test_reacquire_leaves_the_stamp_untouched(self, store):
+        path = store.db.lock_path
+        store.acquire()
+        store.release()
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        assert before[0] == f"{os.getpid()}\n".encode()
+        time.sleep(0.05)  # past the file system's timestamp granularity
+        for _ in range(3):
+            store.acquire()
+            store.release()
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+    @pytest.mark.parametrize("stale", [
+        b"1\n",                                   # another pid, shorter
+        f"{os.getpid()}0\n".encode(),             # longer
+        f"{os.getpid()}".encode(),                # no newline
+        f"{os.getpid()}\n\n".encode(),            # ours plus a tail
+        b"",
+        b"\xff\xfe garbage",                      # not UTF-8
+    ])
+    def test_any_other_stamp_is_rewritten(self, store, stale):
+        path = store.db.lock_path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(stale)
+        store.acquire()
+        assert path.read_bytes() == f"{os.getpid()}\n".encode()
+        store.release()
+
+    @pytest.mark.parametrize("content", [None, b"", b"1\n"])
+    def test_shared_holder_never_writes(self, store_dir, content):
+        store_dir.mkdir(parents=True)
+        shared = ResultStore(store_dir, shared_writer=True)
+        lock = shared.db.lock_path
+        if content is not None:
+            lock.write_bytes(content)
+            before = lock.stat().st_mtime_ns
+            time.sleep(0.05)
+        shared.acquire()
+        shared.release()
+        assert lock.read_bytes() == (content or b"")
+        if content is not None:
+            assert lock.stat().st_mtime_ns == before
+
+
 _FORK_DRIVER = """
 import json, os, sys
 from pathlib import Path

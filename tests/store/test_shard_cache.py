@@ -221,6 +221,21 @@ class TestFinalizeScope:
         assert store.finalize_sweep(spec, name) == 0
         assert len(calls) == 1
 
+    def test_cold_finalize_digests_the_spec_once(self, store, monkeypatch):
+        spec = grid_spec(4, "cold-finalize")
+        name = runner_name(scalar_runner)
+        run_sweep(spec, scalar_runner, cache=store.sweep_cache())
+        calls = []
+        real = store_api.spec_digest
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(store_api, "spec_digest", counting)
+        assert store.finalize_sweep(spec, name, shard_points=2) == 2
+        assert len(calls) == 1
+
     def test_finalize_work_does_not_grow_with_experiment_history(
         self, tmp_path
     ):
