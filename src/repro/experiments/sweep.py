@@ -36,9 +36,11 @@ completes under any failure policy or chaos injection.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import json
+import functools
 import hashlib
+import json
 import os
 import subprocess
 import time
@@ -52,6 +54,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro._version import __version__
@@ -116,13 +119,26 @@ def derive_point_seed(
     ...     != derive_point_seed(0, "demo", {"x": 1})
     True
     """
-    key = f"sweep:{experiment_id}:{canonical_params(params)}:rep{replication}"
-    return derive_seed(base_seed, key)
+    return _seed_of_key(
+        base_seed, experiment_id, f"{canonical_params(params)}:rep{replication}"
+    )
+
+
+def _seed_of_key(base_seed: int, experiment_id: str, point_key: str) -> int:
+    """:func:`derive_point_seed` of an already-encoded
+    :meth:`SweepPoint.key`."""
+    return derive_seed(base_seed, f"sweep:{experiment_id}:{point_key}")
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point: parameters, replication index and derived seed."""
+    """One grid point: parameters, replication index and derived seed.
+
+    Points from :meth:`SweepSpec.points` carry their key precomputed
+    (outside the dataclass fields, so ``==``, ``repr`` and
+    :func:`canonical_bytes` see only the four fields); treat ``params``
+    as a value.
+    """
 
     index: int
     params: Dict[str, Any]
@@ -131,10 +147,28 @@ class SweepPoint:
 
     def key(self) -> str:
         """Canonical identity of the point within its spec."""
-        return f"{canonical_params(self.params)}:rep{self.replication}"
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = f"{canonical_params(self.params)}:rep{self.replication}"
+        return key
 
 
-@dataclass
+class _ReadOnlyDict(dict):
+    """A dict that refuses mutation — a spec's own copy of a caller's
+    mapping.  Unlike :class:`types.MappingProxyType` it pickles, and
+    :func:`canonical_bytes` and ``json`` read it as the dict it is."""
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a SweepSpec is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> Any:
+        return (type(self), (dict(self),))
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     """A declarative parameter grid with replications.
 
@@ -171,6 +205,11 @@ class SweepSpec:
     [{'a': 1, 'b': 10}, {'a': 1, 'b': 20}, {'a': 2, 'b': 10}, {'a': 2, 'b': 20}]
     >>> len(spec)
     4
+
+    A spec is an immutable value: the constructor deep-copies ``axes``,
+    ``explicit`` and ``constants`` into read-only containers (axis
+    values become tuples), so its identity — :attr:`digest`, each
+    point's seed and key — is computed once and memoised.
     """
 
     experiment_id: str
@@ -193,6 +232,25 @@ class SweepSpec:
                 f"unknown seed_mode {self.seed_mode!r} "
                 "(expected 'derived' or 'shared')"
             )
+        # Own read-only copies: no caller's container can change the
+        # grid after its identity has been memoised.
+        if self.axes is not None:
+            axes = copy.deepcopy(dict(self.axes))
+            object.__setattr__(self, "axes", _ReadOnlyDict(
+                (axis, tuple(values)) for axis, values in axes.items()
+            ))
+        else:
+            object.__setattr__(self, "explicit", tuple(
+                _ReadOnlyDict(entry)
+                for entry in copy.deepcopy([dict(e) for e in self.explicit])
+            ))
+        object.__setattr__(self, "constants", _ReadOnlyDict(
+            copy.deepcopy(dict(self.constants or {}))
+        ))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The fields only: memoised identity is rebuilt on demand.
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def param_sets(self) -> List[Dict[str, Any]]:
         """The grid's parameter mappings, one per point, in point order."""
@@ -218,33 +276,59 @@ class SweepSpec:
     def seed_for(
         self, params: Mapping[str, Any], replication: int
     ) -> int:
+        """The seed of one point (what :meth:`points` memoises)."""
         if self.seed_mode == "shared":
-            if replication == 0:
-                return self.base_seed
-            return derive_seed(
-                self.base_seed, f"sweep:{self.experiment_id}:rep{replication}"
-            )
+            return self._shared_seed(replication)
         return derive_point_seed(
             self.base_seed, self.experiment_id, params, replication
         )
 
+    def _shared_seed(self, replication: int) -> int:
+        if replication == 0:
+            return self.base_seed
+        return derive_seed(
+            self.base_seed, f"sweep:{self.experiment_id}:rep{replication}"
+        )
+
+    @functools.cached_property
+    def _identities(self) -> Tuple[Tuple[Dict[str, Any], int, int, str], ...]:
+        """``(params, replication, seed, key)`` per point, in point
+        order; each point's params are encoded once, for seed and key."""
+        encoded = [
+            (params, canonical_params(params)) for params in self.param_sets()
+        ]
+        identities = []
+        for replication in range(self.replications):
+            for params, text in encoded:
+                key = f"{text}:rep{replication}"
+                seed = (
+                    self._shared_seed(replication)
+                    if self.seed_mode == "shared"
+                    else _seed_of_key(self.base_seed, self.experiment_id, key)
+                )
+                identities.append((params, replication, seed, key))
+        return tuple(identities)
+
     def points(self) -> List[SweepPoint]:
         """Every (params, replication) pair, in deterministic order."""
         points: List[SweepPoint] = []
-        sets = self.param_sets()
-        for replication in range(self.replications):
-            for params in sets:
-                points.append(
-                    SweepPoint(
-                        index=len(points),
-                        # Own copy per point: replications must not
-                        # share mutable params.
-                        params=dict(params),
-                        replication=replication,
-                        seed=self.seed_for(params, replication),
-                    )
-                )
+        for index, (params, replication, seed, key) in enumerate(
+            self._identities
+        ):
+            # Own copy per point and call: points must not share
+            # mutable params with each other or with the memo.
+            point = SweepPoint(index, dict(params), replication, seed)
+            point.__dict__["_key"] = key
+            points.append(point)
         return points
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """Stable identity of the grid (axes, constants, seeds): the
+        first 16 hex digits of sha256 over canonical :meth:`to_dict`."""
+        return hashlib.sha256(
+            canonical_bytes(self.to_dict())
+        ).hexdigest()[:16]
 
     def __len__(self) -> int:
         sets = len(self.explicit) if self.explicit is not None else 1

@@ -28,7 +28,6 @@ pointing at a torn shard.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import pickle
@@ -52,7 +51,6 @@ from repro.experiments.sweep import (
     SweepPoint,
     SweepSpec,
     _default_code_version,
-    canonical_bytes,
     canonical_params,
 )
 from repro.store import columns as col
@@ -75,6 +73,11 @@ DEFAULT_LEASE_SECONDS = 60.0
 #: the pool forever.
 DEFAULT_MAX_CLAIMS = 5
 
+#: A read re-stamps a sweep's ``last_read_at`` only once the stamp is
+#: this old (or unset): ``gc --keep-days`` counts in days, so a finer
+#: stamp keeps nothing longer, and warm reads stay read-only.
+READ_STAMP_SECONDS = 60.0
+
 #: Point keys per ``IN (...)`` query, well under SQLite's smallest
 #: bound-variable limit (999).
 _KEYS_PER_QUERY = 500
@@ -95,8 +98,9 @@ class _Shard(NamedTuple):
 
 
 def spec_digest(spec: SweepSpec) -> str:
-    """Stable identity of a sweep grid (axes, constants, seeds)."""
-    return hashlib.sha256(canonical_bytes(spec.to_dict())).hexdigest()[:16]
+    """Stable identity of a sweep grid (axes, constants, seeds) — the
+    spec's memoised :attr:`~repro.experiments.sweep.SweepSpec.digest`."""
+    return spec.digest
 
 
 def _point_store_key(point: SweepPoint) -> str:
@@ -539,12 +543,12 @@ class ResultStore:
 
     def _sweep_row(
         self, spec: SweepSpec, runner_name: str, digest: str
-    ) -> Optional[Tuple[int, str, int]]:
-        """``(id, state, n_points)`` of the sweep whose
+    ) -> Optional[Tuple[int, str, int, Optional[float]]]:
+        """``(id, state, n_points, last_read_at)`` of the sweep whose
         :func:`spec_digest` is ``digest``, or ``None``."""
         row = self.db.connection().execute(
             """
-            SELECT id, state, n_points FROM sweeps
+            SELECT id, state, n_points, last_read_at FROM sweeps
             WHERE experiment_id = ? AND runner = ? AND code_version = ?
               AND spec_digest = ?
             """,
@@ -584,16 +588,21 @@ class ResultStore:
     ) -> int:
         """Move a completed sweep's scalar metrics into columnar shards.
 
-        Idempotent: an already-columnar sweep returns immediately.
-        Shard files are published (atomic rename) *before* the
-        transaction that references them commits — a crash in between
-        leaves orphan files for :meth:`gc`, never a torn shard behind
-        a committed row.  Returns the number of shards written.
+        Idempotent: an already-columnar sweep returns immediately,
+        without taking the writer lock.  Shard files are published
+        (atomic rename) *before* the transaction that references them
+        commits — a crash in between leaves orphan files for
+        :meth:`gc`, never a torn shard behind a committed row.
+        Returns the number of shards written.
         """
         if shard_points < 1:
             raise ConfigurationError("shard_points must be >= 1")
-        self.acquire()
         digest = spec_digest(spec)
+        row = self._sweep_row(spec, runner_name, digest)
+        if row is not None and row[1] == "columnar":
+            return 0
+        self.acquire()
+        # Re-read under the lock: another writer may have finalized it.
         row = self._sweep_row(spec, runner_name, digest)
         if row is not None and row[1] == "columnar":
             return 0
@@ -813,17 +822,21 @@ class ResultStore:
         Touches only that metric's npz members — never unpickles a
         per-point dict (``stats['unpickle']`` stays flat; the
         benchmark asserts it).  Requires a finalized (columnar) sweep.
-        Stamps the sweep's ``last_read_at`` (what :meth:`gc` keeps by).
+        Stamps the sweep's ``last_read_at`` (what :meth:`gc` keeps by)
+        once that stamp is :data:`READ_STAMP_SECONDS` old.
         """
-        sweep_id, n_points = self._finalized_sweep(spec, runner_name)
+        sweep_id, n_points, last_read_at = self._finalized_sweep(
+            spec, runner_name
+        )
         [column] = self._read_columns(sweep_id, n_points, [metric])
-        self._touch_read(sweep_id)
+        self._touch_read(sweep_id, last_read_at)
         return column
 
     def _finalized_sweep(
         self, spec: SweepSpec, runner_name: str
-    ) -> Tuple[int, int]:
-        """``(sweep_id, n_points)`` of a finalized sweep, or raise."""
+    ) -> Tuple[int, int, Optional[float]]:
+        """``(sweep_id, n_points, last_read_at)`` of a finalized sweep,
+        or raise."""
         row = self._sweep_row(spec, runner_name, spec_digest(spec))
         if row is None or row[1] != "columnar":
             raise StoreError(
@@ -831,7 +844,7 @@ class ResultStore:
                 "store — run it through the store cache, then call "
                 "finalize_sweep()"
             )
-        return row[0], row[2]
+        return row[0], row[2], row[3]
 
     def _read_columns(
         self, sweep_id: int, n_points: int, metrics: Sequence[str]
@@ -856,14 +869,22 @@ class ResultStore:
             for metric in metrics
         ]
 
-    def _touch_read(self, sweep_id: int) -> None:
-        """Stamp ``last_read_at`` (one best-effort write transaction)."""
+    def _touch_read(
+        self, sweep_id: int, last_read_at: Optional[float]
+    ) -> None:
+        """Stamp ``last_read_at`` (one best-effort write transaction)
+        unless the stamp is younger than :data:`READ_STAMP_SECONDS`."""
+        now = self.db.now()
+        if last_read_at is not None and (
+            now - last_read_at < READ_STAMP_SECONDS
+        ):
+            return
         self.stats["read_touch"] += 1
         with contextlib.suppress(sqlite3.Error):
             with self.db.transaction() as conn:
                 conn.execute(
                     "UPDATE sweeps SET last_read_at = ? WHERE id = ?",
-                    (self.db.now(), sweep_id),
+                    (now, sweep_id),
                 )
 
     def sweep_metrics(self, spec: SweepSpec, runner_name: str) -> List[str]:
@@ -1248,10 +1269,12 @@ class ResultStore:
         )
         columns = []
         if names:
-            # One last_read_at write for the whole table, not per column.
-            sweep_id, n_points = scoped._finalized_sweep(spec, runner)
+            # At most one last_read_at write for the whole table.
+            sweep_id, n_points, last_read_at = scoped._finalized_sweep(
+                spec, runner
+            )
             columns = scoped._read_columns(sweep_id, n_points, names)
-            scoped._touch_read(sweep_id)
+            scoped._touch_read(sweep_id, last_read_at)
         values = [column.tolist() for column in columns]
         residuals: Dict[int, Any] = {}
         rows = []

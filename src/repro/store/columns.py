@@ -220,8 +220,9 @@ def write_shard(path: os.PathLike, arrays: Mapping[str, np.ndarray]) -> None:
         with handle:
             half = len(data) // 2
             handle.write(data[:half])
+            # Flushed, not fsynced: the fsync below covers every byte,
+            # and a crash here still leaves a torn, unpublished file.
             handle.flush()
-            os.fsync(handle.fileno())
             crash_point("shard-mid-write")
             handle.write(data[half:])
             handle.flush()

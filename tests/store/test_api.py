@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError, StoreError
 from repro.experiments.resilience import FailurePolicy
 from repro.experiments.sweep import runner_name
 from repro.store import ResultStore
+from repro.store.api import READ_STAMP_SECONDS
 
 from tests.store.conftest import grid_spec, mixed_runner, scalar_runner
 
@@ -124,10 +125,23 @@ class TestSubmissions:
             "SELECT last_read_at FROM sweeps"
         ).fetchone()
         assert stamp is not None  # gc still sees the read
-        # The public per-column read stamps once per call.
+        # A read right after the stamp writes nothing.
         store.read_column(spec, name, "y")
         store.read_column(spec, name, "n")
-        assert store.stats["read_touch"] == touches + 3
+        assert store.stats["read_touch"] == touches + 1
+        # Once the stamp is READ_STAMP_SECONDS old, one read restamps it.
+        with store.db.transaction() as conn:
+            conn.execute(
+                "UPDATE sweeps SET last_read_at = last_read_at - ?",
+                (READ_STAMP_SECONDS + 1,),
+            )
+        store.read_column(spec, name, "y")
+        store.read_column(spec, name, "n")
+        assert store.stats["read_touch"] == touches + 2
+        (restamped,) = store.db.connection().execute(
+            "SELECT last_read_at FROM sweeps"
+        ).fetchone()
+        assert restamped > stamp - READ_STAMP_SECONDS
 
     def test_wrong_runner_is_rejected(self, store):
         spec = grid_spec(3, "sub-wrong")

@@ -127,12 +127,23 @@ class TestWarmReads:
         name = _finalized(store, spec)
         point = spec.points()[0]
         for _ in range(2):
+            # Age the stamp past READ_STAMP_SECONDS (NULL on the first
+            # pass): the next read restamps it, exactly once.
+            with store.db.transaction() as conn:
+                conn.execute(
+                    "UPDATE sweeps SET last_read_at = last_read_at - ?",
+                    (store_api.READ_STAMP_SECONDS + 1,),
+                )
             before = store.stats.copy()
             store.read_column(spec, name, "y")
             store.load_point(spec, name, point)
             assert store.stats["column_read"] == before["column_read"] + 1
             assert store.stats["read_touch"] == before["read_touch"] + 1
             assert store.stats["column_point"] == before["column_point"] + 1
+            # A read right after the stamp writes nothing.
+            store.read_column(spec, name, "y")
+            assert store.stats["column_read"] == before["column_read"] + 2
+            assert store.stats["read_touch"] == before["read_touch"] + 1
 
 
 class TestBound:
