@@ -1,11 +1,11 @@
 """Campaign service benchmark: the full loop, over the wire.
 
 Two sweep submissions (100 points each) enter through a live HTTP
-server, a supervised pool of two worker subprocesses claims them
+server, a supervised pool of two forked workers claims them
 under leases and drains them, and the results come back through
 ``GET /submissions/<id>/results`` — submit-to-results wall time for
 the whole round trip, HTTP parsing, SQLite lease arbitration, worker
-process startup and columnar finalize included.
+fork and columnar finalize included.
 
 Throughput is published to ``BENCH_<rev>.json`` as
 ``service_points_per_second`` via ``bench_record``; the CI
@@ -14,11 +14,8 @@ Throughput is published to ``BENCH_<rev>.json`` as
 
 import http.client
 import json
-import os
-import sys
 import threading
 import time
-from pathlib import Path
 
 from repro.experiments.sweep import SweepSpec
 from repro.metrics.report import render_table
@@ -29,10 +26,8 @@ from repro.service import WorkerSupervisor, make_server
 POINTS = 100
 SUBMISSIONS = 2
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: The sweep runner the worker subprocesses import; written next to
-#: the store and put on their PYTHONPATH, like a deployed checkout.
+#: The sweep runner the workers import; written next to the store and
+#: put on the benchmark's sys.path, like a deployed checkout.
 RUNNER_MODULE = """
 def runner(params, seed):
     x = params["x"]
@@ -53,26 +48,19 @@ def _request(port, method, path, body=None):
         conn.close()
 
 
-def test_bench_service(run_once, bench_record, tmp_path):
+def test_bench_service(run_once, bench_record, tmp_path, monkeypatch):
     store_dir = tmp_path / "store"
     (tmp_path / "bench_svc_runner.py").write_text(
         RUNNER_MODULE, encoding="utf-8"
     )
-    pythonpath = os.pathsep.join(
-        part
-        for part in (
-            str(_REPO_ROOT / "src"),
-            str(tmp_path),
-            os.environ.get("PYTHONPATH"),
-        )
-        if part
-    )
+    # The workers are forks of this process: they import the runner
+    # from its sys.path.
+    monkeypatch.syspath_prepend(str(tmp_path))
     supervisor = WorkerSupervisor(
         store_dir,
         workers=2,
         lease_seconds=30.0,
         poll_seconds=0.05,
-        extra_env={"PYTHONPATH": pythonpath},
     )
     server = make_server(store_dir, code_version="bench")
     port = server.server_address[1]

@@ -1139,10 +1139,10 @@ def _serve_command(parser, args) -> int:
     import threading
 
     from repro.errors import ReproError, StoreError
+    from repro.experiments.sweep import runner_name
+    from repro.scenarios.sweeps import run_scenario_point
     from repro.service import WorkerSupervisor, make_server
-    from repro.service.workers import (
-        DEFAULT_POLL_SECONDS,
-    )
+    from repro.service.workers import DEFAULT_POLL_SECONDS, resolve_runner
     from repro.store.api import DEFAULT_LEASE_SECONDS
 
     if args.workers < 0:
@@ -1175,11 +1175,6 @@ def _serve_command(parser, args) -> int:
     except (StoreError, ReproError, OSError) as exc:
         parser.error(str(exc))
     host, port = server.server_address[:2]
-    if supervisor is not None:
-        supervisor.start()
-    # Flushed before serve_forever blocks, so wrappers (tests, shell
-    # scripts) can scrape the bound port as soon as it is ready.
-    print(f"[serve] listening on http://{host}:{port}", flush=True)
 
     def _begin_drain(signum, frame):
         server.service.draining = True
@@ -1188,7 +1183,17 @@ def _serve_command(parser, args) -> int:
 
     signal.signal(signal.SIGTERM, _begin_drain)
     signal.signal(signal.SIGINT, _begin_drain)
+    # Flushed before serve_forever blocks (and before any worker can
+    # print), so wrappers (tests, shell scripts) can scrape the bound
+    # port from the first line.
+    print(f"[serve] listening on http://{host}:{port}", flush=True)
     try:
+        if supervisor is not None:
+            # Workers are forks of this process: import the preset
+            # runner once here, not once per worker.  Restarts fork
+            # from serve_forever's thread (service_actions).
+            resolve_runner(runner_name(run_scenario_point))
+            supervisor.start()
         server.serve_forever(poll_interval=0.1)
     finally:
         if supervisor is not None:
@@ -1201,10 +1206,8 @@ def _serve_command(parser, args) -> int:
 
 def _worker_command(parser, args) -> int:
     """The ``worker`` verb: one queue-draining worker until SIGTERM."""
-    import signal
-
-    from repro.errors import ReproError, StoreError
-    from repro.service import Worker
+    from repro.errors import ReproError
+    from repro.service.workers import run_worker
 
     if args.max_submissions is not None and args.max_submissions < 1:
         parser.error("--max-submissions must be >= 1")
@@ -1216,28 +1219,18 @@ def _worker_command(parser, args) -> int:
     try:
         if args.point_workers is not None:
             kwargs["point_workers"] = resolve_workers(args.point_workers)
-        worker = Worker(args.store, worker_id=args.worker_id, **kwargs)
-    except (StoreError, ReproError) as exc:
+        return run_worker(
+            args.store,
+            worker_id=args.worker_id,
+            max_submissions=args.max_submissions,
+            until_drained=args.until_drained,
+            timeout=args.timeout,
+            **kwargs,
+        )
+    except ReproError as exc:
+        # Only building the worker raises; run_worker reports errors
+        # while draining itself.
         parser.error(str(exc))
-
-    def _request_stop(signum, frame):
-        worker.stop()
-
-    signal.signal(signal.SIGTERM, _request_stop)
-    signal.signal(signal.SIGINT, _request_stop)
-    print(f"[worker] {worker.worker_id} draining {args.store}", flush=True)
-    try:
-        with worker:
-            executed = worker.run(
-                max_submissions=args.max_submissions,
-                until_drained=args.until_drained,
-                timeout=args.timeout,
-            )
-    except (StoreError, ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"[worker] {worker.worker_id} exiting ({executed} executed)")
-    return 0
 
 
 def _device_table(spec) -> str:

@@ -137,13 +137,14 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 _PARENT_POLL_SECONDS = 0.5
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    """Pool-worker initializer: exit once the orchestrator is gone.
+def exit_with_parent(parent_pid: int) -> None:
+    """Worker initializer: exit once the orchestrator is gone.
 
     A SIGKILL'd orchestrator cannot reap its workers, and an idle worker
-    blocked on the call queue would live on, reparented to init.  A
-    daemon thread polls ``os.getppid()`` and hard-exits the worker as
-    soon as it changes.
+    blocked on the call queue (or on a service doorbell) would live on,
+    reparented to init.  A daemon thread polls ``os.getppid()`` and
+    hard-exits the worker as soon as it changes.  Pool workers and the
+    service's supervised workers both run it.
     """
 
     def watch() -> None:
@@ -156,21 +157,25 @@ def _exit_with_parent(parent_pid: int) -> None:
     ).start()
 
 
-def _process_pool(max_workers: int) -> ProcessPoolExecutor:
-    """A worker pool whose workers exit when their parent dies.
+def fork_context() -> multiprocessing.context.BaseContext:
+    """``fork`` where available, the platform default elsewhere.
 
-    Fork where available: point runners defined in non-importable
-    modules (pytest benchmark files) resolve by reference in forked
-    children; spawn elsewhere.
+    A forked child starts with its parent's imports and resolves
+    callables by reference, so point runners defined in non-importable
+    modules (pytest benchmark files) work in it.
     """
     try:
-        context = multiprocessing.get_context("fork")
+        return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context()
+        return multiprocessing.get_context()
+
+
+def _process_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A forked worker pool whose workers exit when their parent dies."""
     return ProcessPoolExecutor(
         max_workers=max_workers,
-        mp_context=context,
-        initializer=_exit_with_parent,
+        mp_context=fork_context(),
+        initializer=exit_with_parent,
         initargs=(os.getpid(),),
     )
 

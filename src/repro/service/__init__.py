@@ -11,7 +11,8 @@ store, pinned by the ``tests/store`` + ``tests/service`` batteries):
   submit/status/results API.
 - :mod:`repro.service.workers` — :class:`Worker` (claim → heartbeat
   → execute → release, lease-fenced) and :class:`WorkerSupervisor`
-  (N worker subprocesses with restart and graceful SIGTERM drain)
+  (N workers forked from the serving process, with restart and
+  graceful SIGTERM drain)
   draining the ``submissions`` table.
 
 See ``docs/service.md`` for deployment, the API reference and the

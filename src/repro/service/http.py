@@ -201,8 +201,18 @@ class CampaignService:
             "queue": self.queue_payload(),
         }
         if self.supervisor is not None:
-            payload["workers_alive"] = self.supervisor.poll()
+            payload["workers_alive"] = self.supervisor.alive_count()
         return payload
+
+    def replace_workers(self) -> None:
+        """Replace crashed supervised workers, within the restart budget.
+
+        Forks, so it runs on ``serve_forever``'s thread only, and under
+        the mutex: no handler thread is inside SQLite during a fork.
+        """
+        if self.supervisor is not None and not self.draining:
+            with self._mutex:
+                self.supervisor.poll()
 
     @staticmethod
     def _public(record: Dict[str, Any], **extra: Any) -> Dict[str, Any]:
@@ -227,7 +237,11 @@ class _NotDone(ServiceError):
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the service object."""
+    """ThreadingHTTPServer carrying the service object.
+
+    Forked workers close their copy of the listening socket, so the
+    port dies with the server.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -235,6 +249,14 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], service: CampaignService):
         super().__init__(address, ServiceHandler)
         self.service = service
+        if service.supervisor is not None:
+            service.supervisor.close_in_child.append(self.socket)
+
+    def service_actions(self) -> None:
+        # serve_forever calls this on its own thread after every
+        # request and poll interval.
+        super().service_actions()
+        self.service.replace_workers()
 
 
 class ServiceHandler(BaseHTTPRequestHandler):

@@ -14,7 +14,10 @@ module adds is the lifecycle around it:
   claimable again and the next worker resumes it, re-executing
   **only** points whose commits never landed (the store's per-point
   transactions make re-entry free).
-- :class:`WorkerSupervisor` — N worker subprocesses with bounded
+- :func:`run_worker` — one worker as a process runs it: SIGTERM and
+  SIGINT drain it, and it returns an exit code.  The ``worker`` verb
+  and every supervised worker run it.
+- :class:`WorkerSupervisor` — N forked workers with bounded
   restart-on-crash and graceful SIGTERM drain (each worker finishes
   its current *point*, requeues the submission, exits 0).
 
@@ -28,15 +31,16 @@ submission.
 from __future__ import annotations
 
 import importlib
+import multiprocessing
 import os
+import signal
 import socket
-import subprocess
 import sys
 import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     LeaseLostError,
@@ -44,6 +48,7 @@ from repro.errors import (
     ServiceError,
     WorkerDrainError,
 )
+from repro.experiments.pool import exit_with_parent, fork_context
 from repro.store import ResultStore
 from repro.store.api import (
     DEFAULT_LEASE_SECONDS,
@@ -61,6 +66,9 @@ DEFAULT_POLL_SECONDS = 0.5
 #: Heartbeats per lease window — 4 extensions before expiry leaves
 #: room for a slow commit without risking a spurious takeover.
 HEARTBEATS_PER_LEASE = 4
+
+#: Signals a worker takes as "drain now".
+DRAIN_SIGNALS = frozenset({signal.SIGTERM, signal.SIGINT})
 
 
 def default_worker_id() -> str:
@@ -340,14 +348,90 @@ class Worker:
             heartbeat.stop()
 
 
-class WorkerSupervisor:
-    """N worker subprocesses draining one store, restart on crash.
+def run_worker(
+    directory: os.PathLike,
+    worker_id: Optional[str] = None,
+    max_submissions: Optional[int] = None,
+    until_drained: bool = False,
+    timeout: Optional[float] = None,
+    **options: Any,
+) -> int:
+    """One queue-draining worker until SIGTERM/SIGINT or a bound;
+    returns its exit code.
 
-    Subprocesses (not threads): a worker taken out by a fault dies
-    alone, its flock and lease die with it, and the supervisor
-    replaces it — up to ``restart_limit`` replacements, so a
-    systematically crashing fleet stops instead of looping (poison
-    *submissions* are already contained by the store's claim cap).
+    The body of the ``worker`` verb and of every supervised worker.
+    SIGTERM/SIGINT request a graceful drain (:meth:`Worker.stop`);
+    they are unblocked only once that handler is installed, so a
+    signal that reached a freshly forked worker (which starts with
+    them blocked) waits for it.  ``options`` go to :class:`Worker`,
+    whose construction errors propagate; errors while draining print
+    and return 1.
+    """
+    worker = Worker(directory, worker_id=worker_id, **options)
+
+    def _request_stop(signum: int, frame: Any) -> None:
+        worker.stop()
+
+    for signum in DRAIN_SIGNALS:
+        signal.signal(signum, _request_stop)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, DRAIN_SIGNALS)
+    print(f"[worker] {worker.worker_id} draining {directory}", flush=True)
+    try:
+        with worker:
+            executed = worker.run(
+                max_submissions=max_submissions,
+                until_drained=until_drained,
+                timeout=timeout,
+            )
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"[worker] {worker.worker_id} exiting ({executed} executed)")
+    return 0
+
+
+def _supervised_worker(
+    directory: Path,
+    index: int,
+    parent_pid: int,
+    close_first: Tuple[Any, ...],
+    lease_seconds: float,
+    poll_seconds: float,
+) -> None:
+    """A forked worker's entry point (SIGTERM/SIGINT arrive blocked).
+
+    The fork guard (:func:`repro.store.db._register_fork_guard`) has
+    already dropped the parent's store handles; the child closes its
+    copies of the parent's listeners, watches the parent, and takes
+    an identity carrying its own pid.
+    """
+    for listener in close_first:
+        listener.close()
+    exit_with_parent(parent_pid)
+    sys.exit(
+        run_worker(
+            directory,
+            worker_id=f"{default_worker_id()}#w{index}",
+            lease_seconds=lease_seconds,
+            poll_seconds=poll_seconds,
+        )
+    )
+
+
+class WorkerSupervisor:
+    """N forked workers draining one store, restart on crash.
+
+    Processes (not threads): a worker taken out by a fault dies alone,
+    its flock and lease die with it, and the supervisor replaces it —
+    up to ``restart_limit`` replacements, so a systematically crashing
+    fleet stops instead of looping (poison *submissions* are already
+    contained by the store's claim cap).  Each worker is a fork of the
+    supervising process running :func:`run_worker`, so it starts with
+    the code that process has imported and exits when that process
+    dies.  Fork only from a thread that no other thread can race into
+    the store: ``serve`` forks from its main thread, under the
+    service mutex.
 
     :meth:`drain` implements graceful shutdown: SIGTERM to every
     worker (each finishes its current point and requeues), bounded
@@ -361,7 +445,6 @@ class WorkerSupervisor:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
         restart_limit: Optional[int] = None,
-        extra_env: Optional[Dict[str, str]] = None,
     ) -> None:
         if workers < 0:
             raise ServiceError("workers must be >= 0")
@@ -372,33 +455,42 @@ class WorkerSupervisor:
         self.restart_limit = (
             restart_limit if restart_limit is not None else workers * 8
         )
-        self.extra_env = dict(extra_env or {})
+        #: Objects every forked worker closes first: the listening
+        #: socket of the server it runs beside.
+        self.close_in_child: List[Any] = []
         self.restarts = 0
         self.draining = False
-        self._procs: List[subprocess.Popen] = []
+        self._context = fork_context()
+        self._procs: List[multiprocessing.process.BaseProcess] = []
 
     # -- process management --------------------------------------------------
 
-    def _spawn(self, index: int) -> subprocess.Popen:
-        env = dict(os.environ)
-        env.update(self.extra_env)
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "worker",
-                "--store",
-                str(self.directory),
-                "--lease-seconds",
-                str(self.lease_seconds),
-                "--poll-interval",
-                str(self.poll_seconds),
-                "--worker-id",
-                f"{default_worker_id()}#w{index}",
-            ],
-            env=env,
+    def _spawn(self, index: int) -> multiprocessing.process.BaseProcess:
+        proc = self._context.Process(
+            target=_supervised_worker,
+            args=(
+                self.directory,
+                index,
+                os.getpid(),
+                tuple(self.close_in_child),
+                self.lease_seconds,
+                self.poll_seconds,
+            ),
+            name=f"repro-worker-{index}",
         )
+        # Blocked across the fork, so the child cannot run this
+        # process's handlers (serve's drain) before installing its own.
+        if hasattr(signal, "pthread_sigmask"):
+            previous = signal.pthread_sigmask(
+                signal.SIG_BLOCK, DRAIN_SIGNALS
+            )
+            try:
+                proc.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+        else:  # pragma: no cover - non-POSIX platforms
+            proc.start()
+        return proc
 
     def start(self) -> "WorkerSupervisor":
         for index in range(self.workers):
@@ -409,7 +501,7 @@ class WorkerSupervisor:
         """Reap dead workers, replace them (bounded); returns the
         number currently alive."""
         for index, proc in enumerate(self._procs):
-            if proc.poll() is None or self.draining:
+            if self.draining or proc.is_alive():
                 continue
             if self.restarts >= self.restart_limit:
                 continue
@@ -418,20 +510,18 @@ class WorkerSupervisor:
         return self.alive_count()
 
     def alive_count(self) -> int:
-        return sum(1 for proc in self._procs if proc.poll() is None)
+        return sum(1 for proc in self._procs if proc.is_alive())
 
     def drain(self, timeout: float = 30.0) -> None:
         """SIGTERM every worker, wait out the graceful window, then
         SIGKILL what is left.  Idempotent."""
         self.draining = True
         for proc in self._procs:
-            if proc.poll() is None:
+            if proc.is_alive():
                 proc.terminate()
         deadline = time.monotonic() + timeout
         for proc in self._procs:
-            remaining = deadline - time.monotonic()
-            try:
-                proc.wait(timeout=max(remaining, 0.1))
-            except subprocess.TimeoutExpired:
+            proc.join(max(deadline - time.monotonic(), 0.1))
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait()
+                proc.join()

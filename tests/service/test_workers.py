@@ -339,28 +339,26 @@ class TestWorkerSupervisor:
         ).restart_limit == 1
 
     def test_spawn_restart_and_drain(self, store_dir, store, tmp_path):
-        # Workers that die instantly (bad interpreter args are not an
-        # option, so point them at a store and give them nothing to
-        # do; kill them to simulate the crash).
+        # Forked workers pointed at a store with nothing to do; kill
+        # them to simulate the crash.
         supervisor = WorkerSupervisor(
             store_dir, workers=2, poll_seconds=0.05, restart_limit=2,
-            extra_env={"PYTHONPATH": subprocess_pythonpath()},
         )
         supervisor.start()
         try:
             assert len(supervisor._procs) == 2
             supervisor._procs[0].kill()
-            supervisor._procs[0].wait()
+            supervisor._procs[0].join()
             assert supervisor.poll() == 2  # replaced, still 2 alive
             assert supervisor.restarts == 1
             # Exhaust the restart budget: further deaths stay dead.
             supervisor._procs[0].kill()
-            supervisor._procs[0].wait()
+            supervisor._procs[0].join()
             supervisor._procs[1].kill()
-            supervisor._procs[1].wait()
+            supervisor._procs[1].join()
             supervisor.poll()
             supervisor._procs[0].kill()
-            supervisor._procs[0].wait()
+            supervisor._procs[0].join()
             assert supervisor.restarts == 2
             assert supervisor.poll() <= 2
         finally:
@@ -372,7 +370,6 @@ class TestWorkerSupervisor:
     ):
         supervisor = WorkerSupervisor(
             store_dir, workers=1, poll_seconds=0.05,
-            extra_env={"PYTHONPATH": subprocess_pythonpath()},
         )
         supervisor.start()
         supervisor.drain(timeout=15)
