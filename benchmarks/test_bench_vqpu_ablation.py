@@ -14,7 +14,7 @@ from repro.experiments.common import (
     run_campaign,
     standard_hybrid_app,
 )
-from repro.experiments.sweep import SweepSpec, sweep_values
+from repro.experiments.sweep import SweepSpec, run_cached_sweep
 from repro.metrics.report import render_series
 from repro.quantum.technology import SUPERCONDUCTING
 from repro.strategies.vqpu import VQPUStrategy
@@ -60,7 +60,7 @@ def _sweep(seed: int = 0):
         base_seed=seed,
         seed_mode="shared",
     )
-    values = sweep_values(spec, _point)
+    values = run_cached_sweep(spec, _point).values
     makespans = [value["makespan"] for value in values]
     busy = [value["busy"] for value in values]
     return makespans, busy

@@ -22,7 +22,8 @@ Built-in steps cover the repo's experiment vocabulary:
     Reduce an upstream sweep stage's rows to per-metric statistics.
 ``strategy.compare``
     The E3 core: one hybrid app under co-scheduling vs workflow
-    execution, returning per-strategy turnaround/efficiency metrics.
+    execution (the body E3's regime points run), returning
+    per-strategy turnaround/efficiency metrics.
 ``report.render``
     Fold every upstream value into a deterministic campaign report.
 
@@ -316,14 +317,11 @@ def _strategy_compare(ctx: StageContext) -> Dict[str, Any]:
     ``phase_seconds``, ``classical_nodes``, ``background_rho``,
     ``horizon``, ``submit_at``.
     """
-    from repro.experiments.common import (
-        campaign_scenario,
-        run_campaign,
-        standard_hybrid_app,
+    from repro.experiments.fig2_workflow import (
+        compare_strategies,
+        summarise,
     )
     from repro.quantum.technology import TECHNOLOGIES
-    from repro.strategies.coschedule import CoScheduleStrategy
-    from repro.strategies.workflow import WorkflowStrategy
 
     name = ctx.param("technology", "superconducting")
     try:
@@ -333,39 +331,22 @@ def _strategy_compare(ctx: StageContext) -> Dict[str, Any]:
             f"stage {ctx.stage!r}: unknown technology {name!r} "
             f"(known: {sorted(TECHNOLOGIES)})"
         ) from None
-    iterations = int(ctx.param("iterations", 5))
-    app = standard_hybrid_app(
+    ideal, records = compare_strategies(
         technology,
-        iterations=iterations,
-        classical_phase_seconds=float(ctx.param("phase_seconds", 300.0)),
-        classical_nodes=int(ctx.param("app_nodes", 8)),
-    )
-    scenario = campaign_scenario(
-        technology,
+        iterations=int(ctx.param("iterations", 5)),
+        phase_seconds=float(ctx.param("phase_seconds", 300.0)),
+        app_nodes=int(ctx.param("app_nodes", 8)),
+        submit_at=float(ctx.param("submit_at", 0.0)),
         classical_nodes=int(ctx.param("classical_nodes", 32)),
         background_rho=float(ctx.param("background_rho", 0.0)),
         background_horizon=float(ctx.param("horizon", 0.0)),
         seed=int(ctx.param("seed", ctx.seed)),
         name=f"campaign-{ctx.stage}",
     )
-    submit_at = float(ctx.param("submit_at", 0.0))
-    comparison: Dict[str, Any] = {}
-    for strategy in (CoScheduleStrategy(), WorkflowStrategy()):
-        records, _env = run_campaign(
-            strategy,
-            [app],
-            scenario=scenario,
-            submit_times=[submit_at],
-        )
-        record = records[0]
-        comparison[strategy.name] = {
-            "turnaround": record.turnaround,
-            "queued_pieces": len(record.queue_waits),
-            "total_queue_wait": record.total_queue_wait,
-            "classical_efficiency": record.classical_efficiency,
-            "qpu_efficiency": record.qpu_efficiency,
-        }
-    comparison["ideal_makespan"] = app.ideal_makespan(technology)
+    comparison: Dict[str, Any] = {
+        strategy: summarise(record) for strategy, record in records.items()
+    }
+    comparison["ideal_makespan"] = ideal
     return comparison
 
 

@@ -8,7 +8,7 @@ Usage::
     repro-hpcqc run all --markdown   # EXPERIMENTS.md-style output
     repro-hpcqc sweep all --workers 4 --cache-dir .sweep-cache
     repro-hpcqc sweep E4 --retries 2 --timeout 300 --on-error collect
-    repro-hpcqc sweep E4 --cache-dir .sweep-cache --resume
+    repro-hpcqc sweep E3 --cache-dir .sweep-cache --resume
     repro-hpcqc scenario list
     repro-hpcqc scenario describe mixed-fleet   # JSON + device table
     repro-hpcqc scenario run --preset baseline-32 --seed 7
@@ -31,7 +31,7 @@ import time
 from typing import List, Optional
 
 from repro._version import __version__
-from repro.experiments import EXPERIMENTS, SWEEP_EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 from repro.experiments.sweep import resolve_workers
 
 
@@ -51,19 +51,28 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list available experiments")
 
     run_parser = subparsers.add_parser("run", help="run experiments")
-    run_parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (e.g. E1 E4) or 'all'",
+    sweep_parser = subparsers.add_parser(
+        "sweep",
+        help=(
+            "run experiments through the parallel sweep engine "
+            "(process-pool workers + optional on-disk result cache)"
+        ),
     )
-    run_parser.add_argument(
-        "--seed", type=int, default=0, help="root RNG seed (default 0)"
-    )
-    run_parser.add_argument(
-        "--markdown",
-        action="store_true",
-        help="render results as markdown instead of plain tables",
-    )
+    # Both verbs run the one registry: same ids, seed and output.
+    for verb_parser in (run_parser, sweep_parser):
+        verb_parser.add_argument(
+            "experiments",
+            nargs="+",
+            help="experiment ids (e.g. E1 E4) or 'all'",
+        )
+        verb_parser.add_argument(
+            "--seed", type=int, default=0, help="root RNG seed (default 0)"
+        )
+        verb_parser.add_argument(
+            "--markdown",
+            action="store_true",
+            help="render results as markdown instead of plain tables",
+        )
     run_parser.add_argument(
         "--profile",
         metavar="OUT.pstats",
@@ -76,24 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    sweep_parser = subparsers.add_parser(
-        "sweep",
-        help=(
-            "run grid experiments through the parallel sweep engine "
-            "(process-pool workers + optional on-disk result cache)"
-        ),
-    )
-    sweep_parser.add_argument(
-        "experiments",
-        nargs="+",
-        help=(
-            "sweep-capable experiment ids "
-            f"({', '.join(sorted(SWEEP_EXPERIMENTS))}) or 'all'"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--seed", type=int, default=0, help="root RNG seed (default 0)"
-    )
     sweep_parser.add_argument(
         "--workers",
         type=int,
@@ -111,11 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "$REPRO_SWEEP_CACHE_DIR or no cache); re-runs only "
             "simulate new grid points"
         ),
-    )
-    sweep_parser.add_argument(
-        "--markdown",
-        action="store_true",
-        help="render results as markdown instead of plain tables",
     )
     sweep_parser.add_argument(
         "--retries",
@@ -674,13 +660,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "run":
         with _maybe_profile(args.profile):
-            return _run_experiments(
-                parser,
-                args,
-                registry=EXPERIMENTS,
-                unknown_message="unknown experiment(s)",
-                registry_label="known",
-            )
+            return _run_experiments(parser, args)
     if args.command == "scenario":
         return _scenario_command(parser, args)
     if args.command == "campaign":
@@ -701,9 +681,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_experiments(
             parser,
             args,
-            registry=SWEEP_EXPERIMENTS,
-            unknown_message="not sweep-capable",
-            registry_label="sweepable",
             run_kwargs=run_kwargs,
             footer=lambda experiment_id, elapsed: (
                 f"[sweep] {experiment_id}: {elapsed:.2f}s "
@@ -1372,24 +1349,16 @@ def _trace_command(parser, args) -> int:
     parser.error("trace needs a subcommand: info or replay")
 
 
-def _run_experiments(
-    parser,
-    args,
-    registry,
-    unknown_message,
-    registry_label,
-    run_kwargs=None,
-    footer=None,
-) -> int:
+def _run_experiments(parser, args, run_kwargs=None, footer=None) -> int:
     """Shared execute/render loop behind the ``run`` and ``sweep`` verbs."""
     requested = args.experiments
     if any(token.lower() == "all" for token in requested):
-        requested = sorted(registry)
-    unknown = [token for token in requested if token not in registry]
+        requested = sorted(EXPERIMENTS)
+    unknown = [token for token in requested if token not in EXPERIMENTS]
     if unknown:
         parser.error(
-            f"{unknown_message}: {unknown}; "
-            f"{registry_label}: {sorted(registry)}"
+            f"unknown experiment(s): {unknown}; "
+            f"known: {sorted(EXPERIMENTS)}"
         )
     from repro.errors import ReproError
 
@@ -1397,7 +1366,7 @@ def _run_experiments(
     for experiment_id in requested:
         start = time.perf_counter()
         try:
-            result = registry[experiment_id](
+            result = EXPERIMENTS[experiment_id](
                 seed=args.seed, **(run_kwargs or {})
             )
         except ReproError as exc:

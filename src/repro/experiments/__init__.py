@@ -29,23 +29,14 @@ from repro.experiments.sweep import (
     canonical_bytes,
     derive_point_seed,
     run_sweep,
-    sweep_values,
 )
 
-#: Experiment id -> run callable (keyword args: seed, ...).
+#: Experiment id -> run callable (keyword args: seed, ..., and the
+#: sweep options of :func:`~repro.experiments.sweep.run_cached_sweep`).
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "E1": fig1_timescales.run,
     "E2": listing1_coschedule.run,
     "E3": fig2_workflow.run,
-    "E4": fig3_vqpu.run,
-    "E5": fig4_malleability.run,
-    "E6": crossover.run,
-    "E7": access_model.run,
-}
-
-#: The subset whose grids execute through the sweep engine (their
-#: ``run`` accepts ``workers=``/``cache_dir=``).
-SWEEP_EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "E4": fig3_vqpu.run,
     "E5": fig4_malleability.run,
     "E6": crossover.run,
@@ -60,7 +51,6 @@ __all__ = [
     "FailurePolicy",
     "Outcome",
     "ResultTable",
-    "SWEEP_EXPERIMENTS",
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
@@ -68,5 +58,4 @@ __all__ = [
     "canonical_bytes",
     "derive_point_seed",
     "run_sweep",
-    "sweep_values",
 ]

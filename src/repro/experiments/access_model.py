@@ -17,13 +17,12 @@ once the user population grows — the gap the paper's proposals target.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
 )
-from repro.experiments.resilience import ChaosSpec, FailurePolicy
 from repro.experiments.sweep import (
     SweepSpec,
     run_cached_sweep,
@@ -197,11 +196,7 @@ def run(
     think_time: float = 30.0,
     scheduling_cycle: float = 30.0,
     user_counts: tuple = (1, 4, 16),
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    policy: Optional[FailurePolicy] = None,
-    chaos: Optional[ChaosSpec] = None,
-    resume: bool = False,
+    **sweep_options: Any,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E7",
@@ -220,52 +215,40 @@ def run(
             "seed": seed,
         },
     )
-    rows = []
-    cloud_by_users: Dict[int, Dict[str, float]] = {}
-    batch_by_users: Dict[int, Dict[str, float]] = {}
-
-    def aggregate(point, metrics: Dict[str, float]) -> None:
-        users = point.params["users"]
-        if point.params["model"] == "cloud":
-            cloud_by_users[users] = metrics
-        else:
-            batch_by_users[users] = metrics
-            # Point order is users-major, cloud before batch: the pair
-            # is complete when the batch half arrives.  Under
-            # on_error="collect" the cloud half may have failed, in
-            # which case the failure table stands in for this row.
-            cloud = cloud_by_users.get(users)
-            if cloud is None:
-                return
-            rows.append(
-                [
-                    users,
-                    round(cloud["mean"], 2),
-                    round(cloud["p95"], 2),
-                    round(metrics["mean"], 2),
-                    round(metrics["p95"], 2),
-                ]
-            )
-
-    grid = sweep_spec(
-        seed=seed,
-        kernels_per_user=kernels_per_user,
-        think_time=think_time,
-        scheduling_cycle=scheduling_cycle,
-        user_counts=user_counts,
-    )
     sweep_result = run_cached_sweep(
-        grid,
+        sweep_spec(
+            seed=seed,
+            kernels_per_user=kernels_per_user,
+            think_time=think_time,
+            scheduling_cycle=scheduling_cycle,
+            user_counts=user_counts,
+        ),
         _run_point,
-        cache_dir,
-        workers=workers,
-        on_result=aggregate,
-        policy=policy,
-        chaos=chaos,
-        resume=resume,
+        **sweep_options,
     )
     if attach_sweep_failures(result, sweep_result):
         return result
+    rows = []
+    cloud_by_users: Dict[int, Dict[str, float]] = {}
+    batch_by_users: Dict[int, Dict[str, float]] = {}
+    for point, metrics in zip(sweep_result.points, sweep_result.values):
+        users = point.params["users"]
+        if point.params["model"] == "cloud":
+            cloud_by_users[users] = metrics
+            continue
+        # Point order is users-major, cloud before batch: the pair is
+        # complete when the batch half arrives.
+        batch_by_users[users] = metrics
+        cloud = cloud_by_users[users]
+        rows.append(
+            [
+                users,
+                round(cloud["mean"], 2),
+                round(cloud["p95"], 2),
+                round(metrics["mean"], 2),
+                round(metrics["p95"], 2),
+            ]
+        )
     result.add_table(
         "Per-kernel access overhead (seconds; kernel exec ~3 s)",
         [

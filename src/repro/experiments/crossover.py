@@ -19,7 +19,7 @@ The regime map the paper sketches in prose is then checked explicitly:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.experiments.common import (
     campaign_scenario,
@@ -30,7 +30,6 @@ from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
 )
-from repro.experiments.resilience import ChaosSpec, FailurePolicy
 from repro.experiments.sweep import (
     SweepSpec,
     run_cached_sweep,
@@ -165,11 +164,7 @@ def run(
     horizon: float = 10 * 3600.0,
     scheduling_cycle: float = 30.0,
     warmup: float = 3600.0,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    policy: Optional[FailurePolicy] = None,
-    chaos: Optional[ChaosSpec] = None,
-    resume: bool = False,
+    **sweep_options: Any,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E6",
@@ -183,11 +178,21 @@ def run(
         ),
         parameters={"seed": seed, "scheduling_cycle_s": scheduling_cycle},
     )
+    sweep_result = run_cached_sweep(
+        sweep_spec(
+            seed=seed,
+            horizon=horizon,
+            scheduling_cycle=scheduling_cycle,
+            warmup=warmup,
+        ),
+        _run_cell,
+        **sweep_options,
+    )
+    if attach_sweep_failures(result, sweep_result):
+        return result
     rows: List[List[Any]] = []
     cells: Dict[Tuple[str, str], Dict[str, Dict[str, float]]] = {}
-
-    def aggregate(point, metrics: Dict[str, float]) -> None:
-        """Streamed in point order: table rows land deterministically."""
+    for point, metrics in zip(sweep_result.points, sweep_result.values):
         tech_label = point.params["technology"]
         load_label = point.params["load"]
         name = point.params["strategy"]
@@ -202,25 +207,6 @@ def run(
                 f"{metrics['completed']:.0f}/{metrics['tenants']:.0f}",
             ]
         )
-
-    grid = sweep_spec(
-        seed=seed,
-        horizon=horizon,
-        scheduling_cycle=scheduling_cycle,
-        warmup=warmup,
-    )
-    sweep_result = run_cached_sweep(
-        grid,
-        _run_cell,
-        cache_dir,
-        workers=workers,
-        on_result=aggregate,
-        policy=policy,
-        chaos=chaos,
-        resume=resume,
-    )
-    if attach_sweep_failures(result, sweep_result):
-        return result
     result.add_table(
         "Crossover sweep (mean tenant turnaround / wasted classical "
         "node-seconds)",

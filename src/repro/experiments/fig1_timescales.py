@@ -10,7 +10,13 @@ simulated device, and must fall in the figure's qualitative band.
 
 from __future__ import annotations
 
-from repro.experiments.harness import ExperimentResult
+from typing import Any, Dict
+
+from repro.experiments.harness import (
+    ExperimentResult,
+    attach_sweep_failures,
+)
+from repro.experiments.sweep import SweepSpec, run_cached_sweep
 from repro.metrics.report import format_duration
 from repro.quantum.technology import (
     TECHNOLOGIES,
@@ -39,7 +45,39 @@ def device_scenario(technology_name: str) -> ScenarioSpec:
     )
 
 
-def run(seed: int = 0, shots: int = 1000) -> ExperimentResult:
+def _run_point(params: Dict[str, Any], seed: int) -> Dict[str, float]:
+    """One technology: analytic durations plus one measured job."""
+    name = params["technology"]
+    technology = TECHNOLOGIES[name]
+    circuit, job_shots = standard_job(technology, shots=params["shots"])
+    # Measure on a simulated device (deterministic: no jitter).
+    env = build(device_scenario(name))
+    completion = env.primary_qpu().run(circuit, job_shots)
+    measured = env.kernel.run(until=completion)
+    return {
+        "shot": technology.shot_time(circuit),
+        "job": technology.execution_time(circuit, job_shots),
+        "job_with_calibration": technology.job_time_with_calibration(
+            circuit, job_shots
+        ),
+        "measured": measured.execution_time + measured.calibration_time,
+    }
+
+
+def sweep_spec(seed: int = 0, shots: int = 1000) -> SweepSpec:
+    """One point per technology, in Fig 1's order."""
+    return SweepSpec(
+        experiment_id="E1",
+        axes={"technology": _ORDER},
+        constants={"shots": shots},
+        base_seed=seed,
+        seed_mode="shared",
+    )
+
+
+def run(
+    seed: int = 0, shots: int = 1000, **sweep_options: Any
+) -> ExperimentResult:
     """Regenerate Fig 1's time-scale table."""
     result = ExperimentResult(
         experiment_id="E1",
@@ -51,33 +89,25 @@ def run(seed: int = 0, shots: int = 1000) -> ExperimentResult:
         ),
         parameters={"shots": shots},
     )
+    sweep_result = run_cached_sweep(
+        sweep_spec(seed=seed, shots=shots), _run_point, **sweep_options
+    )
+    if attach_sweep_failures(result, sweep_result):
+        return result
     bands = fig1_reference_bands()
     rows = []
-    for name in _ORDER:
-        technology = TECHNOLOGIES[name]
-        circuit, job_shots = standard_job(technology, shots=shots)
-        shot = technology.shot_time(circuit)
-        job = technology.execution_time(circuit, job_shots)
-        job_with_cal = technology.job_time_with_calibration(
-            circuit, job_shots
-        )
-
-        # Measure on a simulated device (deterministic: no jitter).
-        env = build(device_scenario(name))
-        qpu = env.primary_qpu()
-        completion = qpu.run(circuit, job_shots)
-        measured = env.kernel.run(until=completion)
-        measured_total = (
-            measured.execution_time + measured.calibration_time
-        )
-
+    durations = {}
+    for point, values in zip(sweep_result.points, sweep_result.values):
+        name = point.params["technology"]
+        durations[name] = values["job_with_calibration"]
+        measured_total = values["measured"]
         low, high = bands[name]
         rows.append(
             [
                 name,
-                format_duration(shot),
-                format_duration(job),
-                format_duration(job_with_cal),
+                format_duration(values["shot"]),
+                format_duration(values["job"]),
+                format_duration(values["job_with_calibration"]),
                 format_duration(measured_total),
                 f"{format_duration(low)} - {format_duration(high)}",
             ]
@@ -106,13 +136,7 @@ def run(seed: int = 0, shots: int = 1000) -> ExperimentResult:
 
     # The figure's headline: the spread across technologies covers
     # orders of magnitude.
-    durations = [
-        TECHNOLOGIES[name].job_time_with_calibration(
-            *standard_job(TECHNOLOGIES[name], shots=shots)
-        )
-        for name in _ORDER
-    ]
-    spread = max(durations) / min(durations)
+    spread = max(durations.values()) / min(durations.values())
     result.check(
         "job durations span >= 3 orders of magnitude across technologies",
         spread >= 1e3,
@@ -121,7 +145,7 @@ def run(seed: int = 0, shots: int = 1000) -> ExperimentResult:
     result.check(
         "superconducting jobs are second-scale while neutral-atom jobs "
         "exceed 30 min (the paper's Listing 1 discussion)",
-        durations[_ORDER.index("superconducting")] < 60.0
-        and durations[_ORDER.index("neutral_atom")] > 1800.0,
+        durations["superconducting"] < 60.0
+        and durations["neutral_atom"] > 1800.0,
     )
     return result

@@ -25,7 +25,7 @@ through the parallel sweep engine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.experiments.common import (
     campaign_scenario,
@@ -36,7 +36,6 @@ from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
 )
-from repro.experiments.resilience import ChaosSpec, FailurePolicy
 from repro.experiments.sweep import (
     SweepSpec,
     run_cached_sweep,
@@ -146,11 +145,7 @@ def run(
     tenants: int = 8,
     iterations: int = 4,
     vqpu_counts: tuple = (1, 2, 4, 8),
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    policy: Optional[FailurePolicy] = None,
-    chaos: Optional[ChaosSpec] = None,
-    resume: bool = False,
+    **sweep_options: Any,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E4",
@@ -168,19 +163,30 @@ def run(
         },
     )
 
+    sweep_result = run_cached_sweep(
+        sweep_spec(
+            seed=seed,
+            tenants=tenants,
+            iterations=iterations,
+            vqpu_counts=vqpu_counts,
+        ),
+        _run_point,
+        **sweep_options,
+    )
+    if attach_sweep_failures(result, sweep_result):
+        return result
     # Classical-dominated tenants: 120 s classical phases, ~3 s kernels.
     rows = []
     sweep: Dict[int, Dict[str, float]] = {}
     caveat_rows = []
     caveat: Dict[int, float] = {}
     kernel_times: List[float] = []
-
-    def aggregate(point, metrics: Dict[str, float]) -> None:
+    for point, metrics in zip(sweep_result.points, sweep_result.values):
         v = point.params["vqpus"]
         if point.params["case"] == "quantum":
             caveat[v] = metrics["makespan"]
             caveat_rows.append([v, round(metrics["makespan"], 1)])
-            return
+            continue
         sweep[v] = metrics
         kernel_times.append(metrics["kernel_time"])
         rows.append(
@@ -194,25 +200,6 @@ def run(
                 round(metrics["bound"], 2),
             ]
         )
-
-    grid = sweep_spec(
-        seed=seed,
-        tenants=tenants,
-        iterations=iterations,
-        vqpu_counts=vqpu_counts,
-    )
-    sweep_result = run_cached_sweep(
-        grid,
-        _run_point,
-        cache_dir,
-        workers=workers,
-        on_result=aggregate,
-        policy=policy,
-        chaos=chaos,
-        resume=resume,
-    )
-    if attach_sweep_failures(result, sweep_result):
-        return result
     # The slack term of the delay-bound check uses the kernel time of
     # the last classical-dominated cell (largest V), as measured.
     kernel_time = kernel_times[-1]

@@ -19,7 +19,7 @@ appears under the saturated queue) runs through the sweep engine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.experiments.common import (
     campaign_scenario,
@@ -30,7 +30,6 @@ from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
 )
-from repro.experiments.resilience import ChaosSpec, FailurePolicy
 from repro.experiments.sweep import (
     SweepSpec,
     run_cached_sweep,
@@ -146,11 +145,7 @@ def run(
     horizon: float = 8 * 3600.0,
     reconfiguration_cost: float = 5.0,
     warmup: float = 3600.0,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    policy: Optional[FailurePolicy] = None,
-    chaos: Optional[ChaosSpec] = None,
-    resume: bool = False,
+    **sweep_options: Any,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E5",
@@ -169,12 +164,25 @@ def run(
         },
     )
 
+    sweep_result = run_cached_sweep(
+        sweep_spec(
+            seed=seed,
+            iterations=iterations,
+            background_rho=background_rho,
+            horizon=horizon,
+            reconfiguration_cost=reconfiguration_cost,
+            warmup=warmup,
+        ),
+        _run_point,
+        **sweep_options,
+    )
+    if attach_sweep_failures(result, sweep_result):
+        return result
     rows: List[List[Any]] = []
     rows2: List[List[Any]] = []
     records_by_strategy: Dict[str, Dict[str, Any]] = {}
     na_records: Dict[str, Dict[str, Any]] = {}
-
-    def aggregate(point, metrics: Dict[str, Any]) -> None:
+    for point, metrics in zip(sweep_result.points, sweep_result.values):
         name = point.params["strategy"]
         if point.params["scenario"] == "saturated":
             records_by_strategy[name] = metrics
@@ -202,27 +210,6 @@ def run(
                     metrics["final_state"],
                 ]
             )
-
-    grid = sweep_spec(
-        seed=seed,
-        iterations=iterations,
-        background_rho=background_rho,
-        horizon=horizon,
-        reconfiguration_cost=reconfiguration_cost,
-        warmup=warmup,
-    )
-    sweep_result = run_cached_sweep(
-        grid,
-        _run_point,
-        cache_dir,
-        workers=workers,
-        on_result=aggregate,
-        policy=policy,
-        chaos=chaos,
-        resume=resume,
-    )
-    if attach_sweep_failures(result, sweep_result):
-        return result
 
     # -- Scenario 1: saturated classical partition, short phases ---------------
     result.add_table(

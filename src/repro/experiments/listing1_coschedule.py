@@ -16,19 +16,25 @@ achieving optimal resource utilization."
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import (
+    ExperimentResult,
+    attach_sweep_failures,
+)
+from repro.experiments.sweep import SweepSpec, run_cached_sweep
 from repro.quantum.circuit import Circuit
 from repro.quantum.technology import TECHNOLOGIES, QPUTechnology
 from repro.scenarios import FleetSpec, ScenarioSpec, TopologySpec, build
 from repro.strategies.application import HybridApplication, vqe_like
-from repro.strategies.base import RunRecord
 from repro.strategies.coschedule import CoScheduleStrategy
 
 #: Listing 1 parameters.
 CLASSICAL_NODES = 10
 WALLTIME = 3600.0
+
+#: One arm per technology, fast QPU to slow.
+_TECHNOLOGIES = ("superconducting", "trapped_ion", "neutral_atom")
 
 
 def listing1_scenario(
@@ -82,7 +88,9 @@ def _listing1_app(technology: QPUTechnology) -> HybridApplication:
     )
 
 
-def _run_one(technology: QPUTechnology, seed: int) -> tuple[RunRecord, Dict]:
+def _run_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """One technology's exclusive one-hour co-allocation."""
+    technology = TECHNOLOGIES[params["technology"]]
     env = build(listing1_scenario(technology, seed=seed))
     app = _listing1_app(technology)
     strategy = CoScheduleStrategy(
@@ -93,15 +101,27 @@ def _run_one(technology: QPUTechnology, seed: int) -> tuple[RunRecord, Dict]:
     record = run.record
     # Classical-side utilisation inside the allocation: useful
     # node-seconds over held node-seconds; quantum-side likewise.
-    extras = {
+    return {
         "iterations": app.quantum_phase_count,
+        "qpu_busy_seconds": record.qpu_busy_seconds,
+        "qpu_held_seconds": record.qpu_held_seconds,
         "qpu_busy_fraction": record.qpu_efficiency,
         "classical_busy_fraction": record.classical_efficiency,
+        "final_state": record.details.get("final_state"),
     }
-    return record, extras
 
 
-def run(seed: int = 0) -> ExperimentResult:
+def sweep_spec(seed: int = 0) -> SweepSpec:
+    """One point per technology; all share the run's seed."""
+    return SweepSpec(
+        experiment_id="E2",
+        axes={"technology": _TECHNOLOGIES},
+        base_seed=seed,
+        seed_mode="shared",
+    )
+
+
+def run(seed: int = 0, **sweep_options: Any) -> ExperimentResult:
     """Regenerate the Listing 1 under-utilisation result."""
     result = ExperimentResult(
         experiment_id="E2",
@@ -118,23 +138,24 @@ def run(seed: int = 0) -> ExperimentResult:
             "seed": seed,
         },
     )
-    rows = []
-    fractions: Dict[str, Dict[str, float]] = {}
-    for name in ("superconducting", "trapped_ion", "neutral_atom"):
-        technology = TECHNOLOGIES[name]
-        record, extras = _run_one(technology, seed)
-        fractions[name] = extras
-        rows.append(
-            [
-                name,
-                extras["iterations"],
-                round(record.qpu_busy_seconds, 1),
-                round(record.qpu_held_seconds, 1),
-                round(extras["qpu_busy_fraction"], 4),
-                round(extras["classical_busy_fraction"], 4),
-                record.details.get("final_state"),
-            ]
-        )
+    sweep_result = run_cached_sweep(
+        sweep_spec(seed=seed), _run_point, **sweep_options
+    )
+    if attach_sweep_failures(result, sweep_result):
+        return result
+    fractions = dict(zip(_TECHNOLOGIES, sweep_result.values))
+    rows = [
+        [
+            name,
+            point["iterations"],
+            round(point["qpu_busy_seconds"], 1),
+            round(point["qpu_held_seconds"], 1),
+            round(point["qpu_busy_fraction"], 4),
+            round(point["classical_busy_fraction"], 4),
+            point["final_state"],
+        ]
+        for name, point in fractions.items()
+    ]
     result.add_table(
         "Utilisation inside the exclusive 1 h co-allocation",
         [

@@ -862,14 +862,19 @@ def sweep_cache(cache_dir: Optional[os.PathLike]) -> Optional[Any]:
 def run_cached_sweep(
     spec: SweepSpec,
     runner: PointRunner,
-    cache_dir: Optional[os.PathLike],
+    cache_dir: Optional[os.PathLike] = None,
+    resume: bool = False,
     **kwargs: Any,
 ) -> SweepResult:
     """:func:`run_sweep` with the store of :func:`sweep_cache` as cache
-    and run journal; that store is closed again before returning."""
+    and run journal; that store is closed again before returning.
+
+    Every experiment's ``run`` passes its sweep options through to
+    here.  ``resume`` defaults to ``False``, unlike :func:`run_sweep`:
+    a re-run retries journaled failures unless asked to resume."""
     cache = sweep_cache(cache_dir)
     if cache is None:
-        return run_sweep(spec, runner, **kwargs)
+        return run_sweep(spec, runner, resume=resume, **kwargs)
     store = cache.result_store
     try:
         return run_sweep(
@@ -877,22 +882,9 @@ def run_cached_sweep(
             runner,
             cache=cache,
             journal=store.run_journal(spec.experiment_id, runner_name(runner)),
+            resume=resume,
             **kwargs,
         )
     finally:
         store.close()
 
-
-def sweep_values(
-    spec: SweepSpec,
-    runner: PointRunner,
-    workers: Optional[int] = None,
-    cache_dir: Optional[os.PathLike] = None,
-) -> List[Any]:
-    """Convenience wrapper: values in point order, cache by directory."""
-    cache = sweep_cache(cache_dir)
-    try:
-        return run_sweep(spec, runner, workers=workers, cache=cache).values
-    finally:
-        if cache is not None:
-            cache.result_store.close()

@@ -12,9 +12,8 @@ vs parallel because the scenario is a pure function of (params, seed).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
-from repro.experiments.resilience import ChaosSpec, FailurePolicy
 from repro.experiments.sweep import SweepResult, SweepSpec, run_sweep
 from repro.scenarios.build import run_scenario
 from repro.scenarios.registry import get_scenario
@@ -105,17 +104,9 @@ def scenario_sweep_spec(
     )
 
 
-def run_scenario_sweep(
-    spec: SweepSpec,
-    workers: Optional[int] = None,
-    cache: Optional[Any] = None,
-    policy: Optional[FailurePolicy] = None,
-    chaos: Optional[ChaosSpec] = None,
-    journal: Optional[Any] = None,
-    resume: bool = True,
-    on_result: Optional[Callable[..., None]] = None,
-) -> SweepResult:
-    """Execute a scenario grid with full per-point outcome reporting.
+def run_scenario_sweep(spec: SweepSpec, **options: Any) -> SweepResult:
+    """Execute a scenario grid with full per-point outcome reporting;
+    ``options`` are :func:`~repro.experiments.sweep.run_sweep`'s.
 
     The fault-tolerance layer rides along: give the sweep a
     :class:`~repro.experiments.resilience.FailurePolicy` and a raising
@@ -134,14 +125,4 @@ def run_scenario_sweep(
     >>> result.ok_count
     2
     """
-    return run_sweep(
-        spec,
-        run_scenario_point,
-        workers=workers,
-        cache=cache,
-        on_result=on_result,
-        policy=policy,
-        chaos=chaos,
-        journal=journal,
-        resume=resume,
-    )
+    return run_sweep(spec, run_scenario_point, **options)

@@ -153,13 +153,20 @@ class CampaignService:
                 raise ServiceError(
                     f"axis {path!r} must map to a non-empty list"
                 )
+        # A float, as ``store submit --horizon`` parses it: 600 and
+        # 600.0 must name the same points (seeds, cache keys).
+        horizon = payload.get("horizon")
+        if horizon is not None:
+            if type(horizon) not in (int, float):  # bool is no number
+                raise ServiceError("'horizon' must be a number of seconds")
+            horizon = float(horizon)
         try:
             spec = scenario_sweep_spec(
                 payload["preset"],
                 axes,
                 base_seed=int(payload.get("seed", 0)),
                 replications=int(payload.get("replications", 1)),
-                run_horizon=payload.get("horizon"),
+                run_horizon=horizon,
             )
         except (ReproError, ValueError, TypeError) as exc:
             raise ServiceError(str(exc)) from exc

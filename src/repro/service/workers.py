@@ -38,6 +38,7 @@ import socket
 import sys
 import threading
 import time
+import traceback
 import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -343,6 +344,11 @@ class Worker:
         except ReproError:
             # run_claimed_submission already released the lease into
             # 'failed' with the error text; the pool stays alive.
+            return True
+        except Exception:
+            # A runner's own bug (a TypeError, say): the submission is
+            # 'failed' already, as above; show why and keep draining.
+            traceback.print_exc()
             return True
         finally:
             heartbeat.stop()

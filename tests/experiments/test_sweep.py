@@ -14,10 +14,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    EXPERIMENTS,
     access_model,
     crossover,
+    fig1_timescales,
+    fig2_workflow,
     fig3_vqpu,
     fig4_malleability,
+    listing1_coschedule,
 )
 from repro.experiments.sweep import (
     SweepSpec,
@@ -27,7 +31,6 @@ from repro.experiments.sweep import (
     run_cached_sweep,
     run_sweep,
     runner_name,
-    sweep_values,
 )
 from repro.store import ResultStore
 
@@ -468,13 +471,14 @@ class TestWorkersResolution:
 
 
 class TestExperimentLevelDeterminism:
-    """Full experiment artefacts agree serial vs parallel (E4 is the
-    cheapest sweep experiment; E5-E7 are covered by their own tests
+    """Full experiment artefacts agree serial vs parallel (E1-E4 are
+    the cheapest experiments; E5-E7 are covered by their own tests
     plus the engine-level identity above)."""
 
-    def test_e4_serial_vs_parallel(self):
-        serial = fig3_vqpu.run(seed=0, workers=1)
-        parallel = fig3_vqpu.run(seed=0, workers=2)
+    @pytest.mark.parametrize("experiment", ["E1", "E2", "E3", "E4"])
+    def test_serial_vs_parallel(self, experiment):
+        serial = EXPERIMENTS[experiment](seed=0, workers=1)
+        parallel = EXPERIMENTS[experiment](seed=0, workers=2)
         assert canonical_bytes(serial) == canonical_bytes(parallel)
 
     def test_e4_cold_vs_warm_cache(self, tmp_path):
@@ -482,10 +486,10 @@ class TestExperimentLevelDeterminism:
         warm = fig3_vqpu.run(seed=0, cache_dir=str(tmp_path))
         assert canonical_bytes(cold) == canonical_bytes(warm)
 
-    def test_sweep_values_honours_env_cache(self, tmp_path, monkeypatch):
+    def test_run_cached_sweep_honours_env_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
         spec = _small_spec()
-        sweep_values(spec, _record_seed)
+        run_cached_sweep(spec, _record_seed)
         assert (tmp_path / "store.sqlite3").exists()
 
 
@@ -503,9 +507,19 @@ def _open_files_under(directory):
     return held
 
 
-#: One small cached run per experiment that routes its grid through
+#: One small cached run per experiment; each routes its grid through
 #: :func:`run_cached_sweep`.
 _CACHED_EXPERIMENTS = {
+    "fig1_timescales": lambda cache_dir: fig1_timescales.run(
+        seed=0, shots=10, cache_dir=cache_dir
+    ),
+    "listing1_coschedule": lambda cache_dir: listing1_coschedule.run(
+        seed=0, cache_dir=cache_dir
+    ),
+    "fig2_workflow": lambda cache_dir: fig2_workflow.run(
+        seed=0, iterations=1, horizon=1800.0, warmup=300.0,
+        cache_dir=cache_dir,
+    ),
     "access_model": lambda cache_dir: access_model.run(
         seed=0, kernels_per_user=1, user_counts=(1,), cache_dir=cache_dir
     ),
@@ -569,11 +583,6 @@ class TestCachedSweepClosesItsStore:
         plain = run_sweep(spec, _record_seed)
         assert cached.values == plain.values
         assert cached.cache_hits == plain.cache_hits == 0
-
-    def test_sweep_values_closes_its_store(self, tmp_path):
-        values = sweep_values(_small_spec(), _record_seed, cache_dir=tmp_path)
-        assert len(values) == 2
-        assert _open_files_under(tmp_path) == []
 
     @pytest.mark.parametrize("experiment", sorted(_CACHED_EXPERIMENTS))
     def test_experiment_closes_its_cache_store(self, experiment, tmp_path):

@@ -20,7 +20,8 @@ import time
 
 import pytest
 
-from repro.experiments.sweep import runner_name
+from repro.cli import main
+from repro.experiments.sweep import SweepSpec, runner_name
 from repro.service import Worker, make_server
 from repro.service.http import MAX_BODY_BYTES
 from repro.store import ResultStore
@@ -143,11 +144,43 @@ class TestSubmit:
         ({"preset": "no-such-preset", "axes": {"a.b": [1]}},
          "unknown scenario"),
         ({"name": 7, "spec": {}, "runner": "m:f"}, "'name'"),
+        ({"preset": "baseline-32", "axes": {"seed": [1]},
+          "horizon": True}, "'horizon'"),
+        ({"preset": "baseline-32", "axes": {"seed": [1]},
+          "horizon": "600"}, "'horizon'"),
     ])
     def test_malformed_bodies_get_400(self, port, body, fragment):
         status, response = request(port, "POST", "/submissions", body)
         assert status == 400
         assert fragment in response["error"]
+
+    def test_whole_number_horizon_names_the_cli_points(
+        self, port, store_dir
+    ):
+        # JSON 600 and ``store submit --horizon 600`` (a float) must
+        # give the same grid: same digest, same point seeds.
+        status, body = request(port, "POST", "/submissions", {
+            "preset": "baseline-32",
+            "axes": {"workload.background_rho": [0.25, 0.5]},
+            "horizon": 600,
+        })
+        assert status == 201
+        assert main([
+            "store", "submit", str(store_dir), "--preset", "baseline-32",
+            "--axis", "workload.background_rho=0.25,0.5",
+            "--horizon", "600", "--defer",
+        ]) == 0
+        with ResultStore(store_dir, code_version="pinned") as store:
+            http_spec, cli_spec = (
+                SweepSpec.from_dict(
+                    json.loads(store.submission(sid)["spec_json"])
+                )
+                for sid in (body["id"], body["id"] + 1)
+            )
+        assert http_spec.digest == cli_spec.digest
+        assert [p.seed for p in http_spec.points()] == [
+            p.seed for p in cli_spec.points()
+        ]
 
     def test_non_json_body_gets_400(self, port):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)

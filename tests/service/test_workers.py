@@ -365,6 +365,36 @@ class TestWorkerSupervisor:
             supervisor.drain(timeout=15)
         assert supervisor.alive_count() == 0
 
+    def test_runner_bug_fails_its_submission_not_the_worker(
+        self, store_dir, store
+    ):
+        # canonical_params takes one argument, so every point raises a
+        # TypeError: not a ReproError, and no reason for the worker to
+        # die with the submission.
+        supervisor = WorkerSupervisor(
+            store_dir, workers=1, poll_seconds=0.05,
+        )
+        supervisor.start()
+        try:
+            [worker] = supervisor._procs
+            bad = store.submit(
+                "bad", grid_spec(2, experiment_id="grid-bad"),
+                "repro.experiments.sweep:canonical_params",
+            )
+            good = submit(store, name="good")
+            # Nothing polls the supervisor here, so a worker that died
+            # on the bad submission stays dead and never runs the good.
+            assert wait_until(
+                lambda: store.submission(good)["state"] == "done", 30
+            ) is not None
+            record = store.submission(bad)
+            assert record["state"] == "failed"
+            assert "TypeError" in record["error"]
+            assert worker.is_alive()
+        finally:
+            supervisor.drain(timeout=15)
+        assert worker.exitcode == 0
+
     def test_drain_is_idempotent_and_stops_restarts(
         self, store_dir, store
     ):

@@ -73,9 +73,12 @@ class TestSweep:
 
         assert tables(first) == tables(second)
 
-    def test_sweep_rejects_non_sweepable(self):
+    def test_sweep_runs_every_experiment_id(self, capsys):
+        assert main(["sweep", "E1"]) == 0
+        assert "[sweep] E1:" in capsys.readouterr().out
         with pytest.raises(SystemExit):
-            main(["sweep", "E1"])
+            main(["sweep", "E99"])
+        assert "unknown experiment(s): ['E99']" in capsys.readouterr().err
 
     def test_sweep_retries_absorb_first_attempt_chaos(self, capsys):
         # Every point's first attempt raises; --retries 1 recovers all
