@@ -12,9 +12,15 @@ whole-dict deserialisation fails the benchmark, not just slows it.
 Throughput is published to ``BENCH_<rev>.json`` as
 ``store_points_per_second`` (durable writes) and
 ``column_points_per_second`` (finalized reads) via ``bench_record``.
+
+``test_bench_store_replay`` times the other read a finalized sweep
+serves: a warm replay, every point's whole value through
+``load_points`` (what a cached ``run_sweep`` asks for), with pickle
+forbidden the same way.  It publishes ``replay_points_per_second``.
 """
 
 import pickle
+import statistics
 import time
 
 from repro.experiments.sweep import SweepSpec
@@ -115,7 +121,70 @@ def test_bench_store(run_once, bench_record, tmp_path, monkeypatch):
     assert read_s < write_s, (read_s, write_s)
 
 
+#: Replay grid size and the warm passes timed over it.
+REPLAY_POINTS = 4096
+REPLAY_PASSES = 15
+
+
+def _replay_value(x: int):
+    """Scalars plus a small JSON residual, like a scenario point's."""
+    return {**_value(x), "policy": "easy", "counts": {"done": x % 17}}
+
+
+def test_bench_store_replay(run_once, bench_record, tmp_path, monkeypatch):
+    spec = SweepSpec("bench-replay", axes={"x": list(range(REPLAY_POINTS))})
+    name = "bench_runner"
+    expected = [_replay_value(x) for x in range(REPLAY_POINTS)]
+
+    with ResultStore(tmp_path / "store", code_version="bench") as store:
+        points = spec.points()
+        for point in points:
+            store.store_point(
+                spec, name, point, _replay_value(point.params["x"])
+            )
+        store.finalize_sweep(spec, name, shard_points=SHARD_POINTS)
+        assert store.load_points(spec, name, points[:1])[0][0]  # cold open
+
+        def warm_passes():
+            seconds = []
+            unpickles_before = store.stats["unpickle"]
+            with monkeypatch.context() as patched:
+                patched.setattr(pickle, "loads", _forbidden, raising=True)
+                patched.setattr(pickle, "load", _forbidden, raising=True)
+                for _ in range(REPLAY_PASSES):
+                    t0 = time.perf_counter()
+                    loaded = store.load_points(spec, name, points)
+                    seconds.append(time.perf_counter() - t0)
+            assert store.stats["unpickle"] == unpickles_before
+            return loaded, seconds
+
+        loaded, seconds = run_once(warm_passes)
+
+    assert [value for _hit, value in loaded] == expected
+    pass_s = statistics.median(seconds)
+    rate = REPLAY_POINTS / max(pass_s, 1e-9)
+    print()
+    print(
+        render_table(
+            ["passes", "median pass_s", "points/s"],
+            [[REPLAY_PASSES, round(pass_s, 4), round(rate)]],
+            title=(
+                f"Result store warm replay: {REPLAY_POINTS} points, "
+                f"shards of {SHARD_POINTS}"
+            ),
+        )
+    )
+    bench_record(
+        points=REPLAY_POINTS,
+        shard_points=SHARD_POINTS,
+        passes=REPLAY_PASSES,
+        replay_pass_s=round(pass_s, 5),
+        replay_points_per_second=round(rate),
+        unpickled_during_replay=0,
+    )
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError(
-        "pickle deserialisation during a columnar metric read"
+        "pickle deserialisation during a columnar metric read or replay"
     )

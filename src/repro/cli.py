@@ -685,7 +685,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             footer=lambda experiment_id, elapsed: (
                 f"[sweep] {experiment_id}: {elapsed:.2f}s "
                 f"(workers={workers}, "
-                f"cache={args.cache_dir or 'off'})"
+                f"cache={run_kwargs['cache_dir'] or 'off'})"
             ),
         )
     parser.print_help()

@@ -30,7 +30,9 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ChaosError, ConfigurationError
 from repro.sim.rng import derive_seed
@@ -232,6 +234,24 @@ class Outcome:
     def from_json_dict(cls, data: Mapping[str, Any]) -> "Outcome":
         fields = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in fields})
+
+
+class JournaledOk(NamedTuple):
+    """A journaled ``ok`` point outcome as a resumed sweep reads it:
+    its cache hit reports only these two fields, so nothing else of
+    the row is decoded.  ``status`` and ``ok`` read as an ``ok``
+    :class:`Outcome`'s do.
+
+    >>> prior = JournaledOk(attempts=2, attempt_seconds=[0.5, 0.25])
+    >>> prior.status, prior.ok, prior.attempts
+    ('ok', True, 2)
+    """
+
+    attempts: int
+    attempt_seconds: List[float]
+
+    status = STATUS_OK
+    ok = True
 
 
 # -- deterministic chaos harness ---------------------------------------------

@@ -55,6 +55,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro._version import __version__
@@ -63,6 +64,7 @@ from repro.experiments.resilience import (
     STATUS_OK,
     ChaosSpec,
     FailurePolicy,
+    JournaledOk,
     Outcome,
 )
 from repro.experiments.pool import AttemptLedger, PoolSupervisor
@@ -691,7 +693,7 @@ def run_sweep(
             raise exception
         raise PointFailedError(outcome.describe(), outcome=outcome)
 
-    journaled: Dict[str, Outcome] = {}
+    journaled: Dict[str, Union[Outcome, JournaledOk]] = {}
     if journal is not None:
         # Lock before consulting the journal: a second live writer
         # fails fast with StoreLockedError instead of interleaving

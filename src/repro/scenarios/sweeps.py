@@ -12,8 +12,10 @@ vs parallel because the scenario is a pure function of (params, seed).
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Dict, Mapping, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.experiments.sweep import SweepResult, SweepSpec, run_sweep
 from repro.scenarios.build import run_scenario
 from repro.scenarios.registry import get_scenario
@@ -91,10 +93,27 @@ def scenario_sweep_spec(
     ... )
     >>> [p.params["fleet.routing"] for p in routing.points()]
     ['capability', 'fastest_completion']
+
+    ``run_horizon`` is stored as a float, so a horizon of ``3600``
+    (TOML, JSON) and ``3600.0`` (``--horizon``) name the same points:
+
+    >>> whole, real = (
+    ...     scenario_sweep_spec("baseline-32", {"seed": [1]}, run_horizon=h)
+    ...     for h in (3600, 3600.0)
+    ... )
+    >>> whole.digest == real.digest
+    True
     """
     constants: Dict[str, Any] = {PRESET_KEY: preset}
     if run_horizon is not None:
-        constants[HORIZON_KEY] = run_horizon
+        if isinstance(run_horizon, bool) or not isinstance(
+            run_horizon, numbers.Real
+        ):
+            raise ConfigurationError(
+                f"run_horizon must be a number of seconds, got "
+                f"{run_horizon!r}"
+            )
+        constants[HORIZON_KEY] = float(run_horizon)
     return SweepSpec(
         experiment_id=experiment_id or f"scenario:{preset}",
         axes=dict(axes),

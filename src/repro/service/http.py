@@ -153,13 +153,12 @@ class CampaignService:
                 raise ServiceError(
                     f"axis {path!r} must map to a non-empty list"
                 )
-        # A float, as ``store submit --horizon`` parses it: 600 and
-        # 600.0 must name the same points (seeds, cache keys).
+        # scenario_sweep_spec stores it as a float, so 600 and 600.0
+        # name the same points (seeds, cache keys).
         horizon = payload.get("horizon")
-        if horizon is not None:
-            if type(horizon) not in (int, float):  # bool is no number
-                raise ServiceError("'horizon' must be a number of seconds")
-            horizon = float(horizon)
+        if horizon is not None and type(horizon) not in (int, float):
+            # bool is no number
+            raise ServiceError("'horizon' must be a number of seconds")
         try:
             spec = scenario_sweep_spec(
                 payload["preset"],

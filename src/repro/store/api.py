@@ -37,6 +37,7 @@ from collections import Counter
 from pathlib import Path
 from typing import (
     Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+    Union,
 )
 
 from repro.errors import (
@@ -46,7 +47,9 @@ from repro.errors import (
     StoreError,
     UnknownSubmissionError,
 )
-from repro.experiments.resilience import STATUSES, Outcome
+from repro.experiments.resilience import (
+    STATUS_OK, STATUSES, JournaledOk, Outcome,
+)
 from repro.experiments.sweep import (
     SweepPoint,
     SweepSpec,
@@ -245,16 +248,17 @@ class ResultStore:
     ) -> List[Tuple[bool, Any]]:
         """``(hit, value)`` for each of ``points``, in order.
 
-        One ``IN`` query per 500 keys finds the rows.  Each shard they
-        name is turned into Python lists once per call, so rebuilding a
-        point indexes lists, not numpy scalars.  A corrupt entry is
-        dropped and misses: a shard that is gone misses, one that does
-        not decode is quarantined and all its points miss, and torn
-        inline payloads are deleted in one write transaction.
+        One ``IN`` query per 500 keys finds the rows.  A columnar point
+        is a copy of its row in the shard's cached rows
+        (:meth:`~repro.store.columns.ShardCache.rows`), plus its decoded
+        residual.  A corrupt entry is dropped and misses: a shard that
+        is gone misses, one that does not decode is quarantined and all
+        its points miss, and torn inline payloads are deleted in one
+        write transaction.
         """
         keys = [_point_store_key(point) for point in points]
         stored = self._stored_points(spec, runner_name, keys)
-        columns: Dict[int, Optional[Dict[str, col.MetricLists]]] = {}
+        rows_by_shard: Dict[int, Optional[List[Dict[str, Any]]]] = {}
         torn: Set[int] = set()
         loaded: List[Tuple[bool, Any]] = []
         for key in keys:
@@ -269,19 +273,17 @@ class ResultStore:
                 if shard is None:
                     loaded.append((False, None))  # its shard is gone
                     continue
-                if shard.id not in columns:
+                if shard.id not in rows_by_shard:
                     try:
-                        columns[shard.id] = col.shard_lists(
-                            self._shard_arrays(shard)
-                        )
+                        rows_by_shard[shard.id] = self._shard_rows(shard)
                     except StoreCorruptError:
-                        columns[shard.id] = None  # quarantined
-                shard_columns = columns[shard.id]
-                if shard_columns is None:
+                        rows_by_shard[shard.id] = None  # quarantined
+                shard_rows = rows_by_shard[shard.id]
+                if shard_rows is None:
                     loaded.append((False, None))
                     continue
                 self.stats["column_point"] += 1
-                value = col.point_from_arrays(shard_columns, shard_pos)
+                value = shard_rows[shard_pos].copy()
                 if kind == col.PAYLOAD_COLUMN:
                     loaded.append((True, value))
                     continue
@@ -356,19 +358,44 @@ class ResultStore:
 
     def load_outcomes(
         self, experiment_id: str, runner_name: str
-    ) -> Dict[str, Outcome]:
-        """Point key -> journaled terminal outcome (reads are lock-free)."""
-        rows = self.db.connection().execute(
+    ) -> Dict[str, Union[Outcome, JournaledOk]]:
+        """Point key -> journaled terminal outcome (reads are lock-free).
+
+        An ``ok`` row comes back as a :class:`~repro.experiments.
+        resilience.JournaledOk`: its attempts and their durations, all
+        a cache hit reports, read by a query that selects only those.
+        Any other row comes back as the full :class:`Outcome` a resumed
+        run replays, read by a second query only when there is one.
+        """
+        conn = self.db.connection()
+        identity = self._identity(experiment_id, runner_name)
+        rows = conn.execute(
+            """
+            SELECT point_key, status, attempts, attempt_seconds
+            FROM outcomes
+            WHERE experiment_id = ? AND runner = ? AND code_version = ?
+            """,
+            identity,
+        ).fetchall()
+        ok = [row for row in rows if row[1] == STATUS_OK]
+        # Each attempt_seconds is a JSON list: decode them all at once.
+        decoded = json.loads(f"[{','.join(row[3] for row in ok)}]")
+        outcomes: Dict[str, Union[Outcome, JournaledOk]] = {
+            key: JournaledOk(attempts, seconds)
+            for (key, _status, attempts, _text), seconds in zip(ok, decoded)
+        }
+        if len(ok) == len(rows):
+            return outcomes
+        for row in conn.execute(
             """
             SELECT point_key, point_index, status, attempts, error,
                    traceback, attempt_seconds, cached, resumed
             FROM outcomes
             WHERE experiment_id = ? AND runner = ? AND code_version = ?
+              AND status != ?
             """,
-            self._identity(experiment_id, runner_name),
-        ).fetchall()
-        outcomes: Dict[str, Outcome] = {}
-        for row in rows:
+            (*identity, STATUS_OK),
+        ):
             (key, index, status, attempts, error, trace, seconds,
              cached, resumed) = row
             if status not in STATUSES:
@@ -640,9 +667,7 @@ class ResultStore:
                             f"point {row_id} names a shard that is not "
                             "in the store"
                         )
-                    value = col.point_from_arrays(
-                        self._shard_arrays(shard), pos
-                    )
+                    value = self._shard_rows(shard)[pos].copy()
                     if kind != col.PAYLOAD_COLUMN:
                         value.update(self._decode_inline(kind, payload))
                 else:
@@ -743,15 +768,14 @@ class ResultStore:
 
     # -- shard reading -------------------------------------------------------
 
-    def _shard_arrays(
+    def _cached_shard(
         self, shard: _Shard, metrics: Optional[Sequence[str]] = None
-    ) -> Dict[str, col.MetricArrays]:
-        """One shard's arrays for those of ``metrics`` (default: all)
-        it holds, through the handle's cache: a miss opens the shard
-        once and decodes only the members not cached yet.  The whole
-        shard comes back as the cache's own dict: read it, never change
-        it.  A shard that does not decode is quarantined and raises
-        :class:`StoreCorruptError`."""
+    ) -> Optional[col.CachedShard]:
+        """``shard``'s cache entry with those of ``metrics`` (default:
+        all) it holds decoded, or ``None`` if it holds none of them: a
+        miss opens the shard once and decodes only the members not
+        cached yet.  A shard that does not decode is quarantined and
+        raises :class:`StoreCorruptError`."""
         key = (shard.id, shard.created_at)
         entry = self._shard_cache.get(key)
         held = entry.metrics if entry is not None else json.loads(
@@ -761,33 +785,49 @@ class ResultStore:
         missing = wanted if entry is None else [
             metric for metric in wanted if metric in entry.undecoded
         ]
-        if missing:
-            path = self.db.shards_dir / shard.filename
-            try:
-                with col.open_shard(path) as npz:
-                    decoded = {
-                        metric: col.shard_metric_arrays(npz, metric)
-                        for metric in missing
-                    }
-            except (OSError, EOFError, ValueError, KeyError,
-                    zipfile.BadZipFile) as exc:
-                self._shard_cache.discard(key)
-                quarantined = self.quarantine_shard(shard.id)
-                raise StoreCorruptError(
-                    f"metric shard {path.name} is unreadable ({exc}); "
-                    f"quarantined to {quarantined.name} — its points "
-                    "re-execute on the next run of the sweep, which can "
-                    "then be finalized again"
-                ) from exc
-            entry = self._shard_cache.add(key, held, decoded)
-        elif entry is None:
+        if not missing:
+            return entry
+        path = self.db.shards_dir / shard.filename
+        try:
+            with col.open_shard(path) as npz:
+                decoded = {
+                    metric: col.shard_metric_arrays(npz, metric)
+                    for metric in missing
+                }
+        except (OSError, EOFError, ValueError, KeyError,
+                zipfile.BadZipFile) as exc:
+            self._shard_cache.discard(key)
+            quarantined = self.quarantine_shard(shard.id)
+            raise StoreCorruptError(
+                f"metric shard {path.name} is unreadable ({exc}); "
+                f"quarantined to {quarantined.name} — its points "
+                "re-execute on the next run of the sweep, which can "
+                "then be finalized again"
+            ) from exc
+        return self._shard_cache.add(key, held, decoded)
+
+    def _shard_arrays(
+        self, shard: _Shard, metrics: Sequence[str]
+    ) -> Dict[str, col.MetricArrays]:
+        """One shard's arrays for those of ``metrics`` it holds,
+        through the handle's cache (:meth:`_cached_shard`)."""
+        entry = self._cached_shard(shard, metrics)
+        if entry is None:
             return {}
-        if metrics is None:
-            return entry.arrays
         return {
-            metric: entry.arrays[metric] for metric in wanted
+            metric: entry.arrays[metric] for metric in metrics
             if metric in entry.arrays
         }
+
+    def _shard_rows(self, shard: _Shard) -> List[Dict[str, Any]]:
+        """Every point's scalar metrics in one shard, in shard position
+        order, through the handle's cache (:meth:`_cached_shard`).
+        These are the cache's own dicts: copy one before handing it
+        out, never change it."""
+        entry = self._cached_shard(shard)
+        if entry is None:
+            return []
+        return self._shard_cache.rows((shard.id, shard.created_at), entry)
 
     def quarantine_shard(self, shard_id: int) -> Path:
         """Rename a bad shard aside and unlink its rows so every point

@@ -11,9 +11,9 @@ flock even inside one process.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from repro.experiments.resilience import Outcome
+from repro.experiments.resilience import JournaledOk, Outcome
 from repro.store.api import ResultStore
 
 
@@ -64,8 +64,10 @@ class StoreRunJournal:
     def acquire(self) -> None:
         self.result_store.acquire()
 
-    def load(self) -> Dict[str, Outcome]:
-        """Point key -> journaled outcome (a read; takes no lock)."""
+    def load(self) -> Dict[str, Union[Outcome, JournaledOk]]:
+        """Point key -> journaled outcome (a read; takes no lock): a
+        :class:`JournaledOk` for an ``ok`` point, else the
+        :class:`Outcome` to replay."""
         return self.result_store.load_outcomes(
             self.experiment_id, self.runner_name
         )

@@ -36,7 +36,9 @@ writer never publishes a torn shard.
 
 Decoded arrays are kept per store handle in a :class:`ShardCache`,
 so a replay that reads every point and then a few columns of one
-sweep parses each shard's zip directory once.
+sweep parses each shard's zip directory once.  A shard read whole
+also keeps each point's finished scalar dict (:func:`point_rows`), so
+a warm replay copies a dict per point instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
-    Union,
 )
 
 import numpy as np
@@ -267,9 +268,10 @@ def shard_metric_arrays(
 
 
 #: Byte bound of one store handle's :class:`ShardCache`; past it the
-#: least recently used shards are dropped.  64 MiB holds about 70 full
-#: shards (2048 points x 25 metrics x 17 bytes a point), more than one
-#: sweep replay or results table reads.
+#: least recently used shards are dropped.  64 MiB holds the arrays of
+#: about 70 full shards (2048 points x 25 metrics x 17 bytes a point),
+#: or about 14 with their point rows: more than one sweep replay or
+#: results table reads.
 SHARD_CACHE_BYTES = 64 * 2**20
 
 #: Bytes charged per cached array on top of its data (the ndarray
@@ -279,21 +281,28 @@ SHARD_CACHE_BYTES = 64 * 2**20
 #: this bookkeeping outweighs the data.
 ARRAY_OVERHEAD_BYTES = 256
 METRIC_OVERHEAD_BYTES = 256
+#: Bytes charged per cached point row (the dict and its list slot) and
+#: per metric value in it (the dict slot and the value object): upper
+#: bounds of what ``tracemalloc`` measures for rows of 1 to 100 metrics
+#: on CPython 3.11.
+ROW_OVERHEAD_BYTES = 208
+ROW_ITEM_BYTES = 64
 
 MetricArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
-#: One metric's ``(kinds, floats, ints)`` as Python lists.
-MetricLists = Tuple[List[int], List[float], List[int]]
 
 
 @dataclass
 class CachedShard:
     """One shard's decoded arrays: ``metrics`` names every metric the
     shard holds, ``arrays`` those decoded so far (a metric the file has
-    no members for is left out), ``undecoded`` those not read yet."""
+    no members for is left out), ``undecoded`` those not read yet.
+    ``rows`` holds every point's finished scalar dict once a whole-point
+    read has asked for them (see :meth:`ShardCache.rows`)."""
 
     metrics: Tuple[str, ...]
     arrays: Dict[str, MetricArrays] = field(default_factory=dict)
     undecoded: Set[str] = field(default_factory=set)
+    rows: Optional[List[Dict[str, Any]]] = None
     nbytes: int = 0
 
 
@@ -307,12 +316,18 @@ class ShardCache:
     to invalidate entries, and a deleted shard's entry just ages out.
 
     >>> cache = ShardCache()
-    >>> cache.max_bytes = 2000
-    >>> block = tuple(np.zeros(4, dtype=t) for t in ("u1", "f8", "i8"))
+    >>> cache.max_bytes = 3000
+    >>> kinds = np.full(4, KIND_FLOAT, dtype=np.uint8)
+    >>> block = (kinds, np.zeros(4), np.zeros(4, dtype=np.int64))
     >>> entry = cache.add((1, 0.5), ("y", "z"), {"y": block})
     >>> entry.nbytes, sorted(entry.arrays), entry.undecoded
     (1348, ['y'], {'z'})
-    >>> _ = cache.add((2, 0.7), ("y",), {"y": block})  # past 2000 bytes
+    >>> entry = cache.add((1, 0.5), ("y", "z"), {"z": None})
+    >>> cache.rows((1, 0.5), entry)  # the file has no "z": absent
+    [{'y': 0.0}, {'y': 0.0}, {'y': 0.0}, {'y': 0.0}]
+    >>> entry.nbytes, cache.nbytes  # + 4 rows of one value: 4 * (208 + 64)
+    (2436, 2436)
+    >>> _ = cache.add((2, 0.7), ("y",), {"y": block})  # past 3000 bytes
     >>> cache.get((1, 0.5)) is None, len(cache)
     (True, 1)
     """
@@ -350,16 +365,35 @@ class ShardCache:
             entry.undecoded.discard(metric)
             if block is not None:
                 entry.arrays[metric] = block
+        self._insert(key, entry)
+        return entry
+
+    def rows(self, key: Hashable, entry: CachedShard) -> List[Dict[str, Any]]:
+        """``entry``'s point rows, built on first use and then charged to
+        it (``key``'s entry, with every metric decoded).  Callers read
+        the rows and copy one to hand it out; they never change them."""
+        if entry.rows is None:
+            entry.rows = point_rows(entry.metrics, entry.arrays)
+            if self._entries.get(key) is entry:  # still cached: charge them
+                self.discard(key)
+                self._insert(key, entry)
+        return entry.rows
+
+    def _insert(self, key: Hashable, entry: CachedShard) -> None:
+        """(Re)insert ``entry`` as the most recently used, charged for
+        what it holds now, then evict past the bound."""
         entry.nbytes = METRIC_OVERHEAD_BYTES * len(entry.metrics) + sum(
             ARRAY_OVERHEAD_BYTES + array.nbytes
             for block in entry.arrays.values() for array in block
         )
+        if entry.rows is not None:
+            entry.nbytes += ROW_OVERHEAD_BYTES * len(entry.rows)
+            entry.nbytes += ROW_ITEM_BYTES * sum(map(len, entry.rows))
         self._entries[key] = entry
         self.nbytes += entry.nbytes
         while self.nbytes > self.max_bytes:
             _key, evicted = self._entries.popitem(last=False)
             self.nbytes -= evicted.nbytes
-        return entry
 
     def discard(self, key: Hashable) -> None:
         entry = self._entries.pop(key, None)
@@ -371,38 +405,29 @@ class ShardCache:
         self.nbytes = 0
 
 
-def shard_lists(
-    arrays_by_metric: Mapping[str, MetricArrays],
-) -> Dict[str, MetricLists]:
-    """A shard's arrays as Python lists, for rebuilding many of its
-    points: one ``tolist`` per array instead of a numpy scalar per
-    metric per point."""
-    return {
-        metric: (kinds.tolist(), floats.tolist(), ints.tolist())
-        for metric, (kinds, floats, ints) in arrays_by_metric.items()
-    }
-
-
-def point_from_arrays(
-    arrays_by_metric: Mapping[str, Union[MetricArrays, MetricLists]],
-    pos: int,
-) -> Dict[str, Any]:
-    """Rebuild one point's metric dict from shard arrays, or the lists
-    :func:`shard_lists` makes of them (exact types either way)."""
-    value: Dict[str, Any] = {}
-    for metric, (kinds, floats, ints) in arrays_by_metric.items():
-        kind = kinds[pos]
-        if kind == KIND_ABSENT:
-            continue
-        if kind == KIND_FLOAT:
-            value[metric] = float(floats[pos])
-        elif kind == KIND_INT:
-            value[metric] = int(ints[pos])
-        elif kind == KIND_BOOL:
-            value[metric] = bool(ints[pos])
-        else:
-            value[metric] = None
-    return value
+def point_rows(
+    metrics: Sequence[str], arrays_by_metric: Mapping[str, MetricArrays]
+) -> List[Dict[str, Any]]:
+    """Every point's scalar metric dict, with exact types, keys in
+    ``metrics`` order (absent metrics left out).  One ``tolist`` per
+    array, not a numpy scalar per metric per point."""
+    blocks = [
+        (metric, *(array.tolist() for array in arrays_by_metric[metric]))
+        for metric in metrics if metric in arrays_by_metric
+    ]
+    count = len(blocks[0][1]) if blocks else 0
+    rows: List[Dict[str, Any]] = [{} for _ in range(count)]
+    for metric, kinds, floats, ints in blocks:
+        for row, kind, number, integer in zip(rows, kinds, floats, ints):
+            if kind == KIND_FLOAT:
+                row[metric] = number
+            elif kind == KIND_INT:
+                row[metric] = integer
+            elif kind == KIND_BOOL:
+                row[metric] = bool(integer)
+            elif kind != KIND_ABSENT:
+                row[metric] = None
+    return rows
 
 
 @dataclass

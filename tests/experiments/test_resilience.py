@@ -36,6 +36,7 @@ from repro.experiments.resilience import (
     CHAOS_EXIT_CODE,
     ChaosSpec,
     FailurePolicy,
+    JournaledOk,
     Outcome,
     failure_rows,
 )
@@ -293,8 +294,13 @@ class TestRunJournal:
         return store.run_journal("E1", "mod:run")
 
     def test_record_load_round_trip(self, tmp_path):
+        """A failure comes back whole, to be replayed; an ``ok`` point
+        as just the attempts and durations its cache hit reports."""
         journal = self._journal(tmp_path)
-        first = Outcome(index=0, key="a", status="ok", attempts=1)
+        first = Outcome(
+            index=0, key="a", status="ok", attempts=2,
+            attempt_seconds=[0.5, 0.25],
+        )
         second = Outcome(
             index=1, key="b", status="failed", attempts=2, error="boom"
         )
@@ -302,7 +308,8 @@ class TestRunJournal:
         journal.record(second)
         journal.close()
         loaded = self._journal(tmp_path).load()
-        assert loaded == {"a": first, "b": second}
+        assert loaded == {"a": JournaledOk(2, [0.5, 0.25]), "b": second}
+        assert loaded["a"].ok and loaded["a"].status == "ok"
 
     def test_last_record_for_a_key_wins(self, tmp_path):
         journal = self._journal(tmp_path)

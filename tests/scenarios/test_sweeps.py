@@ -55,6 +55,32 @@ class TestScenarioSweep:
         ] == [16, 32, 64]
         assert all(p.params["preset"] == "baseline-32" for p in points)
 
+    def test_whole_number_horizon_names_the_float_points(self):
+        """TOML and JSON parse ``3600`` as an int; ``--horizon`` gives
+        ``3600.0``.  Both name one grid: same digest, seeds and keys."""
+        whole, real = (
+            scenario_sweep_spec(
+                "baseline-32",
+                {"topology.classical_nodes": [16]},
+                run_horizon=horizon,
+            )
+            for horizon in (3600, 3600.0)
+        )
+        # The float form's identity is the one stored grids carry.
+        assert whole.digest == real.digest == "aeec73b151025b1e"
+        assert [p.seed for p in whole.points()] == [
+            p.seed for p in real.points()
+        ] == [11414547641765158460]
+        assert whole.points()[0].key() == real.points()[0].key()
+        assert type(whole.points()[0].params["run_horizon"]) is float
+
+    @pytest.mark.parametrize("horizon", [True, "3600", [3600]])
+    def test_non_number_horizon_is_rejected(self, horizon):
+        with pytest.raises(ConfigurationError, match="run_horizon"):
+            scenario_sweep_spec(
+                "baseline-32", {"seed": [1]}, run_horizon=horizon
+            )
+
     def test_serial_vs_parallel_byte_identical(self):
         spec = scenario_sweep_spec(
             "baseline-32",

@@ -24,16 +24,16 @@ class TestCodec:
     def test_scalar_kinds_round_trip_through_arrays(self, value):
         arrays, metrics = col.build_shard_arrays([{"m": value}])
         assert metrics == ["m"]
-        rebuilt = col.point_from_arrays(
-            {"m": (arrays["k:m"], arrays["f8:m"], arrays["i8:m"])}, 0
+        [rebuilt] = col.point_rows(
+            metrics, {"m": (arrays["k:m"], arrays["f8:m"], arrays["i8:m"])}
         )
         assert rebuilt == {"m": value}
         assert type(rebuilt["m"]) is type(value)
 
     def test_nan_round_trips_as_float(self):
-        arrays, _ = col.build_shard_arrays([{"m": float("nan")}])
-        rebuilt = col.point_from_arrays(
-            {"m": (arrays["k:m"], arrays["f8:m"], arrays["i8:m"])}, 0
+        arrays, metrics = col.build_shard_arrays([{"m": float("nan")}])
+        [rebuilt] = col.point_rows(
+            metrics, {"m": (arrays["k:m"], arrays["f8:m"], arrays["i8:m"])}
         )
         assert math.isnan(rebuilt["m"]) and type(rebuilt["m"]) is float
 
@@ -103,11 +103,9 @@ class TestShardFiles:
         by_metric = {
             m: col.shard_metric_arrays(npz, m) for m in metrics
         }
-        assert col.point_from_arrays(by_metric, 0) == {"y": 0.5, "n": 1}
-        assert col.point_from_arrays(by_metric, 1) == {}
-        assert col.point_from_arrays(by_metric, 2) == {
-            "y": 1.5, "n": 3, "extra": True
-        }
+        assert col.point_rows(metrics, by_metric) == [
+            {"y": 0.5, "n": 1}, {}, {"y": 1.5, "n": 3, "extra": True},
+        ]
 
     def test_unknown_metric_reads_none(self, tmp_path):
         arrays, _ = col.build_shard_arrays([{"y": 1.0}])

@@ -170,6 +170,38 @@ class TestBound:
             assert cache.nbytes <= 5000
 
 
+    @pytest.mark.parametrize("bound, cached", [(13000, 2), (12000, 1),
+                                               (6000, 0)])
+    def test_point_rows_are_charged_under_the_bound(
+        self, store_dir, shard_reads, monkeypatch, bound, cached
+    ):
+        spec = grid_spec(6, "bounded-rows")
+        with ResultStore(store_dir, code_version="pinned") as writer:
+            name = _finalized(writer, spec)
+        # A whole shard of two five-metric points: five metric names,
+        # 15 array headers and 5 x (2 + 16 + 16) data bytes (5290),
+        # plus two rows of five values once a point read asks for them.
+        arrays = 5 * col.METRIC_OVERHEAD_BYTES + 5 * (
+            3 * col.ARRAY_OVERHEAD_BYTES + 34
+        )
+        rows = 2 * col.ROW_OVERHEAD_BYTES + 10 * col.ROW_ITEM_BYTES
+        monkeypatch.setattr(col, "SHARD_CACHE_BYTES", bound)
+        with ResultStore(store_dir, code_version="pinned") as reader:
+            cache = reader._shard_cache
+            expected = [scalar_runner(p.params, p.seed) for p in spec.points()]
+            for _pass in range(2):
+                del shard_reads["opens"][:]
+                loaded = reader.load_points(spec, name, spec.points())
+                assert [value for _hit, value in loaded] == expected
+                # Three shards through a cache of fewer: each reopens.
+                assert len(shard_reads["opens"]) == 3
+                assert len(cache) == cached
+                assert cache.nbytes == cached * (arrays + rows) <= bound
+            for entry in cache._entries.values():
+                assert entry.nbytes == arrays + rows
+                assert len(entry.rows) == 2
+
+
 class TestKey:
     def test_reused_shard_id_does_not_serve_the_old_shard(self, store_dir):
         """Handle A caches sweep X's shard; handle B collects X and

@@ -73,6 +73,19 @@ class TestSweep:
 
         assert tables(first) == tables(second)
 
+    def test_sweep_footer_names_the_env_cache_dir(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        cache_dir = tmp_path / "env-cache"
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(cache_dir))
+        assert main(["sweep", "E1"]) == 0
+        footer = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[sweep] E1:")
+        ]
+        assert footer and footer[0].endswith(f"cache={cache_dir})")
+        assert (cache_dir / "store.sqlite3").exists()
+
     def test_sweep_runs_every_experiment_id(self, capsys):
         assert main(["sweep", "E1"]) == 0
         assert "[sweep] E1:" in capsys.readouterr().out
