@@ -162,8 +162,12 @@ class CampaignEngine:
         process can be killed).  ``"process"``: independent branches
         run concurrently in a pool of ``workers`` processes.
     workers:
-        Worker budget (the ``process`` pool's size; it is also
-        advertised to steps through ``StageContext.workers``).
+        Worker budget, at least 1 (default 1).  It is split evenly
+        between the stages that may run at once: on ``process`` each
+        stage gets the one pool worker it runs in, so a sweep stage
+        never forks a pool inside a pool worker; on ``serial`` the one
+        running stage gets all ``workers`` for its sweep.  Steps read
+        their share as ``StageContext.workers``.
     chaos:
         Optional stage-granular fault injection, applied at each stage
         boundary in the orchestrating process.
@@ -180,7 +184,11 @@ class CampaignEngine:
     ) -> None:
         self.spec = load_campaign(spec)
         self.state_dir = Path(state_dir)
-        self.workers = max(1, workers or 1)
+        self.workers = 1 if workers is None else workers
+        if self.workers < 1:
+            raise ConfigurationError(
+                f"workers must be >= 1, got {self.workers}"
+            )
         self.chaos = chaos
         self.code_version = code_version or _default_code_version()
         if backend not in ("serial", "process"):
@@ -277,7 +285,8 @@ class CampaignEngine:
             params=dict(stage.params),
             seed=stage_seed(self.spec.seed, self.spec.name, stage.name),
             upstream={dep: values[dep] for dep in stage.after},
-            workers=self.workers,
+            # The budget divided by the stages that may run at once.
+            workers=self.workers // self.supervisor.capacity,
             state_dir=self.state_dir,
             code_version=self.code_version,
         )

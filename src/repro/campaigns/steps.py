@@ -52,6 +52,9 @@ class StageContext:
     (a pure function of campaign seed + stage name).  ``state_dir`` is
     a campaign-private directory the step may use for its own durable
     state — the sweep step keeps its point cache and journal there.
+    ``workers`` is this stage's share of the campaign's worker budget:
+    1 on the ``process`` backend (the stage owns the pool worker it
+    runs in), the whole budget on ``serial``.
     """
 
     stage: str

@@ -246,7 +246,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="worker budget for pool backends and sweep stages",
+            help=(
+                "worker budget, at least 1 (default 1): 'process' runs "
+                "that many stages at once, one process each; 'serial' "
+                "runs one stage at a time and gives its sweep all of "
+                "them"
+            ),
         )
         campaign_exec.add_argument(
             "--seed",
@@ -659,8 +664,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{experiment_id}: {doc}")
         return 0
     if args.command == "run":
+        # Resolved once, so a bad $REPRO_SWEEP_WORKERS is one usage
+        # error before any experiment runs.
+        run_kwargs = {"workers": _resolve_workers(parser, None)}
         with _maybe_profile(args.profile):
-            return _run_experiments(parser, args)
+            return _run_experiments(parser, args, run_kwargs=run_kwargs)
     if args.command == "scenario":
         return _scenario_command(parser, args)
     if args.command == "campaign":
@@ -676,7 +684,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "trace":
         return _trace_command(parser, args)
     if args.command == "sweep":
-        workers = resolve_workers(args.workers)
+        workers = _resolve_workers(parser, args.workers)
         run_kwargs = _sweep_run_kwargs(parser, args, workers)
         return _run_experiments(
             parser,
@@ -690,6 +698,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     parser.print_help()
     return 2
+
+
+def _resolve_workers(parser, value) -> int:
+    """:func:`resolve_workers` for a CLI flag (``None``: the
+    environment): a count below 1 is a usage error, exit 2."""
+    from repro.errors import ConfigurationError
+
+    try:
+        return resolve_workers(value)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
 
 #: Environment knob mirroring ``run --profile``: ``REPRO_PROFILE=1``
@@ -953,7 +972,7 @@ def _store_command(parser, args) -> int:
         if args.store_command == "submit":
             return _store_submit(parser, args, store)
         if args.store_command == "run":
-            workers = resolve_workers(args.workers)
+            workers = _resolve_workers(parser, args.workers)
             return _store_execute(args.directory, args.id, workers)
         if args.store_command == "status":
             rows = store.status()
@@ -1073,6 +1092,8 @@ def _store_submit(parser, args, store) -> int:
         )
     except (ReproError, ValueError, TypeError) as exc:
         parser.error(str(exc))
+    # Before the submission is recorded: a bad count records nothing.
+    workers = None if args.defer else _resolve_workers(parser, args.workers)
     submission_id = store.submit(
         args.name or args.preset, spec, runner_name(run_scenario_point)
     )
@@ -1082,7 +1103,6 @@ def _store_submit(parser, args, store) -> int:
     )
     if args.defer:
         return 0
-    workers = resolve_workers(args.workers)
     return _store_execute(args.directory, submission_id, workers)
 
 
@@ -1372,12 +1392,13 @@ def _run_experiments(parser, args, run_kwargs=None, footer=None) -> int:
         except ReproError as exc:
             # e.g. a sweep point exhausting its FailurePolicy under
             # on_error="raise": report, keep a non-zero exit, move on.
-            print(
-                f"error: {experiment_id}: {exc} "
-                "(use --on-error collect for a failure summary "
-                "instead of an abort)",
-                file=sys.stderr,
+            hint = (
+                " (use --on-error collect for a failure summary "
+                "instead of an abort)"
+                if args.command == "sweep"
+                else ""
             )
+            print(f"error: {experiment_id}: {exc}{hint}", file=sys.stderr)
             any_failed = True
             continue
         elapsed = time.perf_counter() - start

@@ -584,7 +584,7 @@ def resolve_workers(workers: Optional[Any]) -> int:
                     f"got {workers!r}"
                 ) from None
     if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        raise ConfigurationError(f"{source} must be >= 1, got {workers}")
     return workers
 
 

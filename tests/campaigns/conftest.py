@@ -59,6 +59,11 @@ if "t.add" not in STEPS:
         _mark(ctx, "completed")
         return value
 
+    @STEPS.register("t.workers")
+    def _t_workers(ctx):
+        """The stage's share of the worker budget (split probes)."""
+        return ctx.workers
+
     @STEPS.register("t.flaky")
     def _t_flaky(ctx):
         """Fails until ``fail_times`` prior attempts are on record."""

@@ -1,5 +1,7 @@
 """Campaign engine tests: execution, retries, cone-skips, resume."""
 
+import dataclasses
+import os
 import sqlite3
 import time
 
@@ -9,6 +11,7 @@ from repro.campaigns import (
     CampaignEngine,
     CampaignSpec,
     StageSpec,
+    load_campaign,
     stage_seed,
 )
 from repro.errors import CampaignError, ConfigurationError, StoreLockedError
@@ -58,6 +61,13 @@ class TestExecution:
     def test_unknown_backend_rejected(self, diamond, tmp_path):
         with pytest.raises(ConfigurationError, match="backend"):
             CampaignEngine(diamond, tmp_path, backend="gpu-farm")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_budget_below_one_rejected(
+        self, diamond, tmp_path, workers
+    ):
+        with pytest.raises(ConfigurationError, match="workers must be"):
+            CampaignEngine(diamond, tmp_path, workers=workers)
 
 
 class TestRetries:
@@ -304,6 +314,73 @@ class TestBackends:
         assert "crash 3/3" in result.outcomes["b"].error
         assert result.outcomes["d"].status == STATUS_SKIPPED
         assert result.outcomes["c"].ok
+
+
+class TestWorkerShare:
+    """A stage gets the budget divided by the stages that may run at
+    once: one process on ``process``, all of it on ``serial``."""
+
+    @pytest.mark.parametrize("backend, share", [("process", 1), ("serial", 3)])
+    def test_each_stage_sees_its_share(self, tmp_path, backend, share):
+        spec = diamond_campaign(
+            **{stage: {"step": "t.workers"} for stage in "abcd"}
+        )
+        result = run(spec, tmp_path, backend=backend, workers=3)
+        assert result.values == dict.fromkeys("abcd", share)
+
+    def test_sweep_stage_starts_no_pool_inside_its_worker(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import pool
+
+        orchestrator, build = os.getpid(), pool._process_pool
+
+        def orchestrator_only(max_workers):
+            # Forked stage workers inherit this patch.
+            if os.getpid() != orchestrator:
+                raise AssertionError("pool forked inside a pool worker")
+            return build(max_workers)
+
+        monkeypatch.setattr(pool, "_process_pool", orchestrator_only)
+        spec = CampaignSpec(
+            name="nested",
+            seed=5,
+            stages=(
+                StageSpec(
+                    name="grid",
+                    step="scenario.sweep",
+                    on_error="collect",
+                    params={
+                        "preset": "baseline-32",
+                        "run_horizon": 600.0,
+                        "axes": {"topology.classical_nodes": [16, 32]},
+                    },
+                ),
+            ),
+        )
+        result = run(spec, tmp_path, backend="process", workers=2)
+        assert result.outcomes["grid"].ok, result.outcomes["grid"].error
+        assert result.values["grid"]["ok"] == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_e3_workflow_digest_is_backend_and_budget_free(
+        self, tmp_path, seed
+    ):
+        spec = dataclasses.replace(load_campaign("e3-workflow"), seed=seed)
+        digests = {
+            (backend, workers): run(
+                spec,
+                tmp_path / f"{backend}-{workers}",
+                backend=backend,
+                workers=workers,
+            ).canonical_digest()
+            for backend, workers in (
+                ("serial", 1),
+                ("serial", 2),
+                ("process", 2),
+            )
+        }
+        assert len(set(digests.values())) == 1, digests
 
 
 class TestJournalGuard:

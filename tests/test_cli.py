@@ -29,6 +29,16 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "E99"])
 
+    def test_bad_env_workers_is_one_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "zero")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "E1", "E2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        # Once, before any experiment, and no hint at a sweep-only flag.
+        assert err.count("$REPRO_SWEEP_WORKERS") == 1
+        assert "--on-error" not in err
+
     def test_custom_seed(self, capsys):
         assert main(["run", "E1", "--seed", "5"]) == 0
 
@@ -153,6 +163,12 @@ class TestSweep:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "E7", "--retries", "-1"])
         assert excinfo.value.code == 2
+
+    def test_sweep_rejects_zero_workers(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "E1", "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_sweep_rejects_malformed_chaos(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -590,6 +606,24 @@ class TestCampaign:
                     "{not json",
                 ]
             )
+
+    def test_workers_below_one_rejected(self, capsys, tmp_path, tiny_spec):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "campaign",
+                    "run",
+                    str(tiny_spec),
+                    "--state-dir",
+                    str(state),
+                    "--workers",
+                    "-3",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not state.exists()
 
     def test_unknown_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
