@@ -23,11 +23,7 @@ runs such pipelines as declarative, journaled, resumable DAGs:
 """
 
 from repro.campaigns.dag import CampaignDAG
-from repro.campaigns.engine import (
-    CampaignEngine,
-    CampaignResult,
-    stage_seed,
-)
+from repro.campaigns.engine import CampaignEngine
 from repro.campaigns.spec import (
     CampaignSpec,
     StageSpec,
@@ -38,22 +34,22 @@ from repro.campaigns.steps import (
     STEPS,
     StageContext,
     StepRegistry,
-    register_step,
     resolve_step,
 )
 
 __all__ = [
-    "CampaignDAG",
-    "CampaignEngine",
-    "CampaignResult",
+    # Specs
     "CampaignSpec",
-    "STEPS",
-    "StageContext",
     "StageSpec",
-    "StepRegistry",
     "list_campaigns",
     "load_campaign",
-    "register_step",
+    # DAG
+    "CampaignDAG",
+    # Steps
+    "STEPS",
+    "StageContext",
+    "StepRegistry",
     "resolve_step",
-    "stage_seed",
+    # Engine
+    "CampaignEngine",
 ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -33,6 +34,19 @@ from typing import List, Optional
 from repro._version import __version__
 from repro.experiments import EXPERIMENTS
 from repro.experiments.sweep import resolve_workers
+
+
+def _keep_days(text: str) -> float:
+    """``store gc --keep-days``: a finite number of days >= 0."""
+    try:
+        days = float(text)
+    except ValueError:
+        days = math.nan
+    if not 0 <= days < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of days >= 0, got {text!r}"
+        )
+    return days
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     store_gc.add_argument("directory", help="store directory")
     store_gc.add_argument(
         "--keep-days",
-        type=float,
+        type=_keep_days,
         default=None,
         help="expire sweeps idle longer than this many days",
     )

@@ -1,29 +1,19 @@
 """HPC cluster substrate: nodes, partitions, allocations, failures."""
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.builders import (
-    CLASSICAL_PARTITION,
-    QUANTUM_PARTITION,
-    build_hpcqc_cluster,
-    make_nodes,
-    make_qpu_node,
-)
+from repro.cluster.builders import build_hpcqc_cluster
 from repro.cluster.cluster import Cluster
-from repro.cluster.failures import FailureInjector
 from repro.cluster.node import GresInstance, Node, NodeState
 from repro.cluster.partition import Partition
 
 __all__ = [
-    "Allocation",
-    "CLASSICAL_PARTITION",
-    "Cluster",
-    "FailureInjector",
+    # Nodes and partitions
     "GresInstance",
     "Node",
     "NodeState",
     "Partition",
-    "QUANTUM_PARTITION",
+    # Cluster
+    "Allocation",
+    "Cluster",
     "build_hpcqc_cluster",
-    "make_nodes",
-    "make_qpu_node",
 ]

@@ -53,28 +53,15 @@ class Cluster:
         self._allocation_listeners: List[
             Callable[[str, Allocation, int], None]
         ] = []
-        #: Whether the busy counters keep full step histories
-        #: (scenario monitoring opt-in; off on the hot path by default).
-        self.record_history = record_history
-        #: Per-partition time-weighted busy-node counters.
+        #: Per-partition time-weighted busy-node counters; they keep
+        #: full step histories only with ``record_history`` (scenario
+        #: monitoring opt-in; off on the hot path by default).
         self.busy_nodes: Dict[str, TimeWeightedValue] = {
             p.name: TimeWeightedValue(
                 kernel, 0.0, record_history=record_history
             )
             for p in partitions
         }
-        #: Per-partition, per-gres-type busy-unit counters.
-        self.busy_gres: Dict[str, Dict[str, TimeWeightedValue]] = {}
-        for partition in partitions:
-            gres_types = sorted(
-                {t for node in partition.nodes for t in node.gres_types()}
-            )
-            self.busy_gres[partition.name] = {
-                t: TimeWeightedValue(
-                    kernel, 0.0, record_history=record_history
-                )
-                for t in gres_types
-            }
 
     # -- queries ------------------------------------------------------------------
 
@@ -165,7 +152,7 @@ class Cluster:
             walltime=walltime,
         )
         self.allocations.append(allocation)
-        self._account(partition_name, len(nodes), allocation.gres_counts(), +1)
+        self.busy_nodes[partition_name].add(len(nodes))
         self._notify("allocate", allocation, len(nodes))
         return allocation
 
@@ -204,12 +191,7 @@ class Cluster:
             node.release(allocation.job_id)
         allocation.released = True
         allocation.end_time = self.kernel.now
-        self._account(
-            allocation.partition_name,
-            len(allocation.nodes),
-            allocation.gres_counts(),
-            -1,
-        )
+        self.busy_nodes[allocation.partition_name].add(-len(allocation.nodes))
         self._notify("release", allocation, len(allocation.nodes))
 
     def shrink(self, allocation: Allocation, count: int) -> List[Node]:
@@ -236,7 +218,7 @@ class Cluster:
         for node in victims:
             node.release(job_id)
         allocation.remove_nodes(victims)
-        self._account(allocation.partition_name, len(victims), {}, -1)
+        self.busy_nodes[allocation.partition_name].add(-len(victims))
         self._notify("shrink", allocation, len(victims))
         return victims
 
@@ -258,27 +240,11 @@ class Cluster:
         for node in nodes:
             node.allocate(allocation.job_id)
         allocation.add_nodes(nodes)
-        self._account(allocation.partition_name, len(nodes), {}, +1)
+        self.busy_nodes[allocation.partition_name].add(len(nodes))
         self._notify("grow", allocation, len(nodes))
         return nodes
 
     # -- metrics -----------------------------------------------------------------
-
-    def _account(
-        self,
-        partition_name: str,
-        node_delta: int,
-        gres_counts: Dict[str, int],
-        sign: int,
-    ) -> None:
-        self.busy_nodes[partition_name].add(sign * node_delta)
-        for gres_type, count in gres_counts.items():
-            monitors = self.busy_gres[partition_name]
-            if gres_type not in monitors:
-                monitors[gres_type] = TimeWeightedValue(
-                    self.kernel, 0.0, record_history=self.record_history
-                )
-            monitors[gres_type].add(sign * count)
 
     def node_utilisation(self, partition_name: str) -> float:
         """Time-averaged fraction of the partition's nodes allocated."""
@@ -289,18 +255,6 @@ class Cluster:
             self.busy_nodes[partition_name].time_average()
             / partition.node_count
         )
-
-    def gres_allocation_fraction(
-        self, partition_name: str, gres_type: str
-    ) -> float:
-        """Time-averaged fraction of gres units *allocated* (not used)."""
-        capacity = self.partition(partition_name).gres_capacity(gres_type)
-        if capacity == 0:
-            return 0.0
-        monitor = self.busy_gres[partition_name].get(gres_type)
-        if monitor is None:
-            return 0.0
-        return monitor.time_average() / capacity
 
     def __repr__(self) -> str:
         parts = ", ".join(

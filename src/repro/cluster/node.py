@@ -138,10 +138,6 @@ class Node:
         """All gres type names present on the node."""
         return list(self._gres)
 
-    def all_gres(self, gres_type: str) -> List[GresInstance]:
-        """All units of ``gres_type`` regardless of allocation state."""
-        return list(self._gres.get(gres_type, []))
-
     # -- allocation ------------------------------------------------------------
 
     @property

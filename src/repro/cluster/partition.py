@@ -103,12 +103,6 @@ class Partition:
             if node.state != NodeState.DOWN
         )
 
-    def free_gres_count(self, gres_type: str) -> int:
-        """Free gres units across currently-available nodes."""
-        return sum(
-            len(node.free_gres(gres_type)) for node in self.available_nodes()
-        )
-
     def find_nodes(
         self, count: int, gres_request: Optional[Dict[str, int]] = None
     ) -> Optional[List[Node]]:

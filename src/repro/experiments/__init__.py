@@ -11,12 +11,7 @@ from repro.experiments import (
     fig4_malleability,
     listing1_coschedule,
 )
-from repro.experiments.harness import (
-    ClaimCheck,
-    ExperimentResult,
-    ResultTable,
-    assert_all_claims,
-)
+from repro.experiments.harness import ExperimentResult, assert_all_claims
 from repro.experiments.resilience import (
     ChaosSpec,
     FailurePolicy,
@@ -27,7 +22,6 @@ from repro.experiments.sweep import (
     SweepResult,
     SweepSpec,
     canonical_bytes,
-    derive_point_seed,
     run_sweep,
 )
 
@@ -44,18 +38,18 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 }
 
 __all__ = [
-    "ChaosSpec",
-    "ClaimCheck",
+    # Registry and results
     "EXPERIMENTS",
     "ExperimentResult",
-    "FailurePolicy",
-    "Outcome",
-    "ResultTable",
+    "assert_all_claims",
+    # Sweep engine
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
-    "assert_all_claims",
     "canonical_bytes",
-    "derive_point_seed",
     "run_sweep",
+    # Resilience
+    "ChaosSpec",
+    "FailurePolicy",
+    "Outcome",
 ]

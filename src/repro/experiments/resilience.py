@@ -227,14 +227,6 @@ class Outcome:
             text += f" — {self.error}"
         return text
 
-    def to_json_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "Outcome":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in fields})
-
 
 class JournaledOk(NamedTuple):
     """A journaled ``ok`` point outcome as a resumed sweep reads it:

@@ -275,16 +275,6 @@ class SweepSpec:
             params.update(self.constants)
         return sets
 
-    def seed_for(
-        self, params: Mapping[str, Any], replication: int
-    ) -> int:
-        """The seed of one point (what :meth:`points` memoises)."""
-        if self.seed_mode == "shared":
-            return self._shared_seed(replication)
-        return derive_point_seed(
-            self.base_seed, self.experiment_id, params, replication
-        )
-
     def _shared_seed(self, replication: int) -> int:
         if replication == 0:
             return self.base_seed
@@ -526,11 +516,6 @@ class SweepResult:
     def failures(self) -> List[Outcome]:
         """Terminal non-ok outcomes, in point order."""
         return [o for o in self.outcomes if not o.ok]
-
-    def raise_if_failed(self) -> None:
-        """Raise :class:`PointFailedError` for the first failed point."""
-        for outcome in self.failures():
-            raise PointFailedError(outcome.describe(), outcome=outcome)
 
 
 def runner_name(runner: PointRunner) -> str:

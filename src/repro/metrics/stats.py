@@ -9,13 +9,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-# Re-exported here because it is part of the public stats vocabulary;
-# it lives in the sim layer (monitor) because metrics already depends
-# on sim, not the other way around.
-from repro.sim.monitor import RunningStats
-
 __all__ = [
-    "RunningStats",
     "bootstrap_ci",
     "mean",
     "median",

@@ -5,9 +5,7 @@ from repro.quantum.cloud import CloudQPUEndpoint
 from repro.quantum.fleet import ROUTING_POLICIES, QPUFleet
 from repro.quantum.qpu import QPU, QuantumJob
 from repro.quantum.technology import (
-    ANNEALER,
     NEUTRAL_ATOM,
-    PHOTONIC,
     SUPERCONDUCTING,
     TECHNOLOGIES,
     TRAPPED_ION,
@@ -17,21 +15,22 @@ from repro.quantum.technology import (
 )
 
 __all__ = [
-    "ANNEALER",
-    "Circuit",
-    "CloudQPUEndpoint",
+    # Technologies
     "NEUTRAL_ATOM",
-    "PHOTONIC",
-    "QPU",
-    "QPUFleet",
     "QPUTechnology",
-    "QuantumJob",
-    "QuantumResult",
-    "ROUTING_POLICIES",
     "SUPERCONDUCTING",
     "TECHNOLOGIES",
     "TRAPPED_ION",
     "fig1_reference_bands",
-    "sample_counts",
     "standard_job",
+    # Circuits
+    "Circuit",
+    "QuantumResult",
+    "sample_counts",
+    # Devices and access
+    "CloudQPUEndpoint",
+    "QPU",
+    "QPUFleet",
+    "QuantumJob",
+    "ROUTING_POLICIES",
 ]

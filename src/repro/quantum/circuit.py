@@ -86,12 +86,6 @@ class QuantumResult:
         """Queue + calibration + execution, as seen by the submitter."""
         return self.queue_time + self.calibration_time + self.execution_time
 
-    def most_frequent(self) -> Optional[str]:
-        """The modal bitstring, or ``None`` for an empty result."""
-        if not self.counts:
-            return None
-        return max(self.counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
 
 def sample_counts(circuit: Circuit, shots: int, max_outcomes: int = 16
                   ) -> Dict[str, int]:

@@ -14,20 +14,12 @@ integration.
 """
 
 from repro.scenarios.build import (
-    DEFAULT_HORIZON,
     background_trace,
     build,
-    build_fleet_devices,
-    compile_trace,
     fleet_device_rows,
     install_background,
-    install_faults,
-    install_trace,
-    load_trace_jobs,
-    offered_load_interarrival,
     resolve_trace_path,
     run_scenario,
-    trace_component_mapper,
 )
 from repro.scenarios.registry import (
     get_scenario,
@@ -35,13 +27,9 @@ from repro.scenarios.registry import (
     register_scenario,
 )
 from repro.scenarios.spec import (
-    ARRIVAL_PROCESSES,
-    FAULT_ACTIONS,
-    OVERSIZE_RULES,
     DeviceSpec,
     FaultSchedule,
     FleetSpec,
-    MonitoringSpec,
     NodeFault,
     PolicySpec,
     QPUMaintenance,
@@ -61,14 +49,10 @@ from repro.scenarios.sweeps import (
 )
 
 __all__ = [
-    "ARRIVAL_PROCESSES",
-    "DEFAULT_HORIZON",
-    "FAULT_ACTIONS",
-    "OVERSIZE_RULES",
+    # Spec tree
     "DeviceSpec",
     "FaultSchedule",
     "FleetSpec",
-    "MonitoringSpec",
     "NodeFault",
     "PolicySpec",
     "QPUMaintenance",
@@ -78,25 +62,21 @@ __all__ = [
     "TraceJobSpec",
     "TraceSpec",
     "WorkloadSpec",
+    "with_overrides",
+    # Presets
+    "get_scenario",
+    "list_scenarios",
+    "register_scenario",
+    # Build
     "background_trace",
     "build",
-    "build_fleet_devices",
-    "compile_trace",
     "fleet_device_rows",
-    "get_scenario",
     "install_background",
-    "install_faults",
-    "install_trace",
-    "list_scenarios",
-    "load_trace_jobs",
-    "offered_load_interarrival",
-    "point_scenario",
-    "register_scenario",
     "resolve_trace_path",
     "run_scenario",
+    # Sweeps
+    "point_scenario",
     "run_scenario_point",
     "run_scenario_sweep",
     "scenario_sweep_spec",
-    "trace_component_mapper",
-    "with_overrides",
 ]

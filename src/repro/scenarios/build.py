@@ -21,6 +21,7 @@ go through it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -653,6 +654,10 @@ def run_scenario(
     until = horizon
     if until is None:
         until = spec.workload.horizon or DEFAULT_HORIZON
+    if not 0 < until < math.inf:
+        raise ConfigurationError(
+            f"horizon must be a finite number of seconds > 0, got {until!r}"
+        )
     env = build(spec, seed=seed)
     jobs = install_background(env, spec.workload, until)
     trace_jobs = install_trace(env, spec.workload, until)

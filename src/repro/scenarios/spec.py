@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -201,21 +202,6 @@ vqpus_per_qpu=4, name=None),)
             ),
         )
 
-    def device_count(self) -> int:
-        """Total physical devices across all groups.
-
-        >>> FleetSpec(devices=(DeviceSpec("superconducting", count=2),
-        ...                    DeviceSpec("trapped_ion"))).device_count()
-        3
-        """
-        return sum(d.count for d in self.canonical_devices())
-
-    def is_heterogeneous(self) -> bool:
-        """Whether the fleet mixes more than one technology."""
-        return len(
-            {d.technology for d in self.canonical_devices()}
-        ) > 1
-
 
 #: The flat single-technology fields whose non-default values
 #: contradict an explicit ``devices`` list, with their defaults read
@@ -377,8 +363,10 @@ class WorkloadSpec:
     def validate(self) -> None:
         if self.background_rho < 0:
             raise ConfigurationError("workload.background_rho must be >= 0")
-        if self.horizon < 0:
-            raise ConfigurationError("workload.horizon must be >= 0")
+        if not 0 <= self.horizon < math.inf:
+            raise ConfigurationError(
+                "workload.horizon must be a finite number >= 0"
+            )
         if self.background_rho > 0 and self.horizon <= 0:
             raise ConfigurationError(
                 "workload.horizon must be > 0 when background_rho > 0"
@@ -403,9 +391,9 @@ class WorkloadSpec:
         if self.burst_period <= 0:
             raise ConfigurationError("workload.burst_period must be > 0")
         # Looping needs no horizon check here: the trace loops to the
-        # *run* horizon, which always resolves to a positive value
-        # (workload.horizon, an explicit horizon= argument, or the
-        # build pipeline's default).
+        # *run* horizon (workload.horizon, an explicit horizon=
+        # argument, or the build pipeline's default), which
+        # run_scenario rejects unless it is finite and positive.
         if self.trace is not None:
             self.trace.validate()
 

@@ -12,6 +12,7 @@ vs parallel because the scenario is a pure function of (params, seed).
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any, Dict, Mapping, Optional, Sequence
 
@@ -106,12 +107,14 @@ def scenario_sweep_spec(
     """
     constants: Dict[str, Any] = {PRESET_KEY: preset}
     if run_horizon is not None:
-        if isinstance(run_horizon, bool) or not isinstance(
-            run_horizon, numbers.Real
+        if (
+            isinstance(run_horizon, bool)
+            or not isinstance(run_horizon, numbers.Real)
+            or not 0 < run_horizon < math.inf
         ):
             raise ConfigurationError(
-                f"run_horizon must be a number of seconds, got "
-                f"{run_horizon!r}"
+                f"run_horizon must be a finite number of seconds > 0, "
+                f"got {run_horizon!r}"
             )
         constants[HORIZON_KEY] = float(run_horizon)
     return SweepSpec(

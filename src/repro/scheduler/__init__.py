@@ -1,17 +1,14 @@
 """SLURM-like batch scheduler: jobs, priorities, backfill, accounting."""
 
-from repro.scheduler.accounting import AccountingLedger, UsageRecord
+from repro.scheduler.accounting import AccountingLedger
 from repro.scheduler.backfill import (
     POLICIES,
-    ClusterTimeline,
     ConservativeBackfillPolicy,
     EasyBackfillPolicy,
     FIFOPolicy,
-    PartitionTimeline,
     SchedulingPolicy,
     TimelineCache,
     make_policy,
-    profiles_equal,
 )
 from repro.scheduler.job import (
     Job,
@@ -21,28 +18,27 @@ from repro.scheduler.job import (
     JobState,
 )
 from repro.scheduler.priority import MultifactorPriority, PriorityWeights
-from repro.scheduler.scheduler import BatchScheduler, GrowRequest
+from repro.scheduler.scheduler import BatchScheduler
 
 __all__ = [
-    "AccountingLedger",
-    "BatchScheduler",
-    "ClusterTimeline",
-    "ConservativeBackfillPolicy",
-    "EasyBackfillPolicy",
-    "FIFOPolicy",
-    "GrowRequest",
+    # Jobs
     "Job",
     "JobComponent",
     "JobContext",
     "JobSpec",
     "JobState",
+    # Priority and accounting
+    "AccountingLedger",
     "MultifactorPriority",
-    "POLICIES",
-    "PartitionTimeline",
     "PriorityWeights",
+    # Policies
+    "ConservativeBackfillPolicy",
+    "EasyBackfillPolicy",
+    "FIFOPolicy",
+    "POLICIES",
     "SchedulingPolicy",
     "TimelineCache",
-    "UsageRecord",
     "make_policy",
-    "profiles_equal",
+    # Scheduler
+    "BatchScheduler",
 ]

@@ -5,7 +5,7 @@ accounting mechanisms" which must be reconciled with "institutional
 resource management policies".  This module is the institutional side:
 a ledger of node-seconds and gres-seconds per user/account, from which
 a classic SLURM-style fair-share factor is derived (usage decayed
-exponentially, compared against allocated shares).
+exponentially; every account holds an equal share).
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ class AccountingLedger:
         self.half_life = half_life
         self.gres_weight = gres_weight
         self.records: Dict[Tuple[str, str], UsageRecord] = {}
-        #: Relative shares per account (defaults to 1.0 when unset).
-        self.shares: Dict[str, float] = {}
-
-    def set_shares(self, account: str, shares: float) -> None:
-        if shares <= 0:
-            raise ConfigurationError("shares must be positive")
-        self.shares[account] = shares
 
     def _decay_factor(self, elapsed: float) -> float:
         return 0.5 ** (elapsed / self.half_life)
@@ -94,7 +87,8 @@ class AccountingLedger:
         return (record.node_seconds + self.gres_weight * gres_total) * factor
 
     def fair_share_factor(self, user: str, account: str, now: float) -> float:
-        """SLURM-classic factor ``2^(-usage_norm/shares_norm)`` in (0, 1].
+        """SLURM-classic factor ``2^(-usage_norm/shares_norm)`` in (0, 1],
+        with every account's ``shares_norm`` equal to 1.
 
         1.0 means "no recorded usage"; heavy users decay toward 0.
         """
@@ -104,13 +98,7 @@ class AccountingLedger:
         if total_usage <= 0:
             return 1.0
         usage_norm = self.effective_usage(user, account, now) / total_usage
-        total_shares = sum(self.shares.values()) or 1.0
-        shares_norm = self.shares.get(account, 1.0) / max(
-            total_shares, len(self.shares) or 1.0
-        )
-        if shares_norm <= 0:
-            return 0.0
-        return math.pow(2.0, -usage_norm / shares_norm)
+        return math.pow(2.0, -usage_norm)
 
     def __repr__(self) -> str:
         return f"<AccountingLedger pairs={len(self.records)}>"

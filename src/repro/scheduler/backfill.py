@@ -862,10 +862,6 @@ class TimelineCache:
         self.cluster.remove_allocation_listener(self._on_delta)
         self._needs_rebuild = True
 
-    def invalidate(self) -> None:
-        """Force a full rebuild on the next :meth:`timeline` call."""
-        self._needs_rebuild = True
-
     # -- cluster delta feed -------------------------------------------------
 
     def _on_delta(self, kind: str, allocation, count: int) -> None:

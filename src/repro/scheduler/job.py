@@ -112,11 +112,6 @@ class JobSpec:
             raise ConfigurationError("duration must be >= 0")
 
     @property
-    def is_heterogeneous(self) -> bool:
-        """True for multi-component (SLURM ``hetjob``) submissions."""
-        return len(self.components) > 1
-
-    @property
     def walltime_limit(self) -> float:
         """The job-level limit: the tightest component walltime.
 

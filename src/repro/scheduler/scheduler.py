@@ -101,8 +101,6 @@ class BatchScheduler:
         so successive scheduling passes reuse the previous availability
         timeline, applying only the allocation deltas since the last
         pass instead of rebuilding from every active allocation.
-        ``scheduler.timeline_cache.invalidate()`` is the full-rebuild
-        escape hatch.
     timeline_debug:
         When True (default: the ``REPRO_TIMELINE_DEBUG`` environment
         variable), every incremental timeline is cross-checked against
@@ -205,10 +203,6 @@ class BatchScheduler:
     @property
     def queue_depth(self) -> int:
         return len(self.pending)
-
-    def quiescent(self) -> bool:
-        """No pending or running jobs remain."""
-        return not self.pending and not self.running
 
     # -- malleability API -------------------------------------------------------------
 

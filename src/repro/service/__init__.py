@@ -19,24 +19,14 @@ See ``docs/service.md`` for deployment, the API reference and the
 lease semantics.
 """
 
-from repro.service.http import (  # noqa: F401
-    CampaignService,
-    ServiceServer,
-    make_server,
-)
-from repro.service.workers import (  # noqa: F401
-    Worker,
-    WorkerSupervisor,
-    default_worker_id,
-    resolve_runner,
-)
+from repro.service.http import make_server
+from repro.service.workers import Worker, WorkerSupervisor, resolve_runner
 
 __all__ = [
-    "CampaignService",
-    "ServiceServer",
+    # HTTP
     "make_server",
+    # Workers
     "Worker",
     "WorkerSupervisor",
-    "default_worker_id",
     "resolve_runner",
 ]

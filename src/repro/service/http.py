@@ -153,19 +153,15 @@ class CampaignService:
                 raise ServiceError(
                     f"axis {path!r} must map to a non-empty list"
                 )
-        # scenario_sweep_spec stores it as a float, so 600 and 600.0
-        # name the same points (seeds, cache keys).
-        horizon = payload.get("horizon")
-        if horizon is not None and type(horizon) not in (int, float):
-            # bool is no number
-            raise ServiceError("'horizon' must be a number of seconds")
+        # scenario_sweep_spec checks the horizon and stores it as a
+        # float, so 600 and 600.0 name the same points (seeds, keys).
         try:
             spec = scenario_sweep_spec(
                 payload["preset"],
                 axes,
                 base_seed=int(payload.get("seed", 0)),
                 replications=int(payload.get("replications", 1)),
-                run_horizon=horizon,
+                run_horizon=payload.get("horizon"),
             )
         except (ReproError, ValueError, TypeError) as exc:
             raise ServiceError(str(exc)) from exc

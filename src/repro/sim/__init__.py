@@ -14,37 +14,28 @@ Public surface: a :class:`Kernel` with timeouts, generator processes,
 ('pong', 1.0)
 """
 
-from repro.sim.conditions import AllOf, AnyOf, Condition, ConditionValue
-from repro.sim.events import (
-    NORMAL,
-    URGENT,
-    Event,
-    Interrupt,
-    Timeout,
-)
-from repro.sim.kernel import EmptySchedule, Kernel
+from repro.sim.conditions import AllOf, AnyOf
+from repro.sim.events import NORMAL, Event, Interrupt, Timeout
+from repro.sim.kernel import Kernel
 from repro.sim.monitor import SampleSeries, TimeWeightedValue
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
-from repro.sim.store import Store, StoreGet, StorePut
+from repro.sim.store import Store
 
 __all__ = [
+    # Kernel
+    "Kernel",
+    "RandomStreams",
+    # Events and processes
     "AllOf",
     "AnyOf",
-    "Condition",
-    "ConditionValue",
-    "EmptySchedule",
     "Event",
     "Interrupt",
-    "Kernel",
     "NORMAL",
     "Process",
-    "RandomStreams",
+    "Timeout",
+    # Resources and monitors
     "SampleSeries",
     "Store",
-    "StoreGet",
-    "StorePut",
-    "Timeout",
     "TimeWeightedValue",
-    "URGENT",
 ]

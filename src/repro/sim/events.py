@@ -86,11 +86,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def cancelled(self) -> bool:
-        """Whether the scheduled event was cancelled before processing."""
-        return self._cancelled
-
-    @property
     def ok(self) -> bool:
         """Whether the event succeeded.  Only meaningful once triggered."""
         if self._value is PENDING:
@@ -144,22 +139,6 @@ class Event:
         heappush(kernel._heap, (kernel._now, _NORMAL_KEY | sequence, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event and schedule it.
-
-        Used as a callback to chain events together.
-        """
-        if event._value is PENDING:
-            raise SimulationError("cannot propagate a pending event")
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        kernel = self.kernel
-        kernel._sequence = sequence = kernel._sequence + 1
-        kernel._live += 1
-        heappush(kernel._heap, (kernel._now, _NORMAL_KEY | sequence, self))
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -196,7 +175,7 @@ class Timeout(Event):
 
         The heap entry is *lazily deleted*: it stays on the heap but is
         skipped (without running callbacks or advancing the clock) when
-        it reaches the front.  ``peek``/``queued_event_count`` ignore
+        it reaches the front.  ``queued_event_count`` ignores
         cancelled entries, so introspection stays truthful.
         """
         self.kernel.cancel(self)

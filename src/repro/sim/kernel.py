@@ -21,8 +21,7 @@ Fast-path design (docs/architecture.md, "Kernel fast path"):
   distinct timestamp, not once per event).
 - Cancelled entries (:meth:`cancel`, :meth:`Timeout.cancel`) are
   *lazily deleted*: they stay on the heap and are skipped at pop time.
-  A live-entry counter keeps :attr:`queued_event_count` truthful and
-  :meth:`peek` discards the dead prefix before reading the head.
+  A live-entry counter keeps :attr:`queued_event_count` truthful.
 - Events are plain allocations: pooling them measured no gain (see
   docs/architecture.md).
 - :meth:`reserve` takes the heap key a timeout created now would get,
@@ -96,19 +95,6 @@ class Kernel:
         """
         return self._live
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        Cancelled entries at the front of the heap are discarded first,
-        so the reported time is always that of a live event.
-        """
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return _INFINITY
-        return heap[0][0]
-
     # -- factories ---------------------------------------------------------
 
     def event(self) -> Event:
@@ -126,9 +112,9 @@ class Kernel:
         The slot takes the next sequence number, exactly as the timeout
         would, so a :meth:`timeout_at` pushed on it later is ordered
         among same-time events as if it had been created now.  Nothing
-        is on the heap until then: :attr:`queued_event_count` and
-        :meth:`peek` ignore reserved slots.  Push each slot at most
-        once, and no later than the slot's own position comes up.
+        is on the heap until then: :attr:`queued_event_count` ignores
+        reserved slots.  Push each slot at most once, and no later than
+        the slot's own position comes up.
 
         >>> kernel = Kernel()
         >>> slot = kernel.reserve(5.0)
@@ -227,12 +213,13 @@ class Kernel:
         pop = heapq.heappop
         while True:
             try:
-                self._now, _, event = pop(heap)
+                now, _, event = pop(heap)
             except IndexError:
                 raise EmptySchedule("no more events scheduled") from None
             if not event._cancelled:
                 break
 
+        self._now = now
         self._live -= 1
         callbacks = event.callbacks
         event.callbacks = None

@@ -59,29 +59,6 @@ class RunningStats:
         if value > self.maximum:
             self.maximum = value
 
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator's summary into this one."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.total = other.total
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        count = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += (
-            other._m2 + delta * delta * self.count * other.count / count
-        )
-        self.mean += delta * other.count / count
-        self.total += other.total
-        self.count = count
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
     @property
     def variance(self) -> float:
         """Population variance (0 for fewer than two observations)."""

@@ -63,11 +63,6 @@ class Process(Event):
         """``True`` while the underlying generator has not terminated."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently suspended on."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`~repro.sim.events.Interrupt` into the process.
 

@@ -55,9 +55,5 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(child_seed)
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a whole child factory, e.g. one per experiment replication."""
-        return RandomStreams(derive_seed(self.seed, f"spawn:{name}"))
-
     def __repr__(self) -> str:
         return f"RandomStreams(seed={self.seed!r})"

@@ -25,25 +25,21 @@ See ``docs/store.md`` for the schema, the durability guarantees and
 the gc/retention story.
 """
 
-from repro.store.api import (
-    DEFAULT_SHARD_POINTS,
-    ResultStore,
-    spec_digest,
-)
+from repro.store.api import DEFAULT_SHARD_POINTS, ResultStore
 from repro.store.cache import StoreRunJournal, StoreSweepCache
 from repro.store.columns import MetricColumn
-from repro.store.db import FAULT_ENV, STORE_DB_FILENAME, StoreDB
+from repro.store.db import StoreDB
 from repro.store.schema import SCHEMA_VERSION
 
 __all__ = [
+    # Store
     "DEFAULT_SHARD_POINTS",
-    "FAULT_ENV",
-    "MetricColumn",
     "ResultStore",
     "SCHEMA_VERSION",
-    "STORE_DB_FILENAME",
     "StoreDB",
+    # Sweep adapters
     "StoreRunJournal",
     "StoreSweepCache",
-    "spec_digest",
+    # Columns
+    "MetricColumn",
 ]

@@ -1289,9 +1289,13 @@ class ResultStore:
         """``(headers, rows)`` for one submission's grid — read off the
         metric columns, one point per row, in spec point order.
 
-        A value the columns cannot hold (a string, an int outside
-        int64) is read from its point's inline residual instead; only
-        those points decode anything.
+        Without ``metrics`` the table lists every metric some point
+        returns, by name.  A value the columns cannot hold (a string,
+        an int outside int64) is read from its point's inline residual
+        instead; the residuals are read (in one query) only when a
+        requested metric is missing from some point's columns.  A
+        requested metric no point returns raises
+        :class:`ConfigurationError`.
         """
         record = self.submission(submission_id)
         spec = SweepSpec.from_dict(json.loads(record["spec_json"]))
@@ -1303,10 +1307,17 @@ class ResultStore:
         scoped.db = self.db
         scoped.stats = self.stats
         scoped._shard_cache = self._shard_cache
-        names = list(
-            metrics if metrics is not None
-            else scoped.sweep_metrics(spec, runner)
-        )
+        points = spec.points()
+        residuals: Optional[Dict[int, Any]] = None
+        if metrics is None:
+            residuals = scoped._residuals(spec, runner, points)
+            names = sorted(
+                set(scoped.sweep_metrics(spec, runner)).union(
+                    *(r for r in residuals.values() if isinstance(r, dict))
+                )
+            )
+        else:
+            names = list(metrics)
         columns = []
         if names:
             # At most one last_read_at write for the whole table.
@@ -1315,20 +1326,31 @@ class ResultStore:
             )
             columns = scoped._read_columns(sweep_id, n_points, names)
             scoped._touch_read(sweep_id, last_read_at)
+        absent = [column.kinds == col.KIND_ABSENT for column in columns]
+        if residuals is None and any(mask.any() for mask in absent):
+            residuals = scoped._residuals(spec, runner, points)
+            unknown = [
+                column.metric
+                for column, mask in zip(columns, absent)
+                if mask.all() and not any(
+                    isinstance(r, dict) and column.metric in r
+                    for r in residuals.values()
+                )
+            ]
+            if unknown:
+                raise ConfigurationError(
+                    f"no point of submission {submission_id} returns "
+                    f"metric(s) {', '.join(map(repr, unknown))}"
+                )
         values = [column.tolist() for column in columns]
-        residuals: Dict[int, Any] = {}
         rows = []
-        for point in spec.points():
+        for point in points:
             row: List[Any] = [point.index, canonical_params(point.params)]
             for column, column_values in zip(columns, values):
                 if column.kinds[point.index] != col.KIND_ABSENT:
                     row.append(column_values[point.index])
                     continue
-                if point.index not in residuals:
-                    residuals[point.index] = scoped._inline_value(
-                        spec, runner, point
-                    )
-                residual = residuals[point.index]
+                residual = residuals.get(point.index)
                 row.append(
                     residual.get(column.metric)
                     if isinstance(residual, dict) else None
@@ -1336,28 +1358,26 @@ class ResultStore:
             rows.append(row)
         return ["index", "params"] + names, rows
 
-    def _inline_value(
-        self, spec: SweepSpec, runner_name: str, point: SweepPoint
-    ) -> Any:
-        """One point's decoded inline payload (``None`` if it has none
-        or it does not decode)."""
-        row = self.db.connection().execute(
-            """
-            SELECT kind, payload FROM points
-            WHERE experiment_id = ? AND runner = ? AND code_version = ?
-              AND point_key = ?
-            """,
-            (
-                *self._identity(spec.experiment_id, runner_name),
-                _point_store_key(point),
-            ),
-        ).fetchone()
-        if row is None or row[1] is None:
-            return None
-        try:
-            return self._decode_inline(*row)
-        except Exception:
-            return None
+    def _residuals(
+        self,
+        spec: SweepSpec,
+        runner_name: str,
+        points: Sequence[SweepPoint],
+    ) -> Dict[int, Any]:
+        """Point index -> decoded inline payload, for each point that
+        has one and whose payload decodes."""
+        keys = [_point_store_key(point) for point in points]
+        stored = self._stored_points(spec, runner_name, keys)
+        residuals: Dict[int, Any] = {}
+        for point, key in zip(points, keys):
+            entry = stored.get(key)
+            if entry is None or entry[2] is None:
+                continue
+            try:
+                residuals[point.index] = self._decode_inline(*entry[1:3])
+            except Exception:
+                continue
+        return residuals
 
     # -- verification / gc ---------------------------------------------------
 

@@ -449,10 +449,6 @@ class MetricColumn:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def present(self) -> np.ndarray:
-        return self.kinds != KIND_ABSENT
-
     def tolist(self) -> List[Any]:
         """Exact Python values (``None`` where absent)."""
         out: List[Any] = []

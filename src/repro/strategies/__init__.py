@@ -29,36 +29,28 @@ from repro.strategies.base import (
 )
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.elastic import ElasticQPUStrategy
-from repro.strategies.malleability import GrowMode, MalleableStrategy
-from repro.strategies.vqpu import VirtualQPU, VirtualQPUPool, VQPUStrategy
-from repro.strategies.workflow import (
-    Workflow,
-    WorkflowEngine,
-    WorkflowStep,
-    WorkflowStrategy,
-)
+from repro.strategies.malleability import MalleableStrategy
+from repro.strategies.vqpu import VQPUStrategy
+from repro.strategies.workflow import WorkflowStrategy
 
 __all__ = [
-    "CoScheduleStrategy",
-    "ElasticQPUStrategy",
-    "Environment",
-    "GrowMode",
-    "HeldIntegrator",
+    # Application model
     "HybridApplication",
-    "IntegrationStrategy",
-    "MalleableStrategy",
     "Phase",
     "PhaseKind",
-    "RunRecord",
-    "StrategyRun",
-    "VQPUStrategy",
-    "VirtualQPU",
-    "VirtualQPUPool",
-    "Workflow",
-    "WorkflowEngine",
-    "WorkflowStep",
-    "WorkflowStrategy",
     "classical",
     "quantum",
     "vqe_like",
+    # Strategy interface
+    "Environment",
+    "HeldIntegrator",
+    "IntegrationStrategy",
+    "RunRecord",
+    "StrategyRun",
+    # Strategies
+    "CoScheduleStrategy",
+    "ElasticQPUStrategy",
+    "MalleableStrategy",
+    "VQPUStrategy",
+    "WorkflowStrategy",
 ]

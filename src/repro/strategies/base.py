@@ -199,19 +199,6 @@ class RunRecord:
             return 0.0
         return min(self.qpu_busy_seconds / self.qpu_held_seconds, 1.0)
 
-    def summary(self) -> Dict[str, Any]:
-        """Flat dict for tabular reports."""
-        return {
-            "app": self.app_name,
-            "strategy": self.strategy,
-            "turnaround_s": self.turnaround,
-            "queue_wait_s": self.total_queue_wait,
-            "classical_efficiency": self.classical_efficiency,
-            "qpu_efficiency": self.qpu_efficiency,
-            "qpu_busy_s": self.qpu_busy_seconds,
-            "classical_held_node_s": self.classical_held_node_seconds,
-        }
-
 
 class StrategyRun:
     """Handle to an in-flight strategy execution."""

@@ -12,35 +12,23 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.generator import CampaignDriver, submit_trace
 from repro.workloads.hybrid import trace_kernel_payload
-from repro.workloads.swf import (
-    TraceJob,
-    clip_trace,
-    jitter_trace,
-    loop_trace,
-    read_swf,
-    rescale_trace,
-    synthesise_trace,
-    truncate_trace,
-    write_swf,
-)
+from repro.workloads.swf import TraceJob, read_swf, synthesise_trace, write_swf
 
 __all__ = [
-    "CampaignDriver",
+    # Distributions and arrivals
     "DiurnalArrivals",
     "Distribution",
     "LogUniform",
     "PoissonArrivals",
     "PowerOfTwoNodes",
     "TraceArrivals",
+    # Traces
     "TraceJob",
-    "clip_trace",
-    "jitter_trace",
-    "loop_trace",
     "read_swf",
-    "rescale_trace",
-    "submit_trace",
     "synthesise_trace",
-    "trace_kernel_payload",
-    "truncate_trace",
     "write_swf",
+    # Submission
+    "CampaignDriver",
+    "submit_trace",
+    "trace_kernel_payload",
 ]

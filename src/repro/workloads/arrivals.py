@@ -27,10 +27,6 @@ class PoissonArrivals:
             raise ConfigurationError("mean_interarrival must be positive")
         self.mean_interarrival = float(mean_interarrival)
 
-    @property
-    def rate(self) -> float:
-        return 1.0 / self.mean_interarrival
-
     def times(
         self, rng: np.random.Generator, horizon: float, start: float = 0.0
     ) -> Iterator[float]:

@@ -22,13 +22,11 @@ from hypothesis import strategies as st
 
 from repro.campaigns import (
     CampaignEngine,
-    CampaignResult,
     CampaignSpec,
     StageContext,
     StageSpec,
-    stage_seed,
 )
-from repro.campaigns.engine import _execute_stage
+from repro.campaigns.engine import CampaignResult, _execute_stage, stage_seed
 from repro.errors import CampaignError
 from repro.experiments.pool import timed_call
 from repro.experiments.resilience import (

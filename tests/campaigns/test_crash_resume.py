@@ -343,4 +343,4 @@ def _point_seed(experiment_id: str, i: int) -> int:
 
     spec = SweepSpec(experiment_id, axes={"i": list(range(6))})
     points = spec.points()
-    return spec.seed_for(points[i].params, points[i].replication)
+    return points[i].seed

@@ -12,8 +12,8 @@ from repro.campaigns import (
     CampaignSpec,
     StageSpec,
     load_campaign,
-    stage_seed,
 )
+from repro.campaigns.engine import stage_seed
 from repro.errors import CampaignError, ConfigurationError, StoreLockedError
 from repro.experiments.resilience import (
     STATUS_SKIPPED,

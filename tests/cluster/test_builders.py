@@ -23,7 +23,7 @@ class TestMakeNodes:
 class TestMakeQpuNode:
     def test_devices_bound_in_order(self):
         node = make_qpu_node("qn0", ["devA", "devB"])
-        instances = node.all_gres("qpu")
+        instances = node.free_gres("qpu")
         assert [g.device for g in instances] == ["devA", "devB"]
         assert [g.index for g in instances] == [0, 1]
 

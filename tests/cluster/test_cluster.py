@@ -148,24 +148,25 @@ class TestUtilisationMonitors:
         # 2 of 4 nodes for half the window: 25% average.
         assert cluster.node_utilisation("classical") == pytest.approx(0.25)
 
-    def test_gres_allocation_fraction(self, kernel, cluster):
-        allocation = cluster.allocate(
-            "job-1", "quantum", 1, gres_request={"qpu": 1}
-        )
+    def test_node_utilisation_follows_shrink_and_grow(self, kernel, cluster):
+        allocation = cluster.allocate("job-1", "classical", 4)
 
         def proc(k):
+            yield k.timeout(50.0)
+            cluster.shrink(allocation, 3)
+            yield k.timeout(50.0)
+            cluster.grow(allocation, 1)
             yield k.timeout(50.0)
             cluster.release(allocation)
             yield k.timeout(50.0)
 
         kernel.process(proc(kernel))
         kernel.run()
-        assert cluster.gres_allocation_fraction(
-            "quantum", "qpu"
-        ) == pytest.approx(0.5)
-
-    def test_unknown_gres_fraction_is_zero(self, cluster):
-        assert cluster.gres_allocation_fraction("classical", "qpu") == 0.0
+        # (4 + 1 + 2 + 0) nodes x 50 s over 4 nodes x 200 s.
+        assert cluster.node_utilisation("classical") == pytest.approx(
+            350.0 / 800.0
+        )
+        assert cluster.node_utilisation("quantum") == 0.0
 
     def test_repr(self, cluster):
         assert "classical" in repr(cluster)

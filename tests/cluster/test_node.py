@@ -29,7 +29,7 @@ class TestNodeConstruction:
 
     def test_gres_backref(self):
         node = make_qpu_node()
-        for instance in node.all_gres("qpu"):
+        for instance in node.free_gres("qpu"):
             assert instance.node is node
 
 

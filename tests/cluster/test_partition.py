@@ -63,12 +63,6 @@ class TestCapacityQueries:
         partition.nodes[-1].mark_down()
         assert partition.gres_capacity("qpu") == 1
 
-    def test_free_gres_count(self):
-        partition = make_partition(0, qpu_nodes=2)
-        assert partition.free_gres_count("qpu") == 2
-        partition.nodes[0].allocate("job-1", {"qpu": 1})
-        assert partition.free_gres_count("qpu") == 1
-
 
 class TestFindNodes:
     def test_plain_selection_is_deterministic(self):

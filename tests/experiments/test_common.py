@@ -16,8 +16,8 @@ from repro.scenarios import (
     background_trace,
     build,
     install_background,
-    offered_load_interarrival,
 )
+from repro.scenarios.build import offered_load_interarrival
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.vqpu import VirtualQPUPool
 

@@ -87,7 +87,6 @@ def test_memoised_identity_equals_the_formulas(spec):
         assert point.key() == (
             f"{canonical_params(point.params)}:rep{point.replication}"
         )
-        assert point.seed == spec.seed_for(point.params, point.replication)
     assert spec.digest == expected_digest(spec)
     again = SweepSpec.from_dict(spec.to_dict())
     assert again.digest == spec.digest == expected_digest(again)

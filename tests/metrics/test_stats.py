@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.stats import (
-    RunningStats,
-    bootstrap_ci,
-    mean,
-    median,
-)
+from repro.metrics.stats import bootstrap_ci, mean, median
+from repro.sim.monitor import RunningStats
 
 
 class TestRunningStats:
@@ -29,35 +25,6 @@ class TestRunningStats:
         assert stats.count == 0
         assert stats.variance == 0.0
         assert stats.stdev == 0.0
-
-    def test_merge_equals_single_pass(self):
-        values = [float(v) for v in range(1, 21)]
-        combined = RunningStats()
-        for value in values:
-            combined.add(value)
-        left, right = RunningStats(), RunningStats()
-        for value in values[:7]:
-            left.add(value)
-        for value in values[7:]:
-            right.add(value)
-        left.merge(right)
-        assert left.count == combined.count
-        assert left.total == pytest.approx(combined.total)
-        assert left.mean == pytest.approx(combined.mean)
-        assert left.stdev == pytest.approx(combined.stdev)
-        assert left.minimum == combined.minimum
-        assert left.maximum == combined.maximum
-
-    def test_merge_with_empty_sides(self):
-        filled = RunningStats()
-        filled.add(3.0)
-        empty = RunningStats()
-        filled.merge(empty)
-        assert filled.count == 1
-        empty2 = RunningStats()
-        empty2.merge(filled)
-        assert empty2.count == 1
-        assert empty2.mean == 3.0
 
 
 class TestBasics:

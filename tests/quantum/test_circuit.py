@@ -146,11 +146,3 @@ class TestQuantumResult:
             execution_time=3.0, queue_time=2.0, calibration_time=1.0
         )
         assert result.total_time == 6.0
-
-    def test_most_frequent(self):
-        result = QuantumResult(counts={"00": 5, "11": 10, "01": 10})
-        # Ties break lexicographically (larger string wins).
-        assert result.most_frequent() == "11"
-
-    def test_most_frequent_empty(self):
-        assert QuantumResult().most_frequent() is None

@@ -245,7 +245,7 @@ class TestEndToEnd:
         ]
         fleet = QPUFleet(devices)
         node = make_qpu_node("qn0", [fleet])
-        bound = node.all_gres("qpu")[0].device
+        bound = node.free_gres("qpu")[0].device
         event = bound.run(Circuit(5, 10), 100)
         kernel.run()
         assert event.processed

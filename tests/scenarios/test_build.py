@@ -21,12 +21,15 @@ from repro.scenarios import (
     WorkloadSpec,
     background_trace,
     build,
-    compile_trace,
-    install_trace,
     resolve_trace_path,
     run_scenario,
 )
-from repro.scenarios.build import _drawn_background, _synthesise_background
+from repro.scenarios.build import (
+    _drawn_background,
+    _synthesise_background,
+    compile_trace,
+    install_trace,
+)
 from repro.scenarios.registry import get_scenario, list_scenarios
 
 # The package re-exports the ``build`` function under the module's name.
@@ -371,6 +374,19 @@ class TestTraceReplay:
         assert metrics["trace_completed"] == 2
         assert metrics["trace_mean_wait_s"] >= 0.0
         assert metrics["trace_mean_slowdown"] >= 1.0
+
+    @pytest.mark.parametrize(
+        "horizon", [-5.0, 0.0, float("nan"), float("inf")]
+    )
+    def test_run_horizon_not_finite_and_positive_is_rejected(
+        self, horizon, monkeypatch
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a scenario it cannot run")
+
+        monkeypatch.setattr(build_module, "build", no_build)
+        with pytest.raises(ConfigurationError, match="finite number"):
+            run_scenario(ScenarioSpec(), horizon=horizon)
 
     def test_traceless_scenarios_report_zero(self):
         metrics = run_scenario(ScenarioSpec(), horizon=60.0)

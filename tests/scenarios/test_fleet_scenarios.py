@@ -100,19 +100,6 @@ class TestCanonicalisation:
         devices = (DeviceSpec("photonic"), DeviceSpec("annealer"))
         assert FleetSpec(devices=devices).canonical_devices() == devices
 
-    def test_device_count_and_heterogeneity(self):
-        flat = FleetSpec(qpu_count=4)
-        assert flat.device_count() == 4
-        assert not flat.is_heterogeneous()
-        mixed = FleetSpec(
-            devices=(
-                DeviceSpec("superconducting", count=2),
-                DeviceSpec("neutral_atom"),
-            )
-        )
-        assert mixed.device_count() == 3
-        assert mixed.is_heterogeneous()
-
     def test_shorthand_and_devices_forms_build_identically(self):
         flat = ScenarioSpec(
             fleet=FleetSpec(

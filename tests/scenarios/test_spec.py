@@ -91,6 +91,9 @@ class TestValidation:
             {"fleet": FleetSpec(vqpus_per_qpu=0)},
             {"workload": WorkloadSpec(background_rho=-0.5)},
             {"workload": WorkloadSpec(background_rho=0.5, horizon=0.0)},
+            {"workload": WorkloadSpec(horizon=-1.0)},
+            {"workload": WorkloadSpec(horizon=float("nan"))},
+            {"workload": WorkloadSpec(horizon=float("inf"))},
             {"workload": WorkloadSpec(min_runtime=10.0, max_runtime=1.0)},
             {"workload": WorkloadSpec(arrivals="meteoric")},
             {"policy": PolicySpec(policy="wishful")},
@@ -284,9 +287,9 @@ class TestTraceSpec:
             spec.validate()
 
     def test_loop_without_workload_horizon_is_valid(self):
-        """Looping targets the *run* horizon, which always resolves to
-        a positive value — a horizonless workload must not be
-        rejected."""
+        """Looping targets the *run* horizon, which run_scenario
+        requires to be finite and positive — a horizonless workload
+        must not be rejected."""
         ScenarioSpec(
             workload=WorkloadSpec(trace=_trace_spec(loop=True))
         ).validate()

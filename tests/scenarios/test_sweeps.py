@@ -81,6 +81,15 @@ class TestScenarioSweep:
                 "baseline-32", {"seed": [1]}, run_horizon=horizon
             )
 
+    @pytest.mark.parametrize(
+        "horizon", [-5, 0, 0.0, float("nan"), float("inf")]
+    )
+    def test_horizon_not_finite_and_positive_is_rejected(self, horizon):
+        with pytest.raises(ConfigurationError, match="finite number"):
+            scenario_sweep_spec(
+                "baseline-32", {"seed": [1]}, run_horizon=horizon
+            )
+
     def test_serial_vs_parallel_byte_identical(self):
         spec = scenario_sweep_spec(
             "baseline-32",

@@ -62,21 +62,16 @@ class TestFairShare:
         factor = ledger.fair_share_factor("u", "a", now=0.0)
         assert 0.0 < factor <= 1.0
 
-    def test_shares_tilt_the_factor(self):
+    def test_factor_halves_per_unit_of_usage_share(self):
         ledger = AccountingLedger()
-        ledger.set_shares("big", 10.0)
-        ledger.set_shares("small", 1.0)
-        ledger.charge("u1", "big", now=0.0, node_seconds=100.0)
-        ledger.charge("u2", "small", now=0.0, node_seconds=100.0)
-        # Equal usage, but 'big' owns more shares: better factor.
+        ledger.charge("light", "a", now=0.0, node_seconds=100.0)
+        ledger.charge("heavy", "b", now=0.0, node_seconds=300.0)
         assert ledger.fair_share_factor(
-            "u1", "big", now=0.0
-        ) > ledger.fair_share_factor("u2", "small", now=0.0)
-
-    def test_invalid_shares(self):
-        ledger = AccountingLedger()
-        with pytest.raises(ConfigurationError):
-            ledger.set_shares("p", 0.0)
+            "light", "a", now=0.0
+        ) == pytest.approx(2.0 ** -0.25)
+        assert ledger.fair_share_factor(
+            "heavy", "b", now=0.0
+        ) == pytest.approx(2.0 ** -0.75)
 
     def test_repr(self):
         assert "AccountingLedger" in repr(AccountingLedger())

@@ -55,17 +55,6 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             simple_spec(duration=-1.0)
 
-    def test_heterogeneous_detection(self):
-        rigid = simple_spec()
-        assert not rigid.is_heterogeneous
-        hetjob = simple_spec(
-            components=[
-                JobComponent("classical", 10, 3600.0),
-                JobComponent("quantum", 1, 3600.0, gres={"qpu": 1}),
-            ]
-        )
-        assert hetjob.is_heterogeneous
-
     def test_walltime_limit_is_minimum(self):
         spec = simple_spec(
             components=[

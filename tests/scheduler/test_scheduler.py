@@ -39,7 +39,7 @@ class TestLifecycle:
         assert job.state == JobState.COMPLETED
         assert job.start_time == 0.0
         assert job.end_time == 50.0
-        assert scheduler.quiescent()
+        assert not scheduler.pending and not scheduler.running
 
     def test_fifo_wait_for_resources(self, env):
         kernel, _, scheduler, _ = env

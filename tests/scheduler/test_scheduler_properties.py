@@ -49,13 +49,8 @@ def test_capacity_never_exceeded_and_all_jobs_drain(jobs, policy_name):
             )
             if busy > classical.node_count:
                 violations.append(("classical", kernel.now, busy))
-            qpu_busy = quantum.gres_capacity("qpu") - (
-                quantum.free_gres_count("qpu")
-                + sum(
-                    len(n.free_gres("qpu"))
-                    for n in quantum.nodes
-                    if not n.is_available
-                )
+            qpu_busy = quantum.gres_capacity("qpu") - sum(
+                len(n.free_gres("qpu")) for n in quantum.nodes
             )
             if qpu_busy > quantum.gres_capacity("qpu"):
                 violations.append(("qpu", kernel.now, qpu_busy))
@@ -91,7 +86,9 @@ def test_capacity_never_exceeded_and_all_jobs_drain(jobs, policy_name):
         assert job.run_time <= job.spec.walltime_limit + 1e-6
     # Fully drained: everything is free again.
     assert classical.available_count() == classical.node_count
-    assert quantum.free_gres_count("qpu") == 1
+    assert sum(
+        len(n.free_gres("qpu")) for n in quantum.available_nodes()
+    ) == 1
 
 
 @given(seed=st.integers(min_value=0, max_value=50))

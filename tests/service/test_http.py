@@ -145,9 +145,17 @@ class TestSubmit:
          "unknown scenario"),
         ({"name": 7, "spec": {}, "runner": "m:f"}, "'name'"),
         ({"preset": "baseline-32", "axes": {"seed": [1]},
-          "horizon": True}, "'horizon'"),
+          "horizon": True}, "horizon must be"),
         ({"preset": "baseline-32", "axes": {"seed": [1]},
-          "horizon": "600"}, "'horizon'"),
+          "horizon": "600"}, "horizon must be"),
+        ({"preset": "baseline-32", "axes": {"seed": [1]},
+          "horizon": -5}, "horizon must be"),
+        ({"preset": "baseline-32", "axes": {"seed": [1]},
+          "horizon": 0}, "horizon must be"),
+        ({"preset": "baseline-32", "axes": {"seed": [1]},
+          "horizon": float("nan")}, "horizon must be"),
+        ({"preset": "baseline-32", "axes": {"seed": [1]},
+          "horizon": float("inf")}, "horizon must be"),
     ])
     def test_malformed_bodies_get_400(self, port, body, fragment):
         status, response = request(port, "POST", "/submissions", body)
@@ -299,6 +307,44 @@ class TestEndToEnd:
         assert results["headers"] == ["index", "params", "y", "n", "seed_mod"]
         assert stats["column_read"] == reads + 3
         assert stats["read_touch"] == touches + 1
+
+    def test_default_results_list_the_string_metrics(self, port, store_dir):
+        status, created = request(port, "POST", "/submissions", {
+            "preset": "baseline-32",
+            "axes": {"seed": [1]},
+            "horizon": 300,
+        })
+        assert status == 201
+        with Worker(
+            store_dir, poll_seconds=0.01, code_version="pinned"
+        ) as worker:
+            assert worker.run(until_drained=True, timeout=60) == 1
+        status, results = request(
+            port, "GET", f"/submissions/{created['id']}/results"
+        )
+        assert status == 200
+        headers = results["headers"]
+        assert headers[2:] == sorted(headers[2:])
+        [row] = results["rows"]
+        assert isinstance(row[headers.index("fleet_policy")], str)
+        assert row[headers.index("scenario")] == "baseline-32"
+
+    def test_results_naming_an_unreturned_metric_get_400(
+        self, port, store_dir
+    ):
+        status, created = request(
+            port, "POST", "/submissions", raw_spec_body(n=2)
+        )
+        with Worker(
+            store_dir, poll_seconds=0.01, code_version="pinned"
+        ) as worker:
+            assert worker.run(until_drained=True, timeout=30) == 1
+        status, body = request(
+            port, "GET",
+            f"/submissions/{created['id']}/results?metrics=y,nosuch",
+        )
+        assert status == 400
+        assert "'nosuch'" in body["error"]
 
 
 class TestDraining:

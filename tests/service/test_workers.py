@@ -22,9 +22,9 @@ from repro.experiments.sweep import runner_name
 from repro.service import (
     Worker,
     WorkerSupervisor,
-    default_worker_id,
     resolve_runner,
 )
+from repro.service.workers import default_worker_id
 
 from tests.service.conftest import (
     COUNTS,

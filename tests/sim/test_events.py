@@ -68,22 +68,6 @@ class TestEventLifecycle:
         assert "processed" in repr(event)
 
 
-class TestEventChaining:
-    def test_trigger_copies_outcome(self, kernel):
-        source = kernel.event()
-        target = kernel.event()
-        source.succeed("data")
-        target.trigger(source)
-        assert target.value == "data"
-        assert target.ok
-
-    def test_trigger_from_pending_event_is_an_error(self, kernel):
-        source = kernel.event()
-        target = kernel.event()
-        with pytest.raises(SimulationError):
-            target.trigger(source)
-
-
 class TestUnhandledFailure:
     def test_unconsumed_failure_crashes_the_run(self, kernel):
         event = kernel.event()

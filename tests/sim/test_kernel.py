@@ -20,13 +20,11 @@ class TestClock:
         kernel.run()
         assert kernel.now == 7.5
 
-    def test_peek_reports_next_event_time(self, kernel):
+    def test_step_processes_the_earliest_event(self, kernel):
         kernel.timeout(3.0)
         kernel.timeout(1.0)
-        assert kernel.peek() == 1.0
-
-    def test_peek_on_empty_heap_is_inf(self, kernel):
-        assert kernel.peek() == float("inf")
+        kernel.step()
+        assert kernel.now == 1.0
 
 
 class TestRunModes:
@@ -154,15 +152,18 @@ class TestCancellation:
         assert keep.processed
         assert kernel.queued_event_count == 0
 
-    def test_peek_skips_cancelled_prefix(self, kernel):
+    def test_step_skips_a_cancelled_prefix(self, kernel):
         kernel.timeout(1.0).cancel()
         kernel.timeout(2.0).cancel()
         kernel.timeout(3.0)
-        assert kernel.peek() == 3.0
+        kernel.step()
+        assert kernel.now == 3.0
 
-    def test_peek_all_cancelled_is_inf(self, kernel):
+    def test_step_with_only_cancelled_entries_raises(self, kernel):
         kernel.timeout(1.0).cancel()
-        assert kernel.peek() == float("inf")
+        with pytest.raises(SimulationError):
+            kernel.step()
+        assert kernel.now == 0.0
 
     def test_step_skips_cancelled_entries(self, kernel):
         kernel.timeout(1.0).cancel()
@@ -174,7 +175,9 @@ class TestCancellation:
         timeout = kernel.timeout(1.0)
         timeout.cancel()
         timeout.cancel()
-        assert timeout.cancelled
+        assert kernel.queued_event_count == 0
+        kernel.run()
+        assert kernel.now == 0.0
 
     def test_cancel_processed_event_rejected(self, kernel):
         timeout = kernel.timeout(1.0)
@@ -212,13 +215,13 @@ class TestReservedSlots:
     def test_reserve_schedules_nothing(self, kernel):
         kernel.reserve(5.0)
         assert kernel.queued_event_count == 0
-        assert kernel.peek() == float("inf")
+        kernel.run()
+        assert kernel.now == 0.0
 
     def test_queued_event_count_counts_pushed_slots_only(self, kernel):
         slots = [kernel.reserve(float(delay)) for delay in (1, 2, 3)]
         kernel.timeout_at(slots[1])
         assert kernel.queued_event_count == 1
-        assert kernel.peek() == 2.0
         kernel.timeout_at(slots[0])
         assert kernel.queued_event_count == 2
         kernel.run()

@@ -39,18 +39,5 @@ class TestRandomStreams:
         mixed_draws = mixed.stream("target").random(5).tolist()
         assert solo_draws == mixed_draws
 
-    def test_spawn_creates_independent_child(self):
-        parent = RandomStreams(5)
-        child = parent.spawn("replica-1")
-        assert child.seed != parent.seed
-        parent_draws = parent.stream("s").random(3).tolist()
-        child_draws = child.stream("s").random(3).tolist()
-        assert parent_draws != child_draws
-
-    def test_spawn_is_deterministic(self):
-        a = RandomStreams(5).spawn("r").stream("s").random(3).tolist()
-        b = RandomStreams(5).spawn("r").stream("s").random(3).tolist()
-        assert a == b
-
     def test_repr(self):
         assert "seed=9" in repr(RandomStreams(9))

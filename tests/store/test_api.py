@@ -72,16 +72,48 @@ class TestSubmissions:
         assert headers == ["index", "params", "y"]
         assert [row[2] for row in rows] == [x * 2.0 for x in range(5)]
 
-    def test_results_defaults_to_all_columnar_metrics(self, store):
+    def test_results_default_to_every_returned_metric(self, store):
         spec = grid_spec(3, "sub-metrics")
         submission_id = store.submit(
             "m", spec, runner_name(mixed_runner)
         )
         run_submission(store, submission_id, mixed_runner)
         headers, rows = store.results_rows(submission_id)
-        # Scalar metrics only — strings/nested live in the residual.
-        assert headers == ["index", "params", "count", "seed_mod", "y"]
-        assert len(rows) == 3
+        # Column-held and residual (string, nested) metrics, by name.
+        assert headers == [
+            "index", "params", "count", "label", "nested", "seed_mod", "y",
+        ]
+        assert [row[3:5] for row in rows] == [
+            [f"case-{x}", {"inner": x, "tag": "t"}] for x in range(3)
+        ]
+
+    def test_results_reject_a_metric_no_point_returns(self, store):
+        spec = grid_spec(3, "sub-unknown")
+        submission_id = store.submit(
+            "u", spec, runner_name(mixed_runner)
+        )
+        run_submission(store, submission_id, mixed_runner)
+        with pytest.raises(ConfigurationError, match="'nosuch'"):
+            store.results_rows(submission_id, metrics=["y", "nosuch"])
+        # A residual-only metric is no error.
+        headers, rows = store.results_rows(submission_id, metrics=["label"])
+        assert [row[2] for row in rows] == ["case-0", "case-1", "case-2"]
+
+    def test_column_held_metrics_read_no_residual(self, store):
+        spec = grid_spec(3, "sub-columns")
+        submission_id = store.submit(
+            "c", spec, runner_name(mixed_runner)
+        )
+        run_submission(store, submission_id, mixed_runner)
+        decodes = (store.stats["unpickle"], store.stats["json_decode"])
+        queries = []
+        store.db.connection().set_trace_callback(queries.append)
+        try:
+            store.results_rows(submission_id, metrics=["y", "count"])
+        finally:
+            store.db.connection().set_trace_callback(None)
+        assert (store.stats["unpickle"], store.stats["json_decode"]) == decodes
+        assert not any("FROM points" in query for query in queries)
 
     def test_results_read_residual_values_exactly(self, store):
         spec = grid_spec(4, "sub-residual")
@@ -105,7 +137,7 @@ class TestSubmissions:
         assert rows[1][2] == 2**63 + 1
         assert store.stats["unpickle"] == decodes[0]
         headers, rows = store.results_rows(submission_id)
-        assert headers == ["index", "params", "big", "y"]
+        assert headers == ["index", "params", "big", "label", "y"]
         assert rows[3][2] == 2**63 + 3
 
     def test_results_touch_last_read_once_per_table(self, store):
@@ -332,6 +364,53 @@ class TestStoreCli:
         )
         assert spec["axes"]["workload.background_rho"] == [0.25]
         assert spec["axes"]["policy.policy"] == ["easy"]
+
+    @pytest.mark.parametrize("horizon", ["-5", "nan", "inf"])
+    def test_submit_rejects_a_bad_horizon_before_recording(
+        self, tmp_path, capsys, horizon
+    ):
+        directory = tmp_path / "store"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "store", "submit", str(directory),
+                "--preset", "baseline-32", "--axis", "seed=1",
+                "--horizon", horizon,
+            ])
+        assert exc.value.code == 2
+        assert "run_horizon must be" in capsys.readouterr().err
+        with ResultStore(directory) as store:
+            assert store.status() == []
+
+    @pytest.mark.parametrize("days", ["nan", "-1", "inf", "soon"])
+    def test_gc_rejects_keep_days_that_is_not_finite_and_non_negative(
+        self, tmp_path, capsys, days
+    ):
+        directory = str(tmp_path / "store")
+        assert main(["store", "init", directory]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "gc", directory, "--keep-days", days])
+        assert exc.value.code == 2
+        assert "--keep-days" in capsys.readouterr().err
+
+    def test_results_default_lists_string_metrics_and_rejects_unknown(
+        self, tmp_path, capsys
+    ):
+        directory = str(tmp_path / "store")
+        assert main([
+            "store", "submit", directory, "--preset", "baseline-32",
+            "--axis", "seed=1,2", "--horizon", "300",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["store", "results", directory, "1", "--json"]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert "fleet_policy" in table["headers"]
+        assert table["headers"][2:] == sorted(table["headers"][2:])
+        column = table["headers"].index("fleet_policy")
+        assert all(isinstance(row[column], str) for row in table["rows"])
+        assert main([
+            "store", "results", directory, "1", "--metrics", "nosuch",
+        ]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_axis_and_missing_axis_error_cleanly(self, tmp_path):
         directory = str(tmp_path / "store")

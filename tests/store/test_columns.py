@@ -153,10 +153,12 @@ class TestAssembleColumn:
         assert column.tolist() == [1.0, 2, None, True]
         assert column.values[0] == 1.0 and column.values[1] == 2.0
         assert np.isnan(column.values[2]) and column.values[3] == 1.0
-        assert column.present.tolist() == [True, True, False, True]
+        assert column.kinds.tolist() == [
+            col.KIND_FLOAT, col.KIND_INT, col.KIND_ABSENT, col.KIND_BOOL
+        ]
         assert len(column) == 4
 
     def test_missing_shard_block_reads_absent(self):
         column = col.assemble_column("y", [(0, 3, None)], n_points=3)
         assert column.tolist() == [None, None, None]
-        assert not column.present.any()
+        assert (column.kinds == col.KIND_ABSENT).all()

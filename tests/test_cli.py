@@ -300,6 +300,20 @@ class TestFleet:
         with pytest.raises(SystemExit):
             main(["scenario", "run"])
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-5", "0"])
+    def test_run_rejects_a_horizon_that_is_not_finite_and_positive(
+        self, horizon, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "scenario", "run", "--preset", "baseline-32",
+                "--horizon", horizon,
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "horizon must be a finite number" in captured.err
+        assert "simulated" not in captured.out
+
 
 class TestTrace:
     def test_info_summarises_packaged_sample(self, capsys):

@@ -17,9 +17,6 @@ def rng():
 
 
 class TestPoisson:
-    def test_rate_property(self):
-        assert PoissonArrivals(10.0).rate == pytest.approx(0.1)
-
     def test_all_within_horizon(self, rng):
         times = list(PoissonArrivals(5.0).times(rng, horizon=1000.0))
         assert all(0.0 <= t < 1000.0 for t in times)
