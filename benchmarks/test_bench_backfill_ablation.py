@@ -8,37 +8,55 @@ hetjobs (which must atomically co-allocate two partitions) are exactly
 the jobs FIFO head-blocking punishes.
 """
 
+import dataclasses
+
 from repro.experiments.common import standard_hybrid_app
 from repro.metrics.report import render_series
 from repro.metrics.stats import mean
 from repro.quantum.technology import SUPERCONDUCTING
-from repro.scenarios.build import build
-from repro.scenarios.spec import PolicySpec, ScenarioSpec, TopologySpec
+from repro.scenarios.build import run_campaign
+from repro.scenarios.spec import (
+    PolicySpec,
+    ScenarioSpec,
+    TopologySpec,
+    TraceJobSpec,
+    TraceSpec,
+    WorkloadSpec,
+)
+from repro.sim.rng import RandomStreams
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.workloads.distributions import LogUniform, PowerOfTwoNodes
-from repro.workloads.generator import CampaignDriver, submit_trace
 from repro.workloads.swf import synthesise_trace
 
 POLICIES = ("fifo", "easy", "conservative")
 
 
-def _run_policy(policy: str, seed: int):
-    env = build(
-        ScenarioSpec(
-            topology=TopologySpec(classical_nodes=32),
-            policy=PolicySpec(policy=policy),
-            seed=seed,
-        )
-    )
+def _scenario(policy: str, seed: int) -> ScenarioSpec:
+    """32 classical nodes under ``policy``, replaying a 60-job trace."""
     trace = synthesise_trace(
-        env.streams.stream("trace"),
+        RandomStreams(seed).stream("trace"),
         job_count=60,
         mean_interarrival=115.0,
         runtimes=LogUniform(120.0, 1800.0),
         sizes=PowerOfTwoNodes(2, 8),
     )
-    trace_jobs = submit_trace(env, trace)
-    driver = CampaignDriver(env, CoScheduleStrategy())
+    return ScenarioSpec(
+        topology=TopologySpec(classical_nodes=32),
+        workload=WorkloadSpec(
+            # The trace is cut at the run horizon: keep every job.
+            horizon=trace[-1].submit_time + 1.0,
+            trace=TraceSpec(
+                jobs=tuple(
+                    TraceJobSpec(**dataclasses.asdict(job)) for job in trace
+                )
+            ),
+        ),
+        policy=PolicySpec(policy=policy),
+        seed=seed,
+    )
+
+
+def _run_policy(policy: str, seed: int):
     apps = [
         standard_hybrid_app(
             SUPERCONDUCTING,
@@ -49,11 +67,18 @@ def _run_policy(policy: str, seed: int):
         )
         for index in range(4)
     ]
-    driver.launch_all(apps, submit_times=[600.0 * i for i in range(4)])
-    driver.collect()
+    _, env = run_campaign(
+        CoScheduleStrategy(),
+        apps,
+        _scenario(policy, seed),
+        submit_times=[600.0 * i for i in range(4)],
+    )
     env.kernel.run()  # drain remaining trace jobs
     waits = [
-        job.wait_time for job in trace_jobs if job.wait_time is not None
+        job.wait_time
+        for job in env.scheduler.finished_jobs
+        if job.spec.tags.get("source") == "trace"
+        and job.wait_time is not None
     ]
     return {
         "mean_wait": mean(waits),

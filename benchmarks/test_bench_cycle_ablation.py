@@ -11,14 +11,11 @@ The cycle x strategy grid runs as a
 engine (``REPRO_SWEEP_WORKERS`` fans it out).
 """
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.experiments.sweep import SweepSpec, run_sweep, sweep_cache
 from repro.metrics.report import render_series
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios.build import run_campaign
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.elastic import ElasticQPUStrategy
 from repro.strategies.workflow import WorkflowStrategy

@@ -14,14 +14,11 @@ cycle.  The honest placement this asserts:
   scheduler negotiation per quantum phase.
 """
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.metrics.report import render_table
 from repro.metrics.stats import mean
 from repro.quantum.technology import TRAPPED_ION
+from repro.scenarios.build import run_campaign
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.elastic import ElasticQPUStrategy
 from repro.strategies.vqpu import VQPUStrategy

@@ -8,13 +8,10 @@ until co-scheduling is faster (the paper's "significant modifications
 to application code" caveat made quantitative).
 """
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.metrics.report import render_series
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios.build import run_campaign
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.malleability import MalleableStrategy
 

@@ -18,17 +18,14 @@ measured times and speedups are recorded in ``BENCH_<rev>.json``.
 
 import os
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.experiments.sweep import (
     SweepSpec,
     canonical_bytes,
     run_sweep,
 )
 from repro.metrics.report import render_table
+from repro.scenarios.build import run_campaign
 from repro.store import ResultStore
 from repro.quantum.technology import SUPERCONDUCTING
 from repro.strategies.vqpu import VQPUStrategy

@@ -9,14 +9,11 @@ The grid runs as a :class:`~repro.experiments.sweep.SweepSpec` through
 the parallel sweep engine (``REPRO_SWEEP_WORKERS`` fans it out).
 """
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.experiments.sweep import SweepSpec, run_cached_sweep
 from repro.metrics.report import render_series
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios.build import run_campaign
 from repro.strategies.vqpu import VQPUStrategy
 
 TENANTS = 6

@@ -24,8 +24,7 @@ from repro.scenarios import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    build,
-    install_background,
+    run_campaign,
 )
 from repro.strategies import (
     CoScheduleStrategy,
@@ -33,7 +32,6 @@ from repro.strategies import (
     WorkflowStrategy,
     vqe_like,
 )
-from repro.workloads import CampaignDriver
 
 BACKGROUND_RHO = 1.15     # offered load on the classical partition
 WARMUP = 3600.0           # let the queue build before submitting
@@ -67,11 +65,9 @@ def main() -> None:
             ),
             seed=0,
         )
-        env = build(spec)
-        install_background(env, spec.workload)
-        driver = CampaignDriver(env, strategy)
-        driver.launch_all([make_app()], submit_times=[WARMUP])
-        [record] = driver.collect()
+        [record], _env = run_campaign(
+            strategy, [make_app()], spec, submit_times=[WARMUP]
+        )
         grow_waits = record.details.get("grow_waits_s", [])
         rows.append(
             [

@@ -16,9 +16,8 @@ Run with::
 from repro.metrics.report import render_table
 from repro.metrics.stats import mean
 from repro.quantum import SUPERCONDUCTING, Circuit
-from repro.scenarios import FleetSpec, ScenarioSpec, TopologySpec, build
+from repro.scenarios import FleetSpec, ScenarioSpec, TopologySpec, run_campaign
 from repro.strategies import VQPUStrategy, vqe_like
-from repro.workloads import CampaignDriver
 
 GROUPS = 8
 VQPU_SWEEP = (1, 2, 4, 8)
@@ -50,19 +49,13 @@ def make_campaign_apps():
 def main() -> None:
     rows = []
     for vqpus in VQPU_SWEEP:
-        env = build(
-            ScenarioSpec(
-                name="vqe-campaign",
-                topology=TopologySpec(classical_nodes=4 * GROUPS),
-                fleet=FleetSpec(
-                    technology="superconducting", vqpus_per_qpu=vqpus
-                ),
-                seed=7,
-            )
+        spec = ScenarioSpec(
+            name="vqe-campaign",
+            topology=TopologySpec(classical_nodes=4 * GROUPS),
+            fleet=FleetSpec(technology="superconducting", vqpus_per_qpu=vqpus),
+            seed=7,
         )
-        driver = CampaignDriver(env, VQPUStrategy())
-        driver.launch_all(make_campaign_apps())
-        records = driver.collect()
+        records, env = run_campaign(VQPUStrategy(), make_campaign_apps(), spec)
 
         makespan = max(r.end_time for r in records) - min(
             r.submit_time for r in records

@@ -27,7 +27,6 @@ from repro.experiments.sweep import (
     SweepSpec,
     run_cached_sweep,
 )
-from repro.metrics.stats import mean
 from repro.quantum.circuit import Circuit
 from repro.quantum.cloud import CloudQPUEndpoint
 from repro.quantum.qpu import QPU

@@ -2,18 +2,16 @@
 
 Every experiment declares its facility as a
 :class:`~repro.scenarios.spec.ScenarioSpec` (usually via
-:func:`campaign_scenario`) and materialises it through the single
-:func:`repro.scenarios.build.build` pipeline; :func:`run_campaign`
-drives a set of hybrid applications through one strategy inside such a
-scenario.
+:func:`campaign_scenario`) and drives a set of hybrid applications
+through one strategy inside it with
+:func:`repro.scenarios.build.run_campaign`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.quantum.technology import QPUTechnology
-from repro.scenarios.build import build, install_background
 from repro.scenarios.spec import (
     FleetSpec,
     PolicySpec,
@@ -23,12 +21,9 @@ from repro.scenarios.spec import (
 )
 from repro.quantum.circuit import Circuit
 from repro.strategies.application import HybridApplication, vqe_like
-from repro.strategies.base import Environment, IntegrationStrategy, RunRecord
-from repro.workloads.generator import CampaignDriver
 
 __all__ = [
     "campaign_scenario",
-    "run_campaign",
     "standard_hybrid_app",
 ]
 
@@ -103,31 +98,3 @@ def standard_hybrid_app(
         min_classical_nodes=min_classical_nodes,
         name=name or f"std-{technology.name}-{iterations}it",
     )
-
-
-def run_campaign(
-    strategy: IntegrationStrategy,
-    apps: Sequence[HybridApplication],
-    scenario: ScenarioSpec,
-    submit_times: Optional[Sequence[float]] = None,
-) -> tuple[List[RunRecord], Environment]:
-    """Run ``apps`` under ``strategy`` in a fresh ``scenario`` facility.
-
-    Returns the per-app records plus the environment (for facility
-    metrics); the scenario's background workload is injected before
-    the campaign launches.
-
-    >>> from repro.quantum.technology import SUPERCONDUCTING
-    >>> from repro.strategies import CoScheduleStrategy
-    >>> scenario = campaign_scenario(SUPERCONDUCTING, classical_nodes=8)
-    >>> app = standard_hybrid_app(SUPERCONDUCTING, iterations=2)
-    >>> records, env = run_campaign(CoScheduleStrategy(), [app], scenario)
-    >>> len(records)
-    1
-    """
-    env = build(scenario)
-    install_background(env, scenario.workload)
-    driver = CampaignDriver(env, strategy)
-    driver.launch_all(list(apps), submit_times)
-    records = driver.collect()
-    return records, env

@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
@@ -41,6 +37,7 @@ from repro.quantum.technology import (
     TRAPPED_ION,
     QPUTechnology,
 )
+from repro.scenarios.build import run_campaign
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.elastic import ElasticQPUStrategy
 from repro.strategies.malleability import MalleableStrategy

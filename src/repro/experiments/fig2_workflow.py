@@ -19,11 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
@@ -31,6 +27,7 @@ from repro.experiments.harness import (
 from repro.experiments.sweep import SweepSpec, run_cached_sweep
 from repro.metrics.stats import mean
 from repro.quantum.technology import SUPERCONDUCTING, QPUTechnology
+from repro.scenarios.build import run_campaign
 from repro.strategies.base import RunRecord
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.workflow import WorkflowStrategy

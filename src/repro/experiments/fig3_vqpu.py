@@ -27,11 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
@@ -42,6 +38,7 @@ from repro.experiments.sweep import (
 )
 from repro.metrics.stats import mean
 from repro.quantum.technology import SUPERCONDUCTING
+from repro.scenarios.build import run_campaign
 from repro.strategies.vqpu import VQPUStrategy
 
 

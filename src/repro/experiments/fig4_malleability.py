@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.experiments.harness import (
     ExperimentResult,
     attach_sweep_failures,
@@ -36,6 +32,7 @@ from repro.experiments.sweep import (
 )
 from repro.metrics.stats import mean
 from repro.quantum.technology import NEUTRAL_ATOM, SUPERCONDUCTING
+from repro.scenarios.build import run_campaign
 from repro.strategies.coschedule import CoScheduleStrategy
 from repro.strategies.malleability import MalleableStrategy
 from repro.strategies.workflow import WorkflowStrategy

@@ -10,7 +10,7 @@ that the test suite and benchmarks verify on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.metrics.report import render_markdown_table, render_table
 

@@ -17,8 +17,8 @@ from repro.scenarios.build import (
     background_trace,
     build,
     fleet_device_rows,
-    install_background,
     resolve_trace_path,
+    run_campaign,
     run_scenario,
 )
 from repro.scenarios.registry import (
@@ -71,8 +71,8 @@ __all__ = [
     "background_trace",
     "build",
     "fleet_device_rows",
-    "install_background",
     "resolve_trace_path",
+    "run_campaign",
     "run_scenario",
     # Sweeps
     "point_scenario",

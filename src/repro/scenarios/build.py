@@ -12,10 +12,12 @@ Construction order is fixed: kernel, streams, QPUs, cluster,
 scheduler.  The kernel's event sequence follows it, so keeping the
 order is what lets a spec reproduce its results event for event.
 
-:func:`run_scenario` additionally injects the spec's background
-workload, drives the kernel to the horizon and returns facility-level
-metrics — the CLI's ``scenario run`` and the generic sweep runner both
-go through it.
+One loader then installs the spec's workload — background, then trace
+— and two ends drive it: :func:`run_scenario` runs the kernel to a
+horizon and returns facility-level metrics (the CLI's ``scenario run``
+and the generic sweep runner go through it); :func:`run_campaign`
+launches hybrid applications under one strategy and runs until every
+one completes (experiments E3–E6 go through it).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import dataclasses
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +50,8 @@ from repro.scheduler.job import Job, JobComponent, JobState
 from repro.scheduler.priority import MultifactorPriority, PriorityWeights
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStreams, derive_seed
-from repro.strategies.base import Environment
+from repro.strategies.application import HybridApplication
+from repro.strategies.base import Environment, IntegrationStrategy, RunRecord
 from repro.strategies.vqpu import VirtualQPUPool
 from repro.workloads.arrivals import DiurnalArrivals
 from repro.workloads.distributions import LogUniform, PowerOfTwoNodes
@@ -637,6 +640,37 @@ def install_trace(
 DEFAULT_HORIZON = 3600.0
 
 
+def _run_horizon(workload: WorkloadSpec, horizon: Optional[float]) -> float:
+    """The time a run stops at: ``horizon``, else the workload's, else
+    :data:`DEFAULT_HORIZON`; a finite number of seconds > 0."""
+    until = horizon
+    if until is None:
+        until = workload.horizon or DEFAULT_HORIZON
+    if not 0 < until < math.inf:
+        raise ConfigurationError(
+            f"horizon must be a finite number of seconds > 0, got {until!r}"
+        )
+    return until
+
+
+def _loaded(
+    spec: ScenarioSpec,
+    seed: Optional[int],
+    horizon: float,
+    background_until: Optional[float],
+) -> Tuple[Environment, List[Job], List[Job]]:
+    """Build ``spec`` and install its workload: background, then trace.
+
+    Returns the environment and the background and trace jobs.  The
+    trace is compiled to ``horizon``; background jobs submitted after
+    ``background_until`` are not installed (``None``: all of them).
+    """
+    env = build(spec, seed=seed)
+    jobs = install_background(env, spec.workload, background_until)
+    trace_jobs = install_trace(env, spec.workload, horizon)
+    return env, jobs, trace_jobs
+
+
 def run_scenario(
     spec: ScenarioSpec,
     seed: Optional[int] = None,
@@ -651,16 +685,8 @@ def run_scenario(
     JSON-representable, so sweep results over scenarios serialise
     byte-identically serial vs parallel.
     """
-    until = horizon
-    if until is None:
-        until = spec.workload.horizon or DEFAULT_HORIZON
-    if not 0 < until < math.inf:
-        raise ConfigurationError(
-            f"horizon must be a finite number of seconds > 0, got {until!r}"
-        )
-    env = build(spec, seed=seed)
-    jobs = install_background(env, spec.workload, until)
-    trace_jobs = install_trace(env, spec.workload, until)
+    until = _run_horizon(spec.workload, horizon)
+    env, jobs, trace_jobs = _loaded(spec, seed, until, until)
     env.kernel.run(until=until)
     completed = sum(
         1 for job in jobs if job.state == JobState.COMPLETED
@@ -724,3 +750,60 @@ def _node_state_counts(env: Environment) -> Dict[str, int]:
         for node in partition.nodes:
             counts[node.state.value] = counts.get(node.state.value, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def run_campaign(
+    strategy: IntegrationStrategy,
+    apps: Sequence[HybridApplication],
+    scenario: ScenarioSpec,
+    submit_times: Optional[Sequence[float]] = None,
+) -> Tuple[List[RunRecord], Environment]:
+    """Run ``apps`` under ``strategy`` in a fresh ``scenario`` facility.
+
+    Each app is launched at its submit time (all at time 0 when
+    ``submit_times`` is ``None``) and the kernel runs until every app
+    completes.  The scenario's whole background is installed, and its
+    trace compiled to the run horizon (the workload's, else
+    :data:`DEFAULT_HORIZON`).  Returns the per-app records plus the
+    environment, for facility metrics or to drain the remaining load.
+
+    >>> from repro.experiments.common import (
+    ...     campaign_scenario, standard_hybrid_app,
+    ... )
+    >>> from repro.quantum.technology import SUPERCONDUCTING
+    >>> from repro.strategies import CoScheduleStrategy
+    >>> scenario = campaign_scenario(SUPERCONDUCTING, classical_nodes=8)
+    >>> app = standard_hybrid_app(SUPERCONDUCTING, iterations=2)
+    >>> records, env = run_campaign(CoScheduleStrategy(), [app], scenario)
+    >>> len(records)
+    1
+    """
+    apps = list(apps)
+    if submit_times is not None and len(submit_times) != len(apps):
+        raise ValueError("submit_times length must match apps")
+    horizon = _run_horizon(scenario.workload, None)
+    env, _, _ = _loaded(scenario, None, horizon, None)
+    kernel = env.kernel
+    if submit_times is None:
+        submit_times = [kernel.now] * len(apps)
+    runs = []
+
+    def launcher(app: HybridApplication, submit_time: float):
+        delay = submit_time - kernel.now
+        if delay > 0:
+            yield kernel.timeout(delay)
+        runs.append(strategy.launch(env, app))
+
+    launchers = [
+        kernel.process(launcher(app, time), name=f"launch:{app.name}")
+        for app, time in zip(apps, submit_times)
+    ]
+    # First let every scheduled launch materialise its run...
+    for process in launchers:
+        if not process.processed:
+            kernel.run(until=process)
+    # ...then drive each run to completion.
+    for run in runs:
+        if not run.done.processed:
+            kernel.run(until=run.done)
+    return [run.record for run in runs], env

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import pickle
 import sqlite3
@@ -1419,8 +1420,15 @@ class ResultStore:
 
         Quarantined ``*.corrupt`` files are never touched: they are
         evidence.  Returns a report of what was (or with ``dry_run``
-        would be) removed.
+        would be) removed.  ``keep_days`` must be a finite number >= 0;
+        anything else raises :class:`ConfigurationError` before the
+        store is touched.
         """
+        if keep_days is not None and not 0 <= keep_days < math.inf:
+            raise ConfigurationError(
+                "keep_days must be a finite number of days >= 0, "
+                f"got {keep_days!r}"
+            )
         conn = self.db.connection()
         referenced = {
             filename for (filename,) in conn.execute(

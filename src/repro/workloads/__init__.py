@@ -10,7 +10,7 @@ from repro.workloads.distributions import (
     LogUniform,
     PowerOfTwoNodes,
 )
-from repro.workloads.generator import CampaignDriver, submit_trace
+from repro.workloads.generator import submit_trace
 from repro.workloads.hybrid import trace_kernel_payload
 from repro.workloads.swf import TraceJob, read_swf, synthesise_trace, write_swf
 
@@ -28,7 +28,6 @@ __all__ = [
     "synthesise_trace",
     "write_swf",
     # Submission
-    "CampaignDriver",
     "submit_trace",
     "trace_kernel_payload",
 ]

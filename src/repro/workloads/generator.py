@@ -1,32 +1,22 @@
-"""Submission drivers: inject workloads into a live environment.
+"""Trace submission: inject a workload trace into a live environment.
 
-Two pieces every multi-tenant experiment needs:
-
-- :func:`submit_trace` replays a (synthetic) SWF trace of rigid
-  classical jobs, creating the background queue contention that makes
-  per-step queue waits in the workflow strategy non-trivial (Fig 2's
-  downside).  One arrival process per trace submits the jobs: it
-  reserves each future job's heap slot and keeps only the next arrival
-  on the event heap, so a job the run never reaches costs a reserved
-  slot, not a suspended process;
-- :class:`CampaignDriver` launches a set of hybrid applications under
-  one strategy, each at its own arrival time, and collects the
-  :class:`~repro.strategies.base.RunRecord` results.
+:func:`submit_trace` replays a (synthetic) SWF trace of rigid
+classical jobs, creating the background queue contention that makes
+per-step queue waits in the workflow strategy non-trivial (Fig 2's
+downside).  One arrival process per trace submits the jobs: it
+reserves each future job's heap slot and keeps only the next arrival
+on the event heap, so a job the run never reaches costs a reserved
+slot, not a suspended process.  Hybrid applications are launched by
+:func:`repro.scenarios.build.run_campaign`.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional
 
 from repro.scheduler.job import Job, JobComponent, JobSpec
-from repro.strategies.application import HybridApplication
-from repro.strategies.base import (
-    Environment,
-    IntegrationStrategy,
-    RunRecord,
-    StrategyRun,
-)
+from repro.strategies.base import Environment
 from repro.workloads.swf import TraceJob
 
 
@@ -135,54 +125,3 @@ def submit_trace(
 
     kernel.process(arrivals(), name="trace-arrivals")
     return submitted
-
-
-class CampaignDriver:
-    """Launch hybrid applications under a strategy at given times."""
-
-    def __init__(self, env: Environment, strategy: IntegrationStrategy) -> None:
-        self.env = env
-        self.strategy = strategy
-        self.runs: List[StrategyRun] = []
-        self._launchers: List[object] = []
-
-    def launch_at(
-        self, app: HybridApplication, submit_time: float
-    ) -> None:
-        """Schedule ``app`` to be launched at ``submit_time``."""
-
-        def launcher():
-            delay = submit_time - self.env.kernel.now
-            if delay > 0:
-                yield self.env.kernel.timeout(delay)
-            self.runs.append(self.strategy.launch(self.env, app))
-
-        self._launchers.append(
-            self.env.kernel.process(launcher(), name=f"launch:{app.name}")
-        )
-
-    def launch_all(
-        self,
-        apps: Sequence[HybridApplication],
-        submit_times: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Schedule every app (simultaneously when no times given)."""
-        if submit_times is None:
-            submit_times = [self.env.kernel.now] * len(apps)
-        if len(submit_times) != len(apps):
-            raise ValueError("submit_times length must match apps")
-        for app, time in zip(apps, submit_times):
-            self.launch_at(app, time)
-
-    def collect(self) -> List[RunRecord]:
-        """Run the simulation until every launched app completes."""
-        kernel = self.env.kernel
-        # First let every scheduled launch materialise its run...
-        for launcher in self._launchers:
-            if not launcher.processed:  # type: ignore[attr-defined]
-                kernel.run(until=launcher)
-        # ...then drive each run to completion.
-        for run in self.runs:
-            if not run.done.processed:
-                kernel.run(until=run.done)
-        return [run.record for run in self.runs]

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.cluster.builders import QUANTUM_PARTITION
-from repro.experiments.common import (
-    campaign_scenario,
-    run_campaign,
-    standard_hybrid_app,
-)
+from repro.experiments.common import campaign_scenario, standard_hybrid_app
 from repro.quantum.technology import NEUTRAL_ATOM, SUPERCONDUCTING
 from repro.scenarios import (
     ScenarioSpec,
@@ -15,10 +11,8 @@ from repro.scenarios import (
     WorkloadSpec,
     background_trace,
     build,
-    install_background,
 )
-from repro.scenarios.build import offered_load_interarrival
-from repro.strategies.coschedule import CoScheduleStrategy
+from repro.scenarios.build import install_background, offered_load_interarrival
 from repro.strategies.vqpu import VirtualQPUPool
 
 
@@ -152,45 +146,3 @@ class TestStandardHybridApp:
             NEUTRAL_ATOM, iterations=1, geometry="ring"
         )
         assert app.phases[1].circuit.geometry == "ring"
-
-
-class TestRunCampaign:
-    def test_returns_records_and_env(self):
-        app = standard_hybrid_app(
-            SUPERCONDUCTING, iterations=2, classical_phase_seconds=30.0,
-            classical_nodes=2,
-        )
-        records, env = run_campaign(
-            CoScheduleStrategy(),
-            [app, app],
-            campaign_scenario(SUPERCONDUCTING, classical_nodes=8, seed=0),
-        )
-        assert len(records) == 2
-        assert env.kernel.now > 0
-
-    def test_background_injection(self):
-        app = standard_hybrid_app(
-            SUPERCONDUCTING, iterations=1, classical_phase_seconds=30.0,
-            classical_nodes=2,
-        )
-        records, env = run_campaign(
-            CoScheduleStrategy(),
-            [app],
-            campaign_scenario(
-                SUPERCONDUCTING,
-                classical_nodes=16,
-                background_rho=0.5,
-                background_horizon=1800.0,
-                seed=0,
-            ),
-        )
-        env.kernel.run()  # drain the remaining background replay
-        trace_jobs = [
-            j
-            for j in (
-                env.scheduler.finished_jobs + env.scheduler.running
-                + env.scheduler.pending
-            )
-            if j.spec.tags.get("source") == "trace"
-        ]
-        assert trace_jobs

@@ -7,9 +7,11 @@ re-execute — corruption costs recompute, never a crash loop and never
 silent bad data.
 """
 
+import math
+
 import pytest
 
-from repro.errors import StoreCorruptError, StoreError
+from repro.errors import ConfigurationError, StoreCorruptError, StoreError
 from repro.experiments.sweep import run_sweep, runner_name
 from repro.store import ResultStore
 
@@ -188,4 +190,36 @@ class TestGarbageCollection:
         assert store.read_column(spec, name, "y").tolist() == [
             x * 2.0 for x in range(6)
         ]
+        store.close()
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+    @pytest.mark.parametrize(
+        "keep_days", [math.nan, math.inf, -math.inf, -1.0, -1e-9]
+    )
+    def test_bad_keep_days_rejected_before_anything_is_touched(
+        self, tmp_path, keep_days, dry_run
+    ):
+        store, spec, name = _finalized_store(tmp_path)
+        orphan = store.db.shards_dir / "sweep999999-0000.npz"
+        orphan.write_bytes(b"leftover from a killed finalize")
+        shards = sorted(store.db.shards_dir.glob("*.npz"))
+        with pytest.raises(ConfigurationError, match="keep_days"):
+            store.gc(keep_days=keep_days, dry_run=dry_run)
+        assert sorted(store.db.shards_dir.glob("*.npz")) == shards
+        assert store.read_column(spec, name, "y").tolist() == [
+            x * 2.0 for x in range(6)
+        ]
+        store.close()
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "real"])
+    def test_zero_keep_days_is_valid(self, tmp_path, dry_run):
+        store, spec, name = _finalized_store(tmp_path)
+        with store.db.transaction() as conn:
+            conn.execute(
+                "UPDATE sweeps SET updated_at = 0, last_read_at = 0"
+            )
+        report = store.gc(keep_days=0, dry_run=dry_run)
+        assert report["sweeps_removed"] == 1
+        assert report["dry_run"] is dry_run
+        assert bool(list(store.db.shards_dir.glob("*.npz"))) is dry_run
         store.close()

@@ -1,12 +1,15 @@
-"""Tests for the trace kernel payload and the submission drivers."""
+"""Tests for the trace kernel payload and trace submission.
+
+Campaign launching is tested with the run pipeline
+(``tests/scenarios/test_run_pipeline.py``).
+"""
 
 import numpy as np
 import pytest
 
 from repro.scenarios import ScenarioSpec, TopologySpec, build
 from repro.scheduler.job import JobState
-from repro.strategies.coschedule import CoScheduleStrategy
-from repro.workloads.generator import CampaignDriver, submit_trace
+from repro.workloads.generator import submit_trace
 from repro.workloads.swf import TraceJob, synthesise_trace
 
 
@@ -74,71 +77,3 @@ class TestSubmitTrace:
         env.kernel.run()
         done = sum(1 for job in jobs if job.state == JobState.COMPLETED)
         assert done == 20
-
-
-class TestCampaignDriver:
-    def test_collects_all_records(self):
-        from repro.quantum.circuit import Circuit
-        from repro.strategies.application import vqe_like
-
-        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
-        driver = CampaignDriver(env, CoScheduleStrategy())
-        apps = [
-            vqe_like(2, 50.0, Circuit(5, 10), classical_nodes=2)
-            for _ in range(3)
-        ]
-        driver.launch_all(apps)
-        records = driver.collect()
-        assert len(records) == 3
-        assert all(record.end_time is not None for record in records)
-
-    def test_staggered_submissions(self):
-        from repro.quantum.circuit import Circuit
-        from repro.strategies.application import vqe_like
-
-        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
-        driver = CampaignDriver(env, CoScheduleStrategy())
-        apps = [
-            vqe_like(1, 50.0, Circuit(5, 10), classical_nodes=2)
-            for _ in range(2)
-        ]
-        driver.launch_all(apps, submit_times=[100.0, 200.0])
-        records = driver.collect()
-        assert records[0].submit_time == 100.0
-        assert records[1].submit_time == 200.0
-
-    def test_mismatched_submit_times_rejected(self):
-        from repro.quantum.circuit import Circuit
-        from repro.strategies.application import vqe_like
-
-        env = build(ScenarioSpec())
-        driver = CampaignDriver(env, CoScheduleStrategy())
-        with pytest.raises(ValueError):
-            driver.launch_all(
-                [vqe_like(1, 10.0, Circuit(4, 5))], submit_times=[1.0, 2.0]
-            )
-
-    def test_empty_submit_times_rejected_not_launched_now(self):
-        from repro.quantum.circuit import Circuit
-        from repro.strategies.application import vqe_like
-
-        env = build(ScenarioSpec())
-        driver = CampaignDriver(env, CoScheduleStrategy())
-        apps = [vqe_like(1, 10.0, Circuit(4, 5)) for _ in range(2)]
-        with pytest.raises(ValueError):
-            driver.launch_all(apps, submit_times=[])
-        assert driver.collect() == []
-
-    def test_array_submit_times_accepted(self):
-        from repro.quantum.circuit import Circuit
-        from repro.strategies.application import vqe_like
-
-        env = build(ScenarioSpec(topology=TopologySpec(classical_nodes=16)))
-        driver = CampaignDriver(env, CoScheduleStrategy())
-        apps = [
-            vqe_like(1, 50.0, Circuit(5, 10), classical_nodes=2)
-            for _ in range(2)
-        ]
-        driver.launch_all(apps, submit_times=np.array([100.0, 200.0]))
-        records = driver.collect()
-        assert [record.submit_time for record in records] == [100.0, 200.0]
